@@ -10,7 +10,6 @@ from .fields import (
     TransverseGrid,
     horizontally_polarized,
     inner_product,
-    scalar_inner_product,
     to_circular,
     to_linear,
 )

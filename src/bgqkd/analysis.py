@@ -85,35 +85,15 @@ def projected_lobe_axis(f: PolarizedField, analyzer_angle: float) -> float:
     return float(np.angle(m2) / 2.0) % np.pi
 
 
-def band_limit_fraction(f: PolarizedField | ScalarField, annulus: float = 0.1) -> float:
-    """Spectral power fraction in the outer `annulus` of the Nyquist disk."""
-    if isinstance(f, ScalarField):
-        planes = [f.samples]
-        grid = f.grid
-    else:
-        planes = [f.h.samples, f.v.samples]
-        grid = f.grid
-    k_nyquist = np.pi / grid.spacing
-    k2 = grid.k_squared
-    outer = k2 > ((1.0 - annulus) * k_nyquist) ** 2
-    total = 0.0
-    tail = 0.0
-    for p in planes:
-        spec = np.abs(np.fft.fft2(p)) ** 2
-        total += spec.sum()
-        tail += spec[outer].sum()
-    return float(tail / total) if total > 0 else 0.0
+def interior_window(n: int, margin: float = 0.05):
+    """Sample window of an n x n grid leaving out `margin` of it on every side."""
+    m = max(1, int(round(margin * n)))
+    return np.s_[m:-m, m:-m]
 
 
 def boundary_power_fraction(f: PolarizedField | ScalarField, margin: float = 0.05) -> float:
     """Power fraction within `margin` of the grid edge (wrap-around monitor)."""
-    if isinstance(f, ScalarField):
-        intensity = f.intensity()
-        n = f.grid.n
-    else:
-        intensity = f.intensity()
-        n = f.grid.n
-    m = max(1, int(round(margin * n)))
-    interior = intensity[m:-m, m:-m].sum()
+    intensity = f.intensity()
+    interior = intensity[interior_window(f.grid.n, margin)].sum()
     total = intensity.sum()
     return float(1.0 - interior / total) if total > 0 else 0.0

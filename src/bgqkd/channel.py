@@ -18,18 +18,18 @@ cascade
     narrower than the source envelope.
 
 Both reduce to a single projection at the station plane against an
-effective detection state, which is how they are evaluated.
+effective detection state. Every prepared and detection state is a spin-orbit
+superposition of two scalar OAM fields, so only those are transported.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .analysis import boundary_power_fraction
+from .analysis import interior_window
 from .fields import (
     PolarizedField,
     ScalarField,
@@ -37,14 +37,14 @@ from .fields import (
     horizontally_polarized,
     inner_product,
 )
-from .jones import ALL_LABELS, MubLabel, prepare_state
+from .jones import ALL_LABELS, SPIN_ORBIT, MubLabel, prepare_state, spin_orbit_pair
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, evaluate_mode
 from .propagation import (
-    BandLimitWarning,
     ChannelSpec,
-    back_propagate,
     back_propagate_scalar,
-    transmit_to_station,
+    band_limit_message,
+    band_tail_fraction,
+    transmit_scalars,
 )
 
 BOUNDARY_POWER_TOL = 1e-6
@@ -139,49 +139,82 @@ def measure_projection(f: PolarizedField, label: MubLabel, detection: ModeSpec,
 
 
 # ---------------------------------------------------------------------------
-# effective detection states at the demodulation station
+# spin-orbit engine
+#
+# Prepared state i is sum_k SPIN_ORBIT[i, k] |p_k> (x) u_{s_k} and detection
+# state j is sum_k SPIN_ORBIT[j, k] |p_k> (x) g_{s_k}, with (p_k) = (R, R, L, L)
+# and (s_k) = (+, -, +, -) (see jones.spin_orbit_pair). Free space and the
+# obstacles act alike on both polarizations, so a channel only needs the two
+# scalars u_+- carried to the station and their 2 x 2 overlaps.
 
-def _ideal_detection_states(source: ModeSpec, grid: TransverseGrid, ell: int,
-                            decoding_distance: float) -> list[PolarizedField]:
-    base = heralded_input(source, grid)
-    states = []
-    for label in ALL_LABELS:
-        b = prepare_state(label, base, ell)
-        states.append(back_propagate(b, decoding_distance) if decoding_distance > 0 else b)
-    return states
-
-
-def _cascade_detection_states(source: ModeSpec, grid: TransverseGrid, ell: int,
-                              decoding_distance: float, smf_waist: float) -> list[PolarizedField]:
-    g = np.exp(-(grid.r / smf_waist) ** 2)
-    if source.family is ModeFamily.BG and source.k_r > 0:
-        holo = binary_bessel_hologram(0, source.k_r, grid).samples
-        det_scalar = ScalarField(grid, holo * g).normalized()
-    else:
-        det_scalar = ScalarField(grid, g.astype(complex)).normalized()
-    if decoding_distance > 0:
-        det_scalar = back_propagate_scalar(det_scalar, source.wavelength, decoding_distance)
-    base = horizontally_polarized(det_scalar, source.wavelength)
-    return [prepare_state(label, base, ell) for label in ALL_LABELS]
+def source_pair(source: ModeSpec, grid: TransverseGrid) -> tuple[ScalarField, ScalarField]:
+    """The prepared states' OAM pair u_+- at the channel input."""
+    return spin_orbit_pair(heralded_profile(source, grid), abs(source.ell) or 1)
 
 
 def detection_states(source: ModeSpec, grid: TransverseGrid, ell: int,
-                     decoding_distance: float, detection: DetectionModel) -> list[PolarizedField]:
-    """Effective projection states at the station plane for all 8 labels.
+                     decoding_distance: float,
+                     detection: DetectionModel) -> tuple[ScalarField, ScalarField]:
+    """The effective detection states' OAM pair g_+- at the station plane.
 
-    Projecting the station-plane field on these equals running the physical
-    receiver (adjoint train, decoding propagation, hologram, fiber overlap).
+    Projecting the station-plane field on detection state j (built from the
+    pair like the prepared states) equals running the physical receiver:
+    adjoint train, decoding propagation, then the ideal modal projector
+    (g_+- = BP(u_+-)) or the hologram and fiber (g_+- = exp(+-i ell phi)
+    BP(hologram * fiber)).
     """
     if detection.kind is DetectionKind.CASCADE:
-        return _cascade_detection_states(source, grid, ell, decoding_distance,
-                                         detection.smf_waist)
-    return _ideal_detection_states(source, grid, ell, decoding_distance)
+        fiber = np.exp(-(grid.r / detection.smf_waist) ** 2).astype(complex)
+        if source.family is ModeFamily.BG and source.k_r > 0:
+            fiber *= binary_bessel_hologram(0, source.k_r, grid).samples
+        scalar = back_propagate_scalar(ScalarField(grid, fiber), source.wavelength,
+                                       decoding_distance)
+        return spin_orbit_pair(scalar, ell)
+    pair = spin_orbit_pair(heralded_profile(source, grid), ell)
+    return tuple(back_propagate_scalar(g, source.wavelength, decoding_distance) for g in pair)
+
+
+def spin_orbit_amplitudes(dets: tuple[ScalarField, ScalarField],
+                          pair: tuple[ScalarField, ScalarField], window=np.s_[:, :]) -> np.ndarray:
+    """8 x 8 amplitudes <d_j|f_i> at [i, j] (over the sample window) for the
+    prepared states carried by `pair` and the detection states carried by `dets`."""
+    x, y = (np.stack([f.samples[window].ravel() for f in p]) for p in (dets, pair))
+    gram = x.conj() @ y.T * pair[0].grid.pixel_area  # G[s, s'] = <g_s|u_s'>
+    return SPIN_ORBIT @ np.kron(np.eye(2), gram).T @ SPIN_ORBIT.conj().T
+
+
+def state_powers(pair: tuple[ScalarField, ScalarField], window=np.s_[:, :]) -> np.ndarray:
+    """Power of each of the 8 states carried by `pair`, within the sample window."""
+    return np.real(np.diag(spin_orbit_amplitudes(pair, pair, window)))
+
+
+def state_intensity(i: int, pair: tuple[ScalarField, ScalarField]) -> np.ndarray:
+    """Intensity map of state i carried by `pair` (sum over R and L)."""
+    a = SPIN_ORBIT[i]
+    up, um = pair[0].samples, pair[1].samples
+    return np.abs(a[0] * up + a[1] * um) ** 2 + np.abs(a[2] * up + a[3] * um) ** 2
 
 
 # ---------------------------------------------------------------------------
 # scattering matrix
 
 LABEL_STRINGS: tuple[str, ...] = tuple(str(l) for l in ALL_LABELS)
+
+# H-component weights of each state on the pair: <H|R> = <H|L> = 1/sqrt(2)
+_H_WEIGHTS = (SPIN_ORBIT[:, :2] + SPIN_ORBIT[:, 2:]) / np.sqrt(2.0)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _matrix_csv(labels: tuple[str, ...], rows, spec: str) -> str:
+    lines = ["prepared\\measured," + ",".join(labels)]
+    lines += [label + "," + ",".join(format(v, spec) for v in row)
+              for label, row in zip(labels, rows)]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -202,12 +235,8 @@ class ScatteringMatrix:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=float).copy()
-        raw.setflags(write=False)
-        object.__setattr__(self, "raw", raw)
-        tr = np.asarray(self.transmission, dtype=float).copy()
-        tr.setflags(write=False)
-        object.__setattr__(self, "transmission", tr)
+        object.__setattr__(self, "raw", _read_only(self.raw, float))
+        object.__setattr__(self, "transmission", _read_only(self.transmission, float))
 
     def basis_slice(self, i: int) -> slice:
         return slice(0, 4) if i < 4 else slice(4, 8)
@@ -222,8 +251,7 @@ class ScatteringMatrix:
         return out
 
     def matched_diagonal(self) -> np.ndarray:
-        rn = self.row_normalized()
-        return np.diag(rn)
+        return np.diag(self.row_normalized())
 
     def to_json_dict(self) -> dict:
         return {
@@ -238,10 +266,10 @@ class ScatteringMatrix:
         }
 
     def to_csv(self) -> str:
-        lines = ["prepared\\measured," + ",".join(self.labels)]
-        for i, row in enumerate(self.raw):
-            lines.append(self.labels[i] + "," + ",".join(f"{v:.10g}" for v in row))
-        return "\n".join(lines) + "\n"
+        return _matrix_csv(self.labels, self.raw, ".10g")
+
+    def normalized_csv(self) -> str:
+        return _matrix_csv(self.labels, self.row_normalized(), ".10g")
 
 
 def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
@@ -251,32 +279,28 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
 
     Preparation and projection both use the source's |ell|; the obstacles and
     decoding leg are taken from the channel. Band-limit and grid-boundary
-    guard violations are attached as warnings on the result.
+    guard violations are attached as warnings on the result: the H-component
+    band tail of each state before every free-space segment, and its power
+    fraction near the grid edge at the station.
     """
     ell = abs(source.ell) or 1
-    base = heralded_input(source, grid)
     dets = detection_states(source, grid, ell, channel.decoding_distance, detection)
-    raw = np.zeros((8, 8))
-    transmission = np.zeros(8)
+    pair, band = transmit_scalars(source_pair(source, grid), source.wavelength, channel)
+    raw = np.abs(spin_orbit_amplitudes(dets, pair)) ** 2 + detection.noise_floor
+    power = state_powers(pair)
+    interior = state_powers(pair, interior_window(grid.n))
     notes: list[str] = []
-    for i, label in enumerate(ALL_LABELS):
-        a = prepare_state(label, base, ell)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", BandLimitWarning)
-            f = transmit_to_station(a, channel)
-        for w in caught:
-            notes.append(f"{label}: {w.message}")
-        transmission[i] = f.power()
-        edge = boundary_power_fraction(f)
+    for i, label in enumerate(LABEL_STRINGS):
+        for g in band:
+            if msg := band_limit_message(band_tail_fraction(g, _H_WEIGHTS[i])):
+                notes.append(f"{label}: {msg}")
+        edge = 1.0 - interior[i] / power[i] if power[i] > 0 else 0.0
         if edge > BOUNDARY_POWER_TOL:
             notes.append(f"{label}: boundary power fraction {edge:.2e}")
-        for j in range(8):
-            raw[i, j] = abs(inner_product(dets[j], f)) ** 2
-    raw += detection.noise_floor
     return ScatteringMatrix(
         labels=LABEL_STRINGS,
         raw=raw,
-        transmission=transmission,
+        transmission=power,
         noise_floor=detection.noise_floor,
         family=source.family.value,
         scenario=scenario,
@@ -317,12 +341,8 @@ class CountsTable:
     total_events: float
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64).copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
-        e = np.asarray(self.expected, dtype=float).copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "expected", e)
+        object.__setattr__(self, "counts", _read_only(self.counts, np.int64))
+        object.__setattr__(self, "expected", _read_only(self.expected, float))
 
     def empirical_qber(self) -> tuple[float, float]:
         """Sifted-error estimate and its standard error from matched blocks."""
@@ -350,10 +370,7 @@ class CountsTable:
         }
 
     def to_csv(self) -> str:
-        lines = ["prepared\\measured," + ",".join(self.labels)]
-        for i, row in enumerate(self.counts):
-            lines.append(self.labels[i] + "," + ",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        return _matrix_csv(self.labels, self.counts, "d")
 
 
 def simulate_counts(matrix: ScatteringMatrix, rates: CountRates, seed: int) -> CountsTable:

@@ -20,18 +20,19 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .channel import (
+    LABEL_STRINGS,
     CountRates,
     ScatteringMatrix,
-    heralded_input,
     scattering_matrix,
     simulate_counts,
+    source_pair,
+    state_intensity,
 )
 from .config import RunConfig, load_config, load_preset, preset_names
 from .errors import ConfigError
 from .io import write_pgm
-from .jones import ALL_LABELS, prepare_state
 from .modes import ModeFamily, ModeSpec, nondiffracting_distance, shadow_length
-from .propagation import ChannelSpec, propagate, transmit_to_station
+from .propagation import ChannelSpec, transmit_scalars
 from .security import PhotonStatistics, key_rate, mutual_information, security_report
 from .selfheal import selfheal_scan
 
@@ -90,11 +91,7 @@ def cmd_scattering(args) -> int:
             _write_json(out / f"{stem}_matrix.json", m.to_json_dict())
         if "csv" in cfg.run.outputs:
             (out / f"{stem}_matrix.csv").write_text(m.to_csv())
-            rn = m.row_normalized()
-            lines = ["prepared\\measured," + ",".join(m.labels)]
-            for i, row in enumerate(rn):
-                lines.append(m.labels[i] + "," + ",".join(f"{v:.10g}" for v in row))
-            (out / f"{stem}_matrix_normalized.csv").write_text("\n".join(lines) + "\n")
+            (out / f"{stem}_matrix_normalized.csv").write_text(m.normalized_csv())
         print(f"{m.scenario} [{m.family}]: mean matched diagonal = "
               f"{m.matched_diagonal().mean():.4f}")
     if "pgm" in cfg.run.outputs:
@@ -109,21 +106,18 @@ def cmd_scattering(args) -> int:
 
 def _write_intensity_snapshots(cfg: RunConfig, out: Path) -> None:
     fam = cfg.source.family.value.lower()
-    base = heralded_input(cfg.source, cfg.grid)
-    ell = abs(cfg.source.ell) or 1
+    pair = source_pair(cfg.source, cfg.grid)
     for scenario in cfg.scenarios:
         stations = cfg.run.pgm_stations or (scenario.channel.length,)
-        for label in ALL_LABELS:
-            f0 = prepare_state(label, base, ell)
-            for z in stations:
-                z_stop = min(z, scenario.channel.length)
-                obstacles = tuple(o for o in scenario.channel.obstacles
-                                  if o.z <= z_stop)
-                chan = ChannelSpec(length=z_stop, obstacles=obstacles,
-                                   station_z=z_stop)
-                f = transmit_to_station(f0, chan, check_band_limit=False)
+        for z in stations:
+            z_stop = min(z, scenario.channel.length)
+            obstacles = tuple(o for o in scenario.channel.obstacles if o.z <= z_stop)
+            chan = ChannelSpec(length=z_stop, obstacles=obstacles, station_z=z_stop)
+            at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan,
+                                       check_band_limit=False)
+            for i, label in enumerate(LABEL_STRINGS):
                 name = f"{scenario.name}_{fam}_{label}_z{z:.4f}.pgm"
-                write_pgm(out / name, f.intensity(), bit_depth=16)
+                write_pgm(out / name, state_intensity(i, at_z), bit_depth=16)
 
 
 def cmd_security(args) -> int:
@@ -228,17 +222,14 @@ def cmd_selfheal_scan(args) -> int:
 
 
 def _write_selfheal_snapshots(cfg: RunConfig, out: Path) -> None:
-    base = heralded_input(cfg.source, cfg.grid)
-    ell = abs(cfg.source.ell) or 1
-    f0 = prepare_state(cfg.selfheal.label, base, ell)
+    pair = source_pair(cfg.source, cfg.grid)
+    i = LABEL_STRINGS.index(str(cfg.selfheal.label))
     obs = cfg.selfheal.obstacle
     for z in cfg.selfheal.z_stations:
-        chan = ChannelSpec(length=z, obstacles=(obs,), station_z=obs.z)
-        f = transmit_to_station(f0, chan, check_band_limit=False)
-        if chan.decoding_distance > 0:
-            f = propagate(f, chan.decoding_distance, check_band_limit=False)
+        chan = ChannelSpec(length=z, obstacles=(obs,), station_z=z)
+        at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan, check_band_limit=False)
         write_pgm(out / f"selfheal_{cfg.source.family.value.lower()}_z{z:.4f}.pgm",
-                  f.intensity(), bit_depth=16)
+                  state_intensity(i, at_z), bit_depth=16)
 
 
 def cmd_info(args) -> int:

@@ -82,6 +82,13 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(path, f"unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
+def _get_name(mapping: dict, path: str) -> str:
+    if not isinstance(mapping["name"], str):
+        raise ConfigError(f"{path}.name", f"expected a string, got {mapping['name']!r}; "
+                          "quote it (YAML reads bare off/no/yes/on as booleans)")
+    return mapping["name"]
+
+
 def _get_number(mapping: dict, key: str, path: str, default=None, minimum=None):
     if key not in mapping:
         if default is None:
@@ -286,7 +293,7 @@ def _parse_security(doc: dict) -> tuple[SecuritySettings, tuple[DirectSecurityEn
         if qber > 1:
             raise ConfigError(f"{path}.qber", "must be <= 1")
         direct.append(DirectSecurityEntry(
-            name=str(e["name"]),
+            name=_get_name(e, path),
             family=str(e.get("family", "BG")).upper(),
             qber=qber,
             delta=_get_number(e, "delta", path, default=0.0, minimum=0.0),
@@ -370,7 +377,7 @@ def parse_config(doc: Any, *, source_name: str = "config") -> RunConfig:
         _check_keys(e, {"name", "channel"}, path)
         if "name" not in e or "channel" not in e:
             raise ConfigError(path, "scenario entries need name and channel")
-        name = str(e["name"])
+        name = _get_name(e, path)
         if any(s.name == name for s in scenarios):
             raise ConfigError(f"{path}.name", f"duplicate scenario name {name!r}")
         scenarios.append(ScenarioDef(name, _parse_channel(e["channel"], f"{path}.channel")))

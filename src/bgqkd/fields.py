@@ -140,11 +140,8 @@ class PolarizedField:
         if p == 0.0:
             raise ValueError("cannot normalize a zero field")
         s = 1.0 / np.sqrt(p)
-        return PolarizedField(
-            ScalarField(self.grid, self.h.samples * s),
-            ScalarField(self.grid, self.v.samples * s),
-            self.wavelength,
-        )
+        return polarized_from_arrays(self.grid, self.h.samples * s, self.v.samples * s,
+                                     self.wavelength)
 
     def intensity(self) -> np.ndarray:
         return self.h.intensity() + self.v.intensity()
@@ -167,12 +164,6 @@ def _require_same_grid(a, b):
             f"fields on different grids: n={a.grid.n}, extent={a.grid.extent} vs "
             f"n={b.grid.n}, extent={b.grid.extent}"
         )
-
-
-def scalar_inner_product(a: ScalarField, b: ScalarField) -> complex:
-    """<a|b> = sum conj(a) * b * pixel_area (conjugate-linear in the first slot)."""
-    _require_same_grid(a, b)
-    return complex(np.sum(np.conj(a.samples) * b.samples) * a.grid.pixel_area)
 
 
 def inner_product(a: PolarizedField, b: PolarizedField) -> complex:
@@ -222,5 +213,4 @@ def to_linear(c: CircularComponents) -> PolarizedField:
     l, r = c.l.samples, c.r.samples
     h = (l + r) / _SQRT2
     v = 1j * (l - r) / _SQRT2
-    grid = c.grid
-    return PolarizedField(ScalarField(grid, h), ScalarField(grid, v), c.wavelength)
+    return polarized_from_arrays(c.grid, h, v, c.wavelength)

@@ -21,7 +21,13 @@ from typing import Union
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import PolarizedField, ScalarField, inner_product
+from .fields import (
+    PolarizedField,
+    ScalarField,
+    horizontally_polarized,
+    inner_product,
+    polarized_from_arrays,
+)
 
 _H_INPUT_V_POWER_TOL = 1e-6
 
@@ -41,10 +47,6 @@ def qwp_matrix(theta: float) -> np.ndarray:
          [(1.0 - 1j) * s * c, s * s + 1j * c * c]],
         dtype=complex,
     )
-
-
-def polarizer_h_matrix() -> np.ndarray:
-    return np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,7 @@ JonesElement = Union[HalfWavePlate, QuarterWavePlate, QPlate, HorizontalPolarize
 def _apply_constant(m: np.ndarray, f: PolarizedField) -> PolarizedField:
     h = m[0, 0] * f.h.samples + m[0, 1] * f.v.samples
     v = m[1, 0] * f.h.samples + m[1, 1] * f.v.samples
-    grid = f.grid
-    return PolarizedField(ScalarField(grid, h), ScalarField(grid, v), f.wavelength)
+    return polarized_from_arrays(f.grid, h, v, f.wavelength)
 
 
 def apply_element(element: JonesElement, f: PolarizedField) -> PolarizedField:
@@ -104,16 +105,13 @@ def apply_element(element: JonesElement, f: PolarizedField) -> PolarizedField:
             m = m.conj().T
         return _apply_constant(m, f)
     if isinstance(element, HorizontalPolarizer):
-        zero = np.zeros_like(f.v.samples)
-        grid = f.grid
-        return PolarizedField(f.h, ScalarField(grid, zero), f.wavelength)
+        return horizontally_polarized(f.h, f.wavelength)
     if isinstance(element, QPlate):
-        grid = f.grid
-        a = 2.0 * element.q * grid.phi
+        a = 2.0 * element.q * f.grid.phi
         c, s = np.cos(a), np.sin(a)
         h = c * f.h.samples + s * f.v.samples
         v = s * f.h.samples - c * f.v.samples
-        return PolarizedField(ScalarField(grid, h), ScalarField(grid, v), f.wavelength)
+        return polarized_from_arrays(f.grid, h, v, f.wavelength)
     raise TypeError(f"unknown Jones element {element!r}")
 
 
@@ -222,7 +220,7 @@ def vpoint_conditioned(f: PolarizedField) -> PolarizedField:
         return f
     h = np.where(on_axis, 0.0, f.h.samples)
     v = np.where(on_axis, 0.0, f.v.samples)
-    return PolarizedField(ScalarField(grid, h), ScalarField(grid, v), f.wavelength)
+    return polarized_from_arrays(grid, h, v, f.wavelength)
 
 
 def prepare_state(label: MubLabel, input_field: PolarizedField, ell: int = 1) -> PolarizedField:
@@ -271,6 +269,25 @@ def mub_state_vector(label: MubLabel) -> np.ndarray:
     return table[(label.basis.value, label.index)].astype(complex)
 
 
+SPIN_ORBIT: np.ndarray = np.stack([mub_state_vector(l) for l in ALL_LABELS])
+SPIN_ORBIT.setflags(write=False)
+
+
+def spin_orbit_pair(profile: ScalarField, ell: int = 1) -> tuple[ScalarField, ScalarField]:
+    """The unit-power OAM scalars profile * exp(+-i ell phi), on-axis sample removed.
+
+    Every prepared state is a spin-orbit superposition of the pair:
+    prepare_state(labels[i], H (x) profile, ell) equals, up to a global phase,
+    sum_k SPIN_ORBIT[i, k] |p_k> (x) pair[k % 2] with (p_k) = (R, R, L, L),
+    the rows of SPIN_ORBIT being mub_state_vector of ALL_LABELS.
+    """
+    grid = profile.grid
+    u = np.where(grid.r == 0.0, 0.0, profile.samples)
+    u = u / np.sqrt(np.sum(np.abs(u) ** 2) * grid.pixel_area)
+    turn = np.exp(1j * ell * grid.phi)
+    return ScalarField(grid, u * turn), ScalarField(grid, u * turn.conj())
+
+
 @dataclass(frozen=True)
 class MubCheckResult:
     """Overlap-squared matrix between two four-state sets and the verdict."""
@@ -284,18 +301,9 @@ class MubCheckResult:
         return self.failure is None
 
 
-def _overlap_matrix_vectors(set_a, set_b) -> np.ndarray:
-    a = np.stack([mub_state_vector(l) for l in set_a])
-    b = np.stack([mub_state_vector(l) for l in set_b])
-    return np.abs(a.conj() @ b.T) ** 2
-
-
-def _orthonormality_defect(states) -> float:
-    g = np.zeros((len(states), len(states)), dtype=complex)
-    for i, si in enumerate(states):
-        for j, sj in enumerate(states):
-            g[i, j] = np.vdot(si, sj) if isinstance(si, np.ndarray) else inner_product(si, sj)
-    return float(np.max(np.abs(g - np.eye(len(states)))))
+def _gram(xs, ys) -> np.ndarray:
+    return np.array([[np.vdot(x, y) if isinstance(x, np.ndarray) else inner_product(x, y)
+                      for y in ys] for x in xs])
 
 
 def check_mub(set_a, set_b, *, states_a=None, states_b=None, tol: float = 1e-3) -> MubCheckResult:
@@ -306,22 +314,16 @@ def check_mub(set_a, set_b, *, states_a=None, states_b=None, tol: float = 1e-3) 
     discrete realization instead. Non-orthonormal input sets are reported as
     a structured failure rather than an exception.
     """
-    if states_a is not None or states_b is not None:
-        if states_a is None or states_b is None:
-            raise ValueError("provide both states_a and states_b or neither")
-        vecs_a, vecs_b = list(states_a), list(states_b)
-        overlaps = np.zeros((len(vecs_a), len(vecs_b)))
-        for i, fa in enumerate(vecs_a):
-            for j, fb in enumerate(vecs_b):
-                overlaps[i, j] = abs(inner_product(fa, fb)) ** 2
-    else:
-        vecs_a = [mub_state_vector(l) for l in set_a]
-        vecs_b = [mub_state_vector(l) for l in set_b]
-        overlaps = _overlap_matrix_vectors(set_a, set_b)
+    if (states_a is None) != (states_b is None):
+        raise ValueError("provide both states_a and states_b or neither")
+    if states_a is None:
+        states_a, states_b = ([mub_state_vector(l) for l in s] for s in (set_a, set_b))
+    states_a, states_b = list(states_a), list(states_b)
+    overlaps = np.abs(_gram(states_a, states_b)) ** 2
 
     ortho_tol = max(tol, 1e-9)
-    for name, states in (("A", vecs_a), ("B", vecs_b)):
-        defect = _orthonormality_defect(states)
+    for name, states in (("A", states_a), ("B", states_b)):
+        defect = float(np.max(np.abs(_gram(states, states) - np.eye(len(states)))))
         if defect > ortho_tol:
             return MubCheckResult(overlaps, False,
                                   f"set {name} is not orthonormal (defect {defect:.3e})")

@@ -8,13 +8,14 @@ Back-propagation is the explicit conjugation route, not a negative dz.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as spfft
 
-from .fields import PolarizedField, ScalarField, TransverseGrid
+from .fields import PolarizedField, ScalarField, TransverseGrid, polarized_from_arrays
 
 FFT_WORKERS = -1  # scipy.fft workers; results are independent of the value
 
@@ -26,30 +27,42 @@ class BandLimitWarning(UserWarning):
     """Field carries non-negligible power near the Nyquist edge."""
 
 
-_kz_cache: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _kz_and_mask(grid: TransverseGrid, wavelength: float):
-    key = (grid.n, grid.extent, wavelength)
-    hit = _kz_cache.get(key)
-    if hit is None:
-        k = 2.0 * np.pi / wavelength
-        k2 = grid.k_squared
-        propagating = k2 <= k * k
-        kz = np.sqrt(np.maximum(k * k - k2, 0.0))
-        if len(_kz_cache) > 8:
-            _kz_cache.clear()
-        hit = (kz, propagating)
-        _kz_cache[key] = hit
-    return hit
+    k = 2.0 * np.pi / wavelength
+    k2 = grid.k_squared
+    propagating = k2 <= k * k
+    kz = np.sqrt(np.maximum(k * k - k2, 0.0))
+    kz.setflags(write=False)
+    propagating.setflags(write=False)
+    return kz, propagating
 
 
-def _band_tail_fraction(spectra, grid: TransverseGrid) -> float:
-    k_nyquist = np.pi / grid.spacing
-    outer = grid.k_squared > ((1.0 - _BAND_ANNULUS) * k_nyquist) ** 2
-    total = sum(float(np.sum(np.abs(s) ** 2)) for s in spectra)
-    tail = sum(float(np.sum(np.abs(s[outer]) ** 2)) for s in spectra)
+def _band_grams(fields: tuple[ScalarField, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of the fields' angular spectra over the outer band
+    annulus and over all of k-space."""
+    grid = fields[0].grid
+    outer = grid.k_squared > ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
+    flat = spfft.fft2(np.stack([f.samples for f in fields]), workers=FFT_WORKERS)
+    flat = flat.reshape(len(fields), -1)
+    edge = flat[:, outer.ravel()]
+    return edge.conj() @ edge.T, flat.conj() @ flat.T
+
+
+def band_tail_fraction(grams: tuple[np.ndarray, np.ndarray], weights=(1.0,)) -> float:
+    """Outer-annulus spectral power fraction of sum_s weights[s] * field_s,
+    from the fields' band Gram matrices (see transmit_scalars)."""
+    c = np.asarray(weights, dtype=complex)
+    tail, total = (float(np.real(c.conj() @ g @ c)) for g in grams)
     return tail / total if total > 0 else 0.0
+
+
+def band_limit_message(tail: float) -> str | None:
+    """The band-limit guard's complaint about a band-tail fraction, if any."""
+    if tail > BAND_LIMIT_TOL:
+        return (f"field has {tail:.2e} of spectral power in the outer "
+                f"{_BAND_ANNULUS:.0%} of k-space; propagation may alias")
+    return None
 
 
 def propagate_scalar(f: ScalarField, wavelength: float, dz: float,
@@ -60,17 +73,10 @@ def propagate_scalar(f: ScalarField, wavelength: float, dz: float,
     if dz == 0.0:
         return f
     grid = f.grid
+    if check_band_limit and (msg := band_limit_message(band_tail_fraction(_band_grams((f,))))):
+        warnings.warn(msg, BandLimitWarning, stacklevel=2)
     kz, propagating = _kz_and_mask(grid, wavelength)
     spec = spfft.fft2(f.samples, workers=FFT_WORKERS)
-    if check_band_limit:
-        tail = _band_tail_fraction([spec], grid)
-        if tail > BAND_LIMIT_TOL:
-            warnings.warn(
-                f"field has {tail:.2e} of spectral power in the outer "
-                f"{_BAND_ANNULUS:.0%} of k-space; propagation may alias",
-                BandLimitWarning,
-                stacklevel=2,
-            )
     spec *= np.exp(-1j * dz * kz)
     spec *= propagating
     out = spfft.ifft2(spec, workers=FFT_WORKERS)
@@ -83,8 +89,6 @@ def propagate(f: PolarizedField, dz: float, check_band_limit: bool = True) -> Po
     Power is preserved to 1e-9 for band-limited fields (evanescent truncation
     only removes power that cannot propagate).
     """
-    if dz < 0:
-        raise ValueError("dz must be >= 0; use back_propagate for the reverse direction")
     if dz == 0.0:
         return f
     h = propagate_scalar(f.h, f.wavelength, dz, check_band_limit)
@@ -135,12 +139,7 @@ def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:
 def apply_obstacle(f: PolarizedField, obs: ObstacleSpec) -> PolarizedField:
     """Hard-edge binary mask: zero inside the disk, unchanged outside."""
     mask = obstacle_mask(f.grid, obs)
-    grid = f.grid
-    return PolarizedField(
-        ScalarField(grid, f.h.samples * mask),
-        ScalarField(grid, f.v.samples * mask),
-        f.wavelength,
-    )
+    return polarized_from_arrays(f.grid, f.h.samples * mask, f.v.samples * mask, f.wavelength)
 
 
 @dataclass(frozen=True)
@@ -177,19 +176,38 @@ class ChannelSpec:
         """L: distance from the demodulation station to the detection plane."""
         return self.length - self.station_z
 
-    def without_obstacles(self) -> "ChannelSpec":
-        return ChannelSpec(self.length, (), self.station_z)
+
+def transmit_scalars(fields: tuple[ScalarField, ...], wavelength: float, channel: ChannelSpec,
+                     check_band_limit: bool = True):
+    """Carry scalar fields through all obstacles up to the station plane.
+
+    Free space and the opaque masks act alike on every field. Returns the
+    fields at the station and, when check_band_limit is set, the band Gram
+    matrices of the fields entering each free-space segment, from which
+    band_tail_fraction gives the tail of any superposition of them.
+    """
+    grams = []
+    z = 0.0
+    for obs in channel.obstacles + (None,):
+        stop = channel.station_z if obs is None else obs.z
+        if stop > z:
+            if check_band_limit:
+                grams.append(_band_grams(fields))
+            fields = tuple(propagate_scalar(f, wavelength, stop - z, check_band_limit=False)
+                           for f in fields)
+            z = stop
+        if obs is not None:
+            mask = obstacle_mask(fields[0].grid, obs)
+            fields = tuple(ScalarField(f.grid, f.samples * mask) for f in fields)
+    return fields, grams
 
 
 def transmit_to_station(f: PolarizedField, channel: ChannelSpec,
                         check_band_limit: bool = True) -> PolarizedField:
-    """Propagate through all obstacles up to the demodulation station plane."""
-    z = 0.0
-    for obs in channel.obstacles:
-        if obs.z > z:
-            f = propagate(f, obs.z - z, check_band_limit)
-            z = obs.z
-        f = apply_obstacle(f, obs)
-    if channel.station_z > z:
-        f = propagate(f, channel.station_z - z, check_band_limit)
-    return f
+    """Propagate through all obstacles up to the demodulation station plane,
+    component by component; the band-limit guard watches the H component."""
+    (h, v), grams = transmit_scalars((f.h, f.v), f.wavelength, channel, check_band_limit)
+    for g in grams:
+        if msg := band_limit_message(band_tail_fraction(g, (1.0, 0.0))):
+            warnings.warn(msg, BandLimitWarning, stacklevel=2)
+    return PolarizedField(h, v, f.wavelength)

@@ -14,27 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DetectionModel, detection_states, heralded_input
-from .fields import TransverseGrid, inner_product
-from .jones import ALL_LABELS, MubLabel, prepare_state
+from .channel import (
+    DetectionModel,
+    detection_states,
+    source_pair,
+    spin_orbit_amplitudes,
+    state_powers,
+)
+from .fields import ScalarField, TransverseGrid
+from .jones import ALL_LABELS, MubLabel
 from .modes import ModeSpec
-from .propagation import ChannelSpec, ObstacleSpec, propagate, transmit_to_station
+from .propagation import ObstacleSpec, back_propagate_scalar, obstacle_mask, propagate_scalar
 
 
 @dataclass(frozen=True)
 class SelfHealingResult:
     fidelity: float
     transmitted_power: float
-
-
-def _matched_probability(source: ModeSpec, label: MubLabel, channel: ChannelSpec,
-                         grid: TransverseGrid, detection: DetectionModel) -> tuple[float, float]:
-    ell = abs(source.ell) or 1
-    j = ALL_LABELS.index(label)
-    det = detection_states(source, grid, ell, channel.decoding_distance, detection)[j]
-    a = prepare_state(label, heralded_input(source, grid), ell)
-    f = transmit_to_station(a, channel, check_band_limit=False)
-    return abs(inner_product(det, f)) ** 2, f.power()
 
 
 def self_healing_fidelity(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
@@ -47,49 +43,51 @@ def self_healing_fidelity(source: ModeSpec, label: MubLabel, obs: ObstacleSpec |
     surviving the obstruction (unit input). The detection noise floor is not
     applied here (pure signal ratio).
     """
-    station = obs.z if obs is not None else 0.0
-    if z_eval < station:
-        raise ValueError(f"z_eval = {z_eval} lies before the obstacle at z = {station}")
-    obstacles = (obs,) if obs is not None else ()
-    channel = ChannelSpec(length=z_eval, obstacles=obstacles, station_z=station)
-    detection = DetectionModel(detection.kind, detection.smf_waist, noise_floor=0.0)
-    p_obs, power = _matched_probability(source, label, channel, grid, detection)
-    p_free, _ = _matched_probability(source, label, channel.without_obstacles(), grid, detection)
-    if p_free <= 0:
-        raise ValueError("free-space detection probability vanished; check the geometry")
-    return SelfHealingResult(fidelity=p_obs / p_free, transmitted_power=power)
+    (_, fidelity, power, _), = selfheal_scan(source, label, obs, [z_eval], grid, detection)
+    return SelfHealingResult(fidelity=fidelity, transmitted_power=power)
 
 
-def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec,
+def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
                   z_stations: list[float], grid: TransverseGrid,
                   detection: DetectionModel):
     """Per-distance healing table: (z, fidelity, transmitted_power, on-axis ratio).
 
-    The on-axis column compares the demodulated matched field's axial
-    intensity with and without the obstacle, the classic reconstruction
-    curve for the ell = 0 profile.
+    The receiver station sits at the obstacle plane and each z sets the
+    decoding leg behind it. The source pair is carried to that plane once and
+    the obstacle mask applies after the shared propagation. The on-axis
+    column compares the demodulated matched field's axial intensity with and
+    without the obstacle, the classic reconstruction curve for the ell = 0
+    profile.
     """
     ell = abs(source.ell) or 1
-    base = heralded_input(source, grid)
-    a = prepare_state(label, base, ell)
-    center = grid.n // 2
+    j = ALL_LABELS.index(label)
+    station = obs.z if obs is not None else 0.0
+    free = tuple(propagate_scalar(u, source.wavelength, station, check_band_limit=False)
+                 for u in source_pair(source, grid))
+    blocked = free
+    if obs is not None:
+        mask = obstacle_mask(grid, obs)
+        blocked = tuple(ScalarField(grid, u.samples * mask) for u in free)
+    power = float(state_powers(blocked)[j])
+    axis = np.zeros((grid.n, grid.n))
+    axis[grid.n // 2, grid.n // 2] = 1.0
+    turn = np.exp(1j * ell * grid.phi)
     rows = []
     for z in z_stations:
-        res = self_healing_fidelity(source, label, obs, z, grid, detection)
-        channel = ChannelSpec(length=z, obstacles=(obs,), station_z=obs.z)
-        f_obs = transmit_to_station(a, channel, check_band_limit=False)
-        f_free = transmit_to_station(a, channel.without_obstacles(), check_band_limit=False)
-        leg = channel.decoding_distance
-        demod_obs = _demodulated_axial_intensity(f_obs, label, ell, leg, center)
-        demod_free = _demodulated_axial_intensity(f_free, label, ell, leg, center)
-        on_axis = demod_obs / demod_free if demod_free > 0 else 0.0
-        rows.append((z, res.fidelity, res.transmitted_power, on_axis))
+        if z < station:
+            raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
+        leg = z - station
+        # The adjoint train ends on the H polarizer, and back-propagation is
+        # the adjoint of propagation, so the demodulated axial amplitude after
+        # the leg is the projection on state j built from the back-propagated
+        # axial sample (no vpoint null: every pixel is demodulated).
+        w = back_propagate_scalar(ScalarField(grid, axis), source.wavelength, leg).samples
+        demod = (ScalarField(grid, w * turn), ScalarField(grid, w * turn.conj()))
+        dets = detection_states(source, grid, ell, leg, detection)
+        (p_obs, a_obs), (p_free, a_free) = (
+            [abs(spin_orbit_amplitudes(d, pair)[j, j]) ** 2 for d in (dets, demod)]
+            for pair in (blocked, free))
+        if p_free <= 0:
+            raise ValueError("free-space detection probability vanished; check the geometry")
+        rows.append((z, p_obs / p_free, power, a_obs / a_free if a_free > 0 else 0.0))
     return rows
-
-
-def _demodulated_axial_intensity(f, label: MubLabel, ell: int, leg: float, center: int) -> float:
-    from .jones import preparation_train
-
-    demod = preparation_train(label, ell).adjoint().apply(f)
-    out = propagate(demod, leg, check_band_limit=False) if leg > 0 else demod
-    return float(np.abs(out.h.samples[center, center]) ** 2)

@@ -42,3 +42,19 @@ def random_polarized(grid, seed, wavelength=WAVELENGTH, band_limit=0.2):
         comps.append(np.fft.ifft2(spec))
     f = PolarizedField(ScalarField(grid, comps[0]), ScalarField(grid, comps[1]), wavelength)
     return f.normalized()
+
+
+def spin_orbit_states(pair, wavelength=WAVELENGTH):
+    """The 8 polarized states sum_k SPIN_ORBIT[i, k] |p_k> (x) pair[k % 2],
+    (p_k) = (R, R, L, L), with |R> = (1, -i)/sqrt(2), |L> = (1, i)/sqrt(2)."""
+    from bgqkd import PolarizedField, ScalarField
+    from bgqkd.jones import SPIN_ORBIT
+
+    grid = pair[0].grid
+    states = []
+    for a in SPIN_ORBIT:
+        r = a[0] * pair[0].samples + a[1] * pair[1].samples
+        l = a[2] * pair[0].samples + a[3] * pair[1].samples
+        h, v = (r + l) / np.sqrt(2.0), 1j * (l - r) / np.sqrt(2.0)
+        states.append(PolarizedField(ScalarField(grid, h), ScalarField(grid, v), wavelength))
+    return states

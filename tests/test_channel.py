@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,19 @@ from bgqkd import (
     simulate_counts,
     spdc_overlap,
 )
-from bgqkd.analysis import dominant_oam_fraction
-from bgqkd.channel import LABEL_STRINGS, detection_states
+from bgqkd.analysis import boundary_power_fraction, dominant_oam_fraction
+from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, detection_states
+from bgqkd.fields import ScalarField, horizontally_polarized
 from bgqkd.jones import ALL_LABELS, MubLabel
-from bgqkd.modes import evaluate_bg
+from bgqkd.modes import binary_bessel_hologram, evaluate_bg
+from bgqkd.propagation import (
+    BandLimitWarning,
+    back_propagate,
+    back_propagate_scalar,
+    transmit_to_station,
+)
 
-from conftest import W0, WAVELENGTH, K_R
+from conftest import W0, WAVELENGTH, K_R, spin_orbit_states
 
 L = MubLabel.from_string
 
@@ -155,11 +164,13 @@ class TestScatteringMatrix:
             assert np.max(np.abs(block.sum(axis=0) - 1.0)) < 1e-3
 
     def test_parseval_bound(self, grid256, bg_source):
-        m = scattering_matrix(obstructed_channel(600e-6), bg_source, CASCADE,
-                              grid256, scenario="r1")
-        for i in range(8):
-            basis_sum = m.raw[i, m.basis_slice(i)].sum()
-            assert basis_sum <= m.transmission[i] + 1e-9
+        for center in [(0.0, 0.0), (300e-6, -150e-6)]:  # the off-centre one has crosstalk
+            chan = ChannelSpec(length=0.32, station_z=0.02, obstacles=(
+                ObstacleSpec(radius=600e-6, center=center, z=0.02),))
+            m = scattering_matrix(chan, bg_source, CASCADE, grid256, scenario="r1")
+            for i in range(8):
+                basis_sum = m.raw[i, m.basis_slice(i)].sum()
+                assert basis_sum <= m.transmission[i] + 1e-9
 
     def test_exchange_symmetry(self, grid256):
         # flipping the source charge permutes labels: psi00<->psi10,
@@ -182,7 +193,7 @@ class TestScatteringMatrix:
 
     def test_detection_states_orthonormal(self, grid256, bg_source):
         for det in (CASCADE, IDEAL):
-            states = detection_states(bg_source, grid256, 1, 0.30, det)
+            states = spin_orbit_states(detection_states(bg_source, grid256, 1, 0.30, det))
             for block in (states[:4], states[4:]):
                 for i, a in enumerate(block):
                     for j, b in enumerate(block):
@@ -196,6 +207,65 @@ class TestScatteringMatrix:
         assert len(d["raw"]) == 8
         csv = free_matrix.to_csv()
         assert csv.count("\n") == 9
+
+
+# Jones-train oracle: every state built by its wave-plate train and carried
+# through the channel as a polarized field, one by one.
+
+def _oracle_detection_states(source, grid, channel, det):
+    leg = channel.decoding_distance
+    if det.kind is DetectionKind.CASCADE:
+        g = np.exp(-(grid.r / det.smf_waist) ** 2)
+        g = g * binary_bessel_hologram(0, source.k_r, grid).samples
+        g = back_propagate_scalar(ScalarField(grid, g).normalized(), source.wavelength, leg)
+        base = horizontally_polarized(g, source.wavelength)
+        return [prepare_state(label, base) for label in ALL_LABELS]
+    base = heralded_input(source, grid)
+    return [back_propagate(prepare_state(label, base), leg) for label in ALL_LABELS]
+
+
+def _oracle_matrix(source, grid, channel, det):
+    dets = _oracle_detection_states(source, grid, channel, det)
+    base = heralded_input(source, grid)
+    raw, transmission, notes = np.zeros((8, 8)), np.zeros(8), []
+    for i, label in enumerate(ALL_LABELS):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", BandLimitWarning)
+            f = transmit_to_station(prepare_state(label, base), channel)
+        notes += [f"{label}: {w.message}" for w in caught
+                  if issubclass(w.category, BandLimitWarning)]
+        edge = boundary_power_fraction(f)
+        if edge > BOUNDARY_POWER_TOL:
+            notes.append(f"{label}: boundary power fraction {edge:.2e}")
+        transmission[i] = f.power()
+        raw[i] = [abs(inner_product(d, f)) ** 2 for d in dets]
+    return raw, transmission, notes
+
+
+ORACLE_CHANNELS = {
+    "centred": obstructed_channel(600e-6),
+    "off-centre": ChannelSpec(length=0.32, station_z=0.02, obstacles=(
+        ObstacleSpec(radius=600e-6, center=(300e-6, -150e-6), z=0.02),)),
+    "two-obstacle": ChannelSpec(length=0.32, station_z=0.08, obstacles=(
+        ObstacleSpec(radius=400e-6, center=(500e-6, 0.0), z=0.01),
+        ObstacleSpec(radius=300e-6, center=(-200e-6, 400e-6), z=0.05))),
+}
+
+
+@pytest.mark.parametrize("det", [CASCADE, IDEAL], ids=["cascade", "ideal"])
+@pytest.mark.parametrize("name", list(ORACLE_CHANNELS))
+def test_engine_matches_jones_train_oracle(grid256, bg_source, name, det):
+    channel = ORACLE_CHANNELS[name]
+    m = scattering_matrix(channel, bg_source, det, grid256)
+    raw, transmission, notes = _oracle_matrix(bg_source, grid256, channel, det)
+    assert np.max(np.abs(m.raw - raw)) < 1e-9
+    assert np.max(np.abs(m.transmission - transmission)) < 1e-12
+    assert notes  # n = 256 trips the band-limit guard for BG states
+    assert {w.split(":")[0] for w in m.warnings} == {w.split(":")[0] for w in notes}
+    assert list(m.warnings) == notes  # the same figures, to the printed digits
+    if name != "centred":
+        # real crosstalk: a prepared state leaks into its orthogonal partners
+        assert np.max(raw[:4, :4] - np.diag(np.diag(raw[:4, :4]))) > 1e-6
 
 
 class TestSimulateCounts:

@@ -125,6 +125,30 @@ class TestScattering:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3
 
+    def test_guard_notes_equal_for_any_thread_count(self, tmp_path):
+        # the guard notes are computed, not captured from the process-wide
+        # warnings machinery, so pool threads cannot lose or swap them
+        doc = {
+            "schema_version": 1,
+            "grid": {"n": 128, "extent": "10mm"},
+            "source": {"family": "BG", "ell": 1, "k_r": "18 rad/mm",
+                       "w0": "1.253mm", "wavelength": "810nm"},
+            "detection": {"mode": "cascade", "smf_waist": "0.45mm"},
+            "scenarios": [dict(TINY["scenarios"][i]) for i in range(2)],
+        }
+        cfg = write_config(tmp_path, doc)
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"t{threads}")
+            assert main(["scattering", "--config", cfg, "--threads", threads,
+                         "--out-dir", str(outs[-1])]) == 0
+        files = sorted(p.name for p in outs[0].iterdir())
+        assert files == sorted(p.name for p in outs[1].iterdir())
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        notes = json.loads((outs[0] / "free-space_bg_matrix.json").read_text())["warnings"]
+        assert notes
+
 
 class TestSecurity:
     def test_simulated_reports(self, tmp_path):

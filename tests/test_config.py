@@ -1,4 +1,5 @@
 import pytest
+import yaml
 
 from bgqkd import ConfigError
 from bgqkd.config import (
@@ -92,6 +93,21 @@ class TestSchema:
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
         assert "duplicate" in err.value.message
+
+    @pytest.mark.parametrize("section", ["scenarios", "security"])
+    def test_unquoted_boolean_name_rejected(self, section):
+        doc = minimal_doc()
+        entry = yaml.safe_load("name: off")  # YAML 1.1 reads a bare off as False
+        if section == "scenarios":
+            doc["scenarios"] = [dict(entry, channel={"length": 0.05})]
+            path = "scenarios[0].name"
+        else:
+            doc["security"] = {"direct": [dict(entry, qber=0.05)]}
+            path = "security.direct[0].name"
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.path == path
+        assert "quote" in err.value.message
 
     def test_oversized_obstacle_rejected(self):
         doc = minimal_doc()

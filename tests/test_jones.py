@@ -34,9 +34,10 @@ from bgqkd.jones import (
     apply_element,
     hwp_matrix,
     qwp_matrix,
+    spin_orbit_pair,
 )
 
-from conftest import WAVELENGTH, random_polarized
+from conftest import WAVELENGTH, random_polarized, spin_orbit_states
 
 L = MubLabel.from_string
 
@@ -155,6 +156,20 @@ class TestPrepareState:
         target = self.synthesize(L(label), base.h, grid256)
         fidelity = abs(inner_product(target, prepared)) ** 2
         assert fidelity > 0.999
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_trains_realize_spin_orbit_table(self, ell, grid256, bg_source):
+        # each wave-plate train yields its SPIN_ORBIT row on the OAM pair,
+        # pixel by pixel (relative to the peak amplitude), up to one global phase
+        base = heralded_input(bg_source, grid256)
+        states = spin_orbit_states(spin_orbit_pair(base.h, ell))
+        for label, target in zip(ALL_LABELS, states):
+            prepared = prepare_state(label, base, ell)
+            phase = inner_product(target, prepared)
+            assert abs(phase) == pytest.approx(1.0, abs=1e-12)
+            for a, b in ((prepared.h, target.h), (prepared.v, target.v)):
+                peak = np.max(np.abs(b.samples))
+                assert np.max(np.abs(a.samples - phase * b.samples)) < 1e-12 * peak
 
     def test_phi00_uniform_polarization_oam_minus(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)

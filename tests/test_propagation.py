@@ -20,7 +20,7 @@ from bgqkd import (
     propagate_scalar,
 )
 from bgqkd.analysis import boundary_power_fraction
-from bgqkd.propagation import BandLimitWarning, transmit_to_station
+from bgqkd.propagation import BandLimitWarning, _kz_and_mask, transmit_to_station
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
 from oracles import gaussian_overlap_blocked, rayleigh_sommerfeld_point
@@ -193,6 +193,13 @@ class TestChannelSpec:
         )
         out = transmit_to_station(f, chan, check_band_limit=False)
         assert out.power() < f.power()
+
+
+def test_kernel_cache_stays_bounded(grid256):
+    limit = _kz_and_mask.cache_info().maxsize
+    for i in range(limit + 3):
+        _kz_and_mask(grid256, WAVELENGTH * (1.0 + 0.01 * i))
+    assert _kz_and_mask.cache_info().currsize == limit
 
 
 class TestRayleighSommerfeldOracle:

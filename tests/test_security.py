@@ -77,7 +77,7 @@ class TestMutualInformation:
 
     def test_identity_with_entropy(self):
         for d in (2, 4, 8):
-            for e in np.linspace(0.0, 0.99, 97):
+            for e in [*np.linspace(0.0, 0.99, 97), 1.0]:
                 lhs = mutual_information(e, d)
                 rhs = math.log2(d) - hd_entropy(e, d)
                 assert abs(lhs - rhs) < 1e-12
