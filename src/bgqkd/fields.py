@@ -10,6 +10,7 @@ All objects are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,6 +65,26 @@ class TransverseGrid:
         r = np.hypot(x, y)
         r.setflags(write=False)
         return r
+
+    @cached_property
+    def _radial_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The axis values at offsets -m and +m from the centre are exact
+        # negatives, so |axis[j]| = q[|j - n/2|] with q[m] = |axis[n/2 - m]|,
+        # m = 0..n/2. The (n/2+1)^2 quadrant hypot(q, q) therefore holds
+        # every radius, each from the same hypot as `r`.
+        h = self.n // 2
+        q = np.abs(self.axis[:h + 1])[::-1]
+        radii, inverse = np.unique(np.hypot(q[None, :], q[:, None]), return_inverse=True)
+        fold = np.abs(np.arange(self.n) - h)
+        return radii, inverse.reshape(h + 1, h + 1), fold
+
+    def radial(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """f(r) on the grid, with f called once on the 1-D array of distinct radii.
+
+        f must act elementwise; the result equals f(self.r) bit for bit.
+        """
+        radii, inverse, fold = self._radial_index
+        return f(radii)[inverse][fold][:, fold]
 
     @cached_property
     def phi(self) -> np.ndarray:

@@ -76,7 +76,7 @@ def evaluate_bg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarF
 
     The transverse profile is
         J_ell(z_R k_r r / (z_R - i z)) * exp(i ell phi - i k_z z)
-            * exp((i k_r^2 z w0 - 2 k r^2) / (4 (z_R - i z)))
+            * exp((i k_r^2 z w0^2 - 2 k r^2) / (4 (z_R - i z)))
     with z_R = pi w0^2 / lambda and k_z = sqrt(k^2 - k_r^2).
     """
     if spec.family is not ModeFamily.BG:
@@ -90,10 +90,13 @@ def evaluate_bg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarF
     if spec.k_r == 0.0 and spec.ell != 0:
         raise UnsupportedModeError("BG with k_r = 0 vanishes identically for ell != 0")
     denom = z_r - 1j * z
-    r = grid.r
-    arg = z_r * spec.k_r * r / denom
-    bessel = special.jv(spec.ell, arg) if spec.k_r > 0 else np.ones_like(r, dtype=complex)
-    envelope = np.exp((1j * spec.k_r ** 2 * z * spec.w0 - 2.0 * k * r ** 2) / (4.0 * denom))
+    if spec.k_r > 0:
+        bessel = grid.radial(lambda r: special.jv(spec.ell, z_r * spec.k_r * r / denom))
+    else:
+        bessel = 1.0 + 0.0j
+    envelope = grid.radial(
+        lambda r: np.exp((1j * spec.k_r ** 2 * z * spec.w0 ** 2 - 2.0 * k * r ** 2)
+                         / (4.0 * denom)))
     phase = np.exp(1j * spec.ell * grid.phi - 1j * spec.k_z * z)
     samples = np.sqrt(2.0 / np.pi) * bessel * phase * envelope
     if not np.all(np.isfinite(samples)):
@@ -138,8 +141,7 @@ def binary_bessel_hologram(ell: int, k_r: float, grid: TransverseGrid) -> Scalar
     """
     if not k_r > 0:
         raise ValueError(f"hologram requires k_r > 0, got {k_r}")
-    j = special.jv(ell, k_r * grid.r)
-    sign = np.where(j >= 0.0, 1.0, -1.0)
+    sign = grid.radial(lambda r: np.where(special.jv(ell, k_r * r) >= 0.0, 1.0, -1.0))
     return ScalarField(grid, sign * np.exp(1j * ell * grid.phi))
 
 

@@ -173,12 +173,21 @@ class TestScatteringMatrix:
                 assert basis_sum <= m.transmission[i] + 1e-9
 
     def test_exchange_symmetry(self, grid256):
-        # flipping the source charge permutes labels: psi00<->psi10,
-        # psi01<->psi11, phi00<->phi01, phi10<->phi11
+        # scattering_matrix takes the charge as |ell|, so a flipped source
+        # gives the same matrix; the flip acts on the prepared states, where
+        # it permutes labels: psi00<->psi10, psi01<->psi11, phi00<->phi01,
+        # phi10<->phi11
         m_pos = scattering_matrix(free_channel(), bg_mode(+1), CASCADE, grid256)
         m_neg = scattering_matrix(free_channel(), bg_mode(-1), CASCADE, grid256)
+        assert np.array_equal(m_neg.raw, m_pos.raw)
         perm = [2, 3, 0, 1, 5, 4, 7, 6]
         assert np.allclose(m_neg.raw, m_pos.raw[np.ix_(perm, perm)], atol=1e-6)
+        base = heralded_input(bg_mode(+1), grid256)
+        for i, label in enumerate(ALL_LABELS):
+            flipped = prepare_state(label, base, ell=-1)
+            partner = prepare_state(ALL_LABELS[perm[i]], base, ell=+1)
+            assert abs(inner_product(flipped, partner)) ** 2 == pytest.approx(
+                1.0, abs=1e-9), label
 
     def test_noise_floor_added(self, grid256, bg_source):
         det = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=1e-3)

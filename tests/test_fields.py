@@ -44,6 +44,11 @@ class TestGrid:
         assert g.axis[32] == 0.0
         assert g.axis[0] == pytest.approx(-3.2e-3)
 
+    def test_radial_reproduces_r(self):
+        for n in (64, 128, 256):
+            g = TransverseGrid(n=n, extent=7.3e-3)
+            assert np.array_equal(g.radial(lambda r: r), g.r)
+
 
 class TestInnerProduct:
     def test_normalization_identity(self, grid256):

@@ -7,6 +7,7 @@ from scipy import special
 from bgqkd import (
     ModeFamily,
     ModeSpec,
+    ScalarField,
     TransverseGrid,
     UnsupportedModeError,
     binary_bessel_hologram,
@@ -110,6 +111,25 @@ class TestEvaluateBg:
         with pytest.raises(UnsupportedModeError):
             evaluate_bg(bg_spec(1, k_r=0.0), grid256)
 
+    def test_matches_full_grid_formula(self, grid256):
+        # the per-radius evaluation gives the bits of the docstring's
+        # formula evaluated on every pixel
+        r = grid256.r
+        for ell, k_r in ((0, K_R), (1, K_R), (-1, K_R), (2, K_R), (-2, K_R), (0, 0.0)):
+            spec = bg_spec(ell, k_r=k_r)
+            z_r, k = spec.rayleigh_range, spec.wavenumber
+            for z in (0.0, 0.3):
+                denom = z_r - 1j * z
+                bessel = (special.jv(ell, z_r * k_r * r / denom) if k_r > 0
+                          else np.ones_like(r, dtype=complex))
+                envelope = np.exp((1j * k_r ** 2 * z * W0 ** 2 - 2.0 * k * r ** 2)
+                                  / (4.0 * denom))
+                phase = np.exp(1j * ell * grid256.phi - 1j * spec.k_z * z)
+                samples = np.sqrt(2.0 / np.pi) * bessel * phase * envelope
+                expected = ScalarField(grid256, samples).normalized().samples
+                got = evaluate_bg(spec, grid256, z=z).samples
+                assert np.array_equal(got, expected), (ell, k_r, z)
+
 
 class TestEvaluateLg:
     def test_gaussian_width(self):
@@ -163,6 +183,13 @@ class TestHologram:
     def test_requires_positive_kr(self, grid256):
         with pytest.raises(ValueError):
             binary_bessel_hologram(0, 0.0, grid256)
+
+    def test_matches_full_grid_formula(self, grid256):
+        for ell in (0, 1, -1, 2, -2):
+            sign = np.where(special.jv(ell, K_R * grid256.r) >= 0.0, 1.0, -1.0)
+            expected = sign * np.exp(1j * ell * grid256.phi)
+            got = binary_bessel_hologram(ell, K_R, grid256).samples
+            assert np.array_equal(got, expected), ell
 
 
 class TestDistances:
