@@ -30,14 +30,8 @@ from enum import Enum
 import numpy as np
 
 from .analysis import interior_window
-from .fields import (
-    PolarizedField,
-    ScalarField,
-    TransverseGrid,
-    horizontally_polarized,
-    inner_product,
-)
-from .jones import ALL_LABELS, SPIN_ORBIT, MubLabel, prepare_state, spin_orbit_pair
+from .fields import PolarizedField, ScalarField, TransverseGrid, horizontally_polarized
+from .jones import ALL_LABELS, SPIN_ORBIT, spin_orbit_pair
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, evaluate_mode
 from .propagation import (
     ChannelSpec,
@@ -71,20 +65,6 @@ class DetectionModel:
             raise ValueError("noise_floor must be >= 0")
 
 
-@dataclass(frozen=True)
-class SpdcConfig:
-    """Down-conversion source: heralding projection mode plus the pump waist."""
-
-    heralding: ModeSpec  # idler projection (ell = 0); sets the heralded profile
-    pump_waist: float
-
-    def __post_init__(self):
-        if self.heralding.ell != 0:
-            raise ValueError("heralding projection must have ell = 0")
-        if not self.pump_waist > 0:
-            raise ValueError("pump_waist must be positive")
-
-
 def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> ScalarField:
     """Unit-power ell = 0 radial profile of the given mode family."""
     spec = ModeSpec(
@@ -97,14 +77,8 @@ def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> ScalarField:
     return evaluate_mode(spec, grid)
 
 
-def heralded_input(source: "ModeSpec | SpdcConfig", grid: TransverseGrid) -> PolarizedField:
-    """Heralded photon state: the ell = 0 profile, horizontally polarized.
-
-    Accepts either the working mode spec or an SpdcConfig (whose heralding
-    projection defines the post-selected radial profile).
-    """
-    if isinstance(source, SpdcConfig):
-        source = source.heralding
+def heralded_input(source: ModeSpec, grid: TransverseGrid) -> PolarizedField:
+    """Heralded photon state: the ell = 0 profile, horizontally polarized."""
     return horizontally_polarized(heralded_profile(source, grid), source.wavelength)
 
 
@@ -123,19 +97,6 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
     pump = pump / np.sqrt(np.sum(np.abs(pump) ** 2) * grid.pixel_area)
     acc = np.sum(np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area
     return complex(acc)
-
-
-def measure_projection(f: PolarizedField, label: MubLabel, detection: ModeSpec,
-                       ell: int | None = None) -> complex:
-    """Ideal modal projection <b_label|f> at the plane where f lives.
-
-    The reference state b_label is the labelled preparation applied to the
-    ell = 0 heralded profile of `detection`.
-    """
-    if ell is None:
-        ell = abs(detection.ell) or 1
-    ref = prepare_state(label, heralded_input(detection, f.grid), ell)
-    return inner_product(ref, f)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,13 @@ from .errors import ConfigError
 from .io import write_pgm
 from .modes import ModeFamily, ModeSpec, nondiffracting_distance, shadow_length
 from .propagation import ChannelSpec, transmit_scalars
-from .security import PhotonStatistics, key_rate, mutual_information, security_report
+from .security import (
+    PhotonStatistics,
+    SecurityReport,
+    key_rate,
+    mutual_information,
+    security_report,
+)
 from .selfheal import selfheal_scan
 
 EXIT_OK = 0
@@ -117,7 +123,7 @@ def _write_intensity_snapshots(cfg: RunConfig, out: Path) -> None:
                                        check_band_limit=False)
             for i, label in enumerate(LABEL_STRINGS):
                 name = f"{scenario.name}_{fam}_{label}_z{z:.4f}.pgm"
-                write_pgm(out / name, state_intensity(i, at_z), bit_depth=16)
+                write_pgm(out / name, state_intensity(i, at_z))
 
 
 def cmd_security(args) -> int:
@@ -126,25 +132,17 @@ def cmd_security(args) -> int:
     reports = []
     guard_exit = False
     if cfg.security_direct:
+        d = cfg.security.dimension
         for entry in cfg.security_direct:
-            i_ab = mutual_information(entry.qber, cfg.security.dimension)
-            rate = key_rate(entry.qber, entry.delta, d=cfg.security.dimension,
-                            f_ec=cfg.security.f_ec, q_mu=entry.q_mu,
-                            variant=cfg.security.variant)
-            reports.append({
-                "scenario": entry.name,
-                "family": entry.family,
-                "dimension": cfg.security.dimension,
-                "qber": entry.qber,
-                "mutual_information_bits": i_ab,
-                "delta": entry.delta,
-                "key_rate": rate.to_json_dict(),
-                "normalized_counts": None,
-                "f_ec": cfg.security.f_ec,
-                "mu": entry.mu,
-                "q_mu": entry.q_mu,
-                "notes": ["direct entry (no field simulation)"],
-            })
+            rate = key_rate(entry.qber, entry.delta, d=d, f_ec=cfg.security.f_ec,
+                            q_mu=entry.q_mu, variant=cfg.security.variant)
+            reports.append(SecurityReport(
+                scenario=entry.name, family=entry.family, dimension=d, qber=entry.qber,
+                qber_sigma=None, mutual_information_bits=mutual_information(entry.qber, d),
+                delta=entry.delta, key_rate=rate, normalized_counts=None,
+                f_ec=cfg.security.f_ec, mu=entry.mu, q_mu=entry.q_mu,
+                notes=("direct entry (no field simulation)",),
+            ).to_json_dict())
     else:
         if not cfg.scenarios:
             raise ConfigError("scenarios", "security needs scenarios or direct entries")
@@ -229,7 +227,7 @@ def _write_selfheal_snapshots(cfg: RunConfig, out: Path) -> None:
         chan = ChannelSpec(length=z, obstacles=(obs,), station_z=z)
         at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan, check_band_limit=False)
         write_pgm(out / f"selfheal_{cfg.source.family.value.lower()}_z{z:.4f}.pgm",
-                  state_intensity(i, at_z), bit_depth=16)
+                  state_intensity(i, at_z))
 
 
 def cmd_info(args) -> int:

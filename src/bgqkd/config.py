@@ -36,38 +36,34 @@ _LENGTH_UNITS = {
 _WAVENUMBER_UNITS = {"rad/m": 1.0, "rad/mm": 1e3}
 
 
-def parse_length(value: Any, path: str) -> float:
-    """A length in metres: plain number (SI) or string with a unit suffix."""
-    if isinstance(value, bool):
-        raise ConfigError(path, "expected a length, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
+def _parse_quantity(value: Any, path: str, what: str, units: dict[str, float]) -> float:
+    """A finite plain number (SI) or a string ending in one of `units`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(path, f"expected a {what}, got {type(value).__name__}")
+    number, scale = value, 1.0
     if isinstance(value, str):
         text = value.strip().replace(" ", "")
-        for unit in sorted(_LENGTH_UNITS, key=len, reverse=True):
-            if text.endswith(unit):
-                try:
-                    return float(text[: -len(unit)]) * _LENGTH_UNITS[unit]
-                except ValueError:
-                    raise ConfigError(path, f"cannot parse length {value!r}") from None
-        raise ConfigError(path, f"unknown length unit in {value!r} (use m/cm/mm/um/nm)")
-    raise ConfigError(path, f"expected a length, got {type(value).__name__}")
+        unit = next((u for u in sorted(units, key=len, reverse=True) if text.endswith(u)), None)
+        if unit is None:
+            raise ConfigError(path, f"unknown {what} unit in {value!r} (use {', '.join(units)})")
+        number, scale = text[: -len(unit)], units[unit]
+    try:
+        number = float(number) * scale
+    except (ValueError, OverflowError):
+        raise ConfigError(path, f"cannot parse {what} {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(path, f"{what} must be finite, got {value!r}")
+    return number
+
+
+def parse_length(value: Any, path: str) -> float:
+    """A length in metres: plain number (SI) or string with a unit suffix."""
+    return _parse_quantity(value, path, "length", _LENGTH_UNITS)
 
 
 def parse_wavenumber(value: Any, path: str) -> float:
     """A radial wave number in rad/m: plain number or 'N rad/m' / 'N rad/mm'."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        text = value.strip().replace(" ", "")
-        for unit, scale in _WAVENUMBER_UNITS.items():
-            if text.endswith(unit.replace(" ", "")):
-                try:
-                    return float(text[: -len(unit)]) * scale
-                except ValueError:
-                    raise ConfigError(path, f"cannot parse wave number {value!r}") from None
-        raise ConfigError(path, f"unknown wave number unit in {value!r} (use rad/m or rad/mm)")
-    raise ConfigError(path, f"expected a wave number, got {type(value).__name__}")
+    return _parse_quantity(value, path, "wave number", _WAVENUMBER_UNITS)
 
 
 def _require_mapping(value: Any, path: str) -> dict:

@@ -2,8 +2,7 @@
 
 All fields live on a square, axis-centred Cartesian grid. Quadrature is the
 midpoint rule (sum times pixel area), which matches the FFT propagation grid
-exactly. Polarized fields are stored in the linear (H, V) basis; circular
-components use |L> = (1, i)/sqrt(2), |R> = (1, -i)/sqrt(2).
+exactly. Polarized fields are stored in the linear (H, V) basis.
 
 All objects are immutable after construction; operations are pure functions.
 """
@@ -17,8 +16,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError
-
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -126,13 +123,18 @@ class ScalarField:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.pixel_area)
 
     def normalized(self) -> "ScalarField":
-        p = self.power()
-        if p == 0.0:
-            raise ValueError("cannot normalize a zero field")
-        return ScalarField(self.grid, self.samples / np.sqrt(p))
+        return unit_power_field(self.grid, self.samples)
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
+
+
+def unit_power_field(grid: TransverseGrid, samples: np.ndarray) -> ScalarField:
+    """ScalarField(grid, samples).normalized(), building one field instead of two."""
+    p = float(np.sum(np.abs(samples) ** 2) * grid.pixel_area)
+    if p == 0.0:
+        raise ValueError("cannot normalize a zero field")
+    return ScalarField(grid, samples / np.sqrt(p))
 
 
 @dataclass(frozen=True)
@@ -197,41 +199,3 @@ def inner_product(a: PolarizedField, b: PolarizedField) -> complex:
     acc = np.sum(np.conj(a.h.samples) * b.h.samples)
     acc += np.sum(np.conj(a.v.samples) * b.v.samples)
     return complex(acc * a.grid.pixel_area)
-
-
-@dataclass(frozen=True)
-class CircularComponents:
-    """A polarized field resolved into circular components L and R."""
-
-    l: ScalarField
-    r: ScalarField
-    wavelength: float
-
-    @property
-    def grid(self) -> TransverseGrid:
-        return self.l.grid
-
-    def power(self) -> float:
-        return self.l.power() + self.r.power()
-
-
-def to_circular(f: PolarizedField) -> CircularComponents:
-    """Resolve (H, V) into (L, R) with |L> = (1, i)/sqrt(2), |R> = (1, -i)/sqrt(2).
-
-    Pointwise intensity |L|^2 + |R|^2 equals |H|^2 + |V|^2 (unitary change of
-    basis), and to_linear(to_circular(f)) round-trips to f.
-    """
-    h, v = f.h.samples, f.v.samples
-    # c_L = <L|psi>, c_R = <R|psi>
-    l = (h - 1j * v) / _SQRT2
-    r = (h + 1j * v) / _SQRT2
-    grid = f.grid
-    return CircularComponents(ScalarField(grid, l), ScalarField(grid, r), f.wavelength)
-
-
-def to_linear(c: CircularComponents) -> PolarizedField:
-    """Inverse of to_circular."""
-    l, r = c.l.samples, c.r.samples
-    h = (l + r) / _SQRT2
-    v = 1j * (l - r) / _SQRT2
-    return polarized_from_arrays(c.grid, h, v, c.wavelength)

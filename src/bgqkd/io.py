@@ -1,94 +1,26 @@
-"""File export: NetPBM (PGM) intensity images and raw complex field dumps.
-
-The binary dump layout is a 32-byte header followed by interleaved (re, im)
-little-endian float64 samples, row-major, one plane per component:
-
-    bytes 0..7    magic b"BGQKDFLD"
-    bytes 8..11   uint32 n (samples per axis)
-    bytes 12..15  uint32 component count (1 scalar, 2 polarized H then V)
-    bytes 16..23  float64 extent (m)
-    bytes 24..31  float64 wavelength (m; 0.0 for scalar fields)
-"""
+"""File export: NetPBM (PGM) intensity images."""
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .fields import PolarizedField, ScalarField, TransverseGrid, polarized_from_arrays
 
-MAGIC = b"BGQKDFLD"
-_HEADER = struct.Struct("<8sII dd")
+def pgm_bytes(intensity: np.ndarray) -> bytes:
+    """Encode an intensity map as 16-bit binary PGM (P5), max-normalized.
 
-
-def pgm_bytes(intensity: np.ndarray, bit_depth: int = 8) -> bytes:
-    """Encode an intensity map as binary PGM (P5), max-normalized.
-
-    bit_depth 8 gives maxval 255; 16 gives maxval 65535 (big-endian samples,
-    per the NetPBM convention).
+    Samples are big-endian with maxval 65535, per the NetPBM convention.
     """
-    if bit_depth not in (8, 16):
-        raise ValueError(f"bit_depth must be 8 or 16, got {bit_depth}")
     arr = np.asarray(intensity, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("intensity must be a 2-D array")
     peak = arr.max()
     scale = 0.0 if peak <= 0 else 1.0 / peak
-    maxval = (1 << bit_depth) - 1
-    quant = np.rint(arr * scale * maxval)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n{maxval}\n".encode("ascii")
-    if bit_depth == 8:
-        body = quant.astype(np.uint8).tobytes()
-    else:
-        body = quant.astype(">u2").tobytes()
-    return header + body
+    quant = np.rint(arr * scale * 65535)
+    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
+    return header + quant.astype(">u2").tobytes()
 
 
-def write_pgm(path, intensity: np.ndarray, bit_depth: int = 8) -> None:
-    Path(path).write_bytes(pgm_bytes(intensity, bit_depth))
-
-
-def _interleave(samples: np.ndarray) -> np.ndarray:
-    out = np.empty(samples.size * 2, dtype="<f8")
-    out[0::2] = samples.real.ravel()
-    out[1::2] = samples.imag.ravel()
-    return out
-
-
-def dump_field(path, f: ScalarField | PolarizedField) -> None:
-    """Write a field to the raw binary dump format described above."""
-    if isinstance(f, ScalarField):
-        planes = [f.samples]
-        wavelength = 0.0
-        grid = f.grid
-    else:
-        planes = [f.h.samples, f.v.samples]
-        wavelength = f.wavelength
-        grid = f.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, grid.n, len(planes), grid.extent, wavelength))
-        for p in planes:
-            fh.write(_interleave(p).tobytes())
-
-
-def load_field(path) -> ScalarField | PolarizedField:
-    """Read back a field written by dump_field."""
-    raw = Path(path).read_bytes()
-    magic, n, ncomp, extent, wavelength = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise ValueError(f"not a field dump (bad magic {magic!r})")
-    grid = TransverseGrid(n=n, extent=extent)
-    plane_bytes = n * n * 16
-    planes = []
-    off = _HEADER.size
-    for _ in range(ncomp):
-        flat = np.frombuffer(raw, dtype="<f8", count=n * n * 2, offset=off)
-        planes.append((flat[0::2] + 1j * flat[1::2]).reshape(n, n))
-        off += plane_bytes
-    if ncomp == 1:
-        return ScalarField(grid, planes[0])
-    if ncomp == 2:
-        return polarized_from_arrays(grid, planes[0], planes[1], wavelength)
-    raise ValueError(f"unsupported component count {ncomp}")
+def write_pgm(path, intensity: np.ndarray) -> None:
+    Path(path).write_bytes(pgm_bytes(intensity))

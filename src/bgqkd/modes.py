@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .errors import UnsupportedModeError
-from .fields import ScalarField, TransverseGrid
+from .fields import ScalarField, TransverseGrid, unit_power_field
 
 
 class ModeFamily(enum.Enum):
@@ -101,7 +101,7 @@ def evaluate_bg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarF
     samples = np.sqrt(2.0 / np.pi) * bessel * phase * envelope
     if not np.all(np.isfinite(samples)):
         raise ValueError("BG evaluation produced non-finite samples")
-    return ScalarField(grid, samples).normalized()
+    return unit_power_field(grid, samples)
 
 
 def evaluate_lg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarField:
@@ -125,7 +125,7 @@ def evaluate_lg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarF
         curvature = k * r ** 2 / (2.0 * radius)
     phase = np.exp(1j * (spec.ell * grid.phi - k * z - curvature + gouy))
     samples = (spec.w0 / w) * radial * phase
-    return ScalarField(grid, samples).normalized()
+    return unit_power_field(grid, samples)
 
 
 def evaluate_mode(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarField:

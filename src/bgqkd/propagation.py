@@ -125,8 +125,10 @@ class ObstacleSpec:
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"obstacle radius must be positive, got {self.radius}")
-        if self.z < 0:
-            raise ValueError(f"obstacle z must be >= 0, got {self.z}")
+        if not (np.isfinite(self.z) and self.z >= 0):
+            raise ValueError(f"obstacle z must be finite and >= 0, got {self.z}")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError(f"obstacle center must be finite, got {self.center}")
 
 
 def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:

@@ -144,22 +144,15 @@ class QberResult:
     excluded_rows: tuple[str, ...] = ()
 
 
-def qber_from_matrix(m: ScatteringMatrix, counts: Optional[CountsTable] = None,
-                     weighting: str = "uniform") -> QberResult:
-    """QBER = 1 - weighted mean of row-normalized matched-basis diagonals.
+def qber_from_matrix(m: ScatteringMatrix, counts: Optional[CountsTable] = None) -> QberResult:
+    """QBER = 1 - mean of row-normalized matched-basis diagonals.
 
     Rows whose matched-basis sum vanishes are excluded with a warning (a
-    fully blocked channel contributes no sifted events). Row weighting is
-    uniform by default (both bases count equally); "counts" weights rows by
-    their sifted totals and requires a counts table. When a counts table is
-    supplied the statistical uncertainty is propagated from it.
+    fully blocked channel contributes no sifted events); the remaining rows,
+    of both bases, count equally. When a counts table is supplied the
+    statistical uncertainty is propagated from it.
     """
-    if weighting not in ("uniform", "counts"):
-        raise ValueError(f"weighting must be uniform or counts, got {weighting!r}")
-    if weighting == "counts" and counts is None:
-        raise ValueError("counts-weighted QBER needs a counts table")
     fracs = []
-    weights = []
     excluded = []
     for i in range(8):
         b = m.basis_slice(i)
@@ -168,15 +161,14 @@ def qber_from_matrix(m: ScatteringMatrix, counts: Optional[CountsTable] = None,
             excluded.append(m.labels[i])
             continue
         fracs.append(m.raw[i, i] / s)
-        weights.append(counts.counts[i, b].sum() if weighting == "counts" else 1.0)
     if excluded:
         warnings.warn(
             f"rows with no matched-basis signal excluded from QBER: {excluded}",
             stacklevel=2,
         )
-    if not fracs or sum(weights) == 0:
+    if not fracs:
         raise ValueError("no sifted signal in any row; QBER undefined")
-    e = 1.0 - float(np.average(fracs, weights=weights))
+    e = 1.0 - float(np.average(fracs))
     sigma = None
     if counts is not None:
         _, sigma = counts.empirical_qber()

@@ -21,15 +21,12 @@ from bgqkd import (
     evaluate_lg,
     heralded_input,
     hd_entropy,
-    horizontally_polarized,
-    inner_product,
     key_rate,
     multiphoton_fraction,
     mutual_information,
     nondiffracting_distance,
     prepare_state,
     propagate,
-    propagate_scalar,
     qber_from_matrix,
     scattering_matrix,
     shadow_length,
@@ -37,7 +34,9 @@ from bgqkd import (
     spdc_overlap,
 )
 from bgqkd.config import load_preset
+from bgqkd.fields import horizontally_polarized, inner_product
 from bgqkd.jones import ALL_LABELS, HorizontalPolarizer, OpticalTrain, preparation_train
+from bgqkd.propagation import propagate_scalar
 from bgqkd.security import PhotonStatistics
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized

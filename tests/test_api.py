@@ -1,0 +1,27 @@
+"""The package namespace is the API that README.md documents, and no more."""
+
+import re
+import types
+from pathlib import Path
+
+import bgqkd
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_import():
+    """The `from bgqkd import (...)` statement of the README's library overview."""
+    match = re.search(r"^from bgqkd import \(.*?^\)$", README.read_text(), re.S | re.M)
+    assert match, "README.md has no `from bgqkd import (...)` block"
+    return match.group(0)
+
+
+def test_readme_import_block_is_the_public_namespace():
+    statement = readme_import()
+    namespace = {}
+    exec(statement, namespace)  # every documented name imports
+    documented = set(namespace) - {"__builtins__"}
+    public = {name for name, value in vars(bgqkd).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == documented
+    assert bgqkd.__version__

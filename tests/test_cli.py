@@ -192,6 +192,15 @@ class TestSecurity:
         assert bg_free["mutual_information_bits"] == pytest.approx(1.69, abs=0.01)
         assert bg_free["key_rate"]["per_signal"] == pytest.approx(1.32, abs=0.02)
 
+    def test_direct_and_simulated_reports_share_schema(self, tmp_path):
+        sim, direct = tmp_path / "sim", tmp_path / "direct"
+        assert main(["security", "--config", write_config(tmp_path, TINY),
+                     "--out-dir", str(sim)]) == 0
+        assert main(["security", "--preset", "paper-table3", "--out-dir", str(direct)]) == 0
+        keys = {frozenset(r) for out in (sim, direct)
+                for r in json.loads((out / "security_reports.json").read_text())}
+        assert len(keys) == 1
+
 
 class TestSelfhealScan:
     def test_scan_outputs_both_families(self, tmp_path):

@@ -22,6 +22,22 @@ def minimal_doc(**overrides):
     return doc
 
 
+# a non-finite length or wave number, by the field path it is reported at
+NON_FINITE = [
+    ("grid.extent", "grid: {extent: .nan}"),
+    ("channel.length", "channel: {length: nan cm}"),
+    ("channel.station_z", "channel: {length: 0.05, station_z: inf mm}"),
+    ("source.k_r", "source: {family: BG, k_r: -inf rad/mm}"),
+    ("run.pgm_stations[0]", "run: {outputs: [pgm], pgm_stations: [.nan]}"),
+    ("selfheal.z_stations[1]",
+     "selfheal: {obstacle: {radius: 0.5mm}, z_stations: [0.1, .nan]}"),
+    ("channel.obstacles[0].z",
+     "channel: {length: 0.05, station_z: 0.01, obstacles: [{radius: 0.5mm, z: .nan}]}"),
+    ("channel.obstacles[0].center[0]",
+     "channel: {length: 0.05, obstacles: [{radius: 0.5mm, center: [.inf, 0]}]}"),
+]
+
+
 class TestUnitParsing:
     @pytest.mark.parametrize("text,expected", [
         ("600um", 600e-6), ("600 um", 600e-6), ("0.3m", 0.3), ("810nm", 810e-9),
@@ -135,6 +151,14 @@ class TestSchema:
         })
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    @pytest.mark.parametrize("path,patch", NON_FINITE, ids=[p for p, _ in NON_FINITE])
+    def test_non_finite_values_rejected(self, path, patch):
+        doc = minimal_doc(**yaml.safe_load(patch))
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.path == path
+        assert "finite" in err.value.message
 
     def test_cascade_needs_waist(self):
         doc = minimal_doc(detection={"mode": "cascade"})

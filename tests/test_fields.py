@@ -10,17 +10,15 @@ from bgqkd import (
     TransverseGrid,
     evaluate_bg,
     evaluate_lg,
-    horizontally_polarized,
-    inner_product,
     mub_state_vector,
     prepare_state,
-    to_circular,
-    to_linear,
 )
 from bgqkd.channel import heralded_input
+from bgqkd.fields import horizontally_polarized, inner_product
 from bgqkd.jones import MubLabel
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
+from diagnostics import circular, linear
 
 
 def bg_scalar(grid, ell, k_r=K_R):
@@ -129,9 +127,9 @@ class TestInnerProduct:
 class TestCircularBasis:
     def test_pure_h_splits_evenly(self, grid256):
         f = horizontally_polarized(bg_scalar(grid256, 0), WAVELENGTH).normalized()
-        c = to_circular(f)
-        assert c.l.power() == pytest.approx(0.5, abs=1e-9)
-        assert c.r.power() == pytest.approx(0.5, abs=1e-9)
+        l, r = circular(f)
+        assert l.power() == pytest.approx(0.5, abs=1e-9)
+        assert r.power() == pytest.approx(0.5, abs=1e-9)
 
     def test_pure_left_has_no_right(self, grid256):
         u = bg_scalar(grid256, 0).samples
@@ -140,24 +138,31 @@ class TestCircularBasis:
             ScalarField(grid256, 1j * u / np.sqrt(2)),
             WAVELENGTH,
         )
-        c = to_circular(f)
-        assert c.r.power() < 1e-24
-        assert c.l.power() == pytest.approx(f.power(), rel=1e-12)
+        l, r = circular(f)
+        assert r.power() < 1e-24
+        assert l.power() == pytest.approx(f.power(), rel=1e-12)
 
     def test_round_trip_identity(self, grid256):
         f = random_polarized(grid256, seed=11)
-        g = to_linear(to_circular(f))
+        g = linear(*circular(f), f.wavelength)
         scale = np.abs(f.h.samples).max()
         assert np.max(np.abs(g.h.samples - f.h.samples)) < 1e-12 * scale
         assert np.max(np.abs(g.v.samples - f.v.samples)) < 1e-12 * scale
 
     def test_pointwise_intensity_preserved(self, grid256):
         f = random_polarized(grid256, seed=12)
-        c = to_circular(f)
+        l, r = circular(f)
         lin = np.abs(f.h.samples) ** 2 + np.abs(f.v.samples) ** 2
-        circ = np.abs(c.l.samples) ** 2 + np.abs(c.r.samples) ** 2
+        circ = np.abs(l.samples) ** 2 + np.abs(r.samples) ** 2
         assert np.max(np.abs(lin - circ)) < 1e-12 * lin.max()
 
     def test_power_invariant(self, grid256):
         f = random_polarized(grid256, seed=13)
-        assert to_circular(f).power() == pytest.approx(f.power(), rel=1e-12)
+        l, r = circular(f)
+        assert l.power() + r.power() == pytest.approx(f.power(), rel=1e-12)
+
+
+def test_zero_field_cannot_be_normalized():
+    g = TransverseGrid(n=64, extent=1e-3)
+    with pytest.raises(ValueError, match="zero field"):
+        ScalarField(g, np.zeros((64, 64))).normalized()

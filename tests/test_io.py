@@ -1,30 +1,26 @@
 import numpy as np
-import pytest
 
-from bgqkd import ScalarField, TransverseGrid
-from bgqkd.io import dump_field, load_field, pgm_bytes, write_pgm
-
-from conftest import WAVELENGTH, random_polarized
+from bgqkd.io import pgm_bytes, write_pgm
 
 
-def test_pgm_8bit_header_and_peak(grid256):
+def test_pgm_header_and_peak():
     intensity = np.zeros((8, 8))
     intensity[3, 4] = 2.5
-    data = pgm_bytes(intensity, bit_depth=8)
+    data = pgm_bytes(intensity)
     header, rest = data.split(b"\n", 1)
     assert header == b"P5"
     dims, rest = rest.split(b"\n", 1)
     assert dims == b"8 8"
     maxval, body = rest.split(b"\n", 1)
-    assert maxval == b"255"
-    arr = np.frombuffer(body, dtype=np.uint8).reshape(8, 8)
-    assert arr[3, 4] == 255
-    assert arr.sum() == 255
+    assert maxval == b"65535"
+    arr = np.frombuffer(body, dtype=">u2").reshape(8, 8)
+    assert arr[3, 4] == 65535
+    assert arr.sum() == 65535
 
 
 def test_pgm_16bit_big_endian():
     intensity = np.array([[0.0, 1.0]])
-    data = pgm_bytes(intensity, bit_depth=16)
+    data = pgm_bytes(intensity)
     body = data.split(b"\n", 3)[3]
     arr = np.frombuffer(body, dtype=">u2")
     assert list(arr) == [0, 65535]
@@ -37,47 +33,3 @@ def test_pgm_deterministic(tmp_path):
     write_pgm(p1, intensity)
     write_pgm(p2, intensity)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_pgm_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        pgm_bytes(np.zeros((4, 4)), bit_depth=12)
-
-
-def test_dump_header_is_32_bytes(tmp_path, grid256):
-    f = random_polarized(grid256, seed=3)
-    path = tmp_path / "field.bin"
-    dump_field(path, f)
-    raw = path.read_bytes()
-    assert raw[:8] == b"BGQKDFLD"
-    n = grid256.n
-    assert len(raw) == 32 + 2 * n * n * 16
-
-
-def test_polarized_round_trip(tmp_path, grid256):
-    f = random_polarized(grid256, seed=4)
-    path = tmp_path / "field.bin"
-    dump_field(path, f)
-    g = load_field(path)
-    assert g.wavelength == WAVELENGTH
-    assert np.array_equal(g.h.samples, f.h.samples)
-    assert np.array_equal(g.v.samples, f.v.samples)
-
-
-def test_scalar_round_trip(tmp_path):
-    grid = TransverseGrid(n=64, extent=2e-3)
-    rng = np.random.default_rng(7)
-    f = ScalarField(grid, rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
-    path = tmp_path / "scalar.bin"
-    dump_field(path, f)
-    g = load_field(path)
-    assert isinstance(g, ScalarField)
-    assert g.grid == grid
-    assert np.array_equal(g.samples, f.samples)
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTAFILE" + bytes(64))
-    with pytest.raises(ValueError):
-        load_field(path)

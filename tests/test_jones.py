@@ -9,20 +9,11 @@ from bgqkd import (
     ScalarField,
     check_mub,
     evaluate_lg,
-    horizontally_polarized,
-    inner_product,
     mub_state_vector,
     prepare_state,
-    preparation_train,
-    to_linear,
-)
-from bgqkd.analysis import (
-    dominant_oam_fraction,
-    polarization_variance,
-    projected_lobe_axis,
 )
 from bgqkd.channel import heralded_input
-from bgqkd.fields import CircularComponents
+from bgqkd.fields import horizontally_polarized, inner_product
 from bgqkd.jones import (
     ALL_LABELS,
     HalfWavePlate,
@@ -33,11 +24,19 @@ from bgqkd.jones import (
     QuarterWavePlate,
     apply_element,
     hwp_matrix,
+    preparation_train,
     qwp_matrix,
     spin_orbit_pair,
 )
 
 from conftest import WAVELENGTH, random_polarized, spin_orbit_states
+from diagnostics import (
+    circular,
+    dominant_oam_fraction,
+    linear,
+    polarization_variance,
+    projected_lobe_axis,
+)
 
 L = MubLabel.from_string
 
@@ -139,9 +138,7 @@ class TestPrepareState:
         u = profile.samples
         r_scalar = (vec[0] * phase_pos + vec[1] * phase_neg) * u
         l_scalar = (vec[2] * phase_pos + vec[3] * phase_neg) * u
-        c = CircularComponents(
-            ScalarField(grid, l_scalar), ScalarField(grid, r_scalar), WAVELENGTH)
-        f = to_linear(c)
+        f = linear(ScalarField(grid, l_scalar), ScalarField(grid, r_scalar), WAVELENGTH)
         # match the preparation's singular-sample null
         center = grid.n // 2
         h = f.h.samples.copy(); h[center, center] = 0.0
@@ -176,10 +173,9 @@ class TestPrepareState:
         out = prepare_state(L("phi00"), base)
         assert polarization_variance(out) < 1e-6
         # diagonal polarization carrying OAM -1 in both components
-        from bgqkd import to_circular
-        c = to_circular(out)
-        assert dominant_oam_fraction(c.l, -1) > 0.999
-        assert dominant_oam_fraction(c.r, -1) > 0.999
+        l, r = circular(out)
+        assert dominant_oam_fraction(l, -1) > 0.999
+        assert dominant_oam_fraction(r, -1) > 0.999
 
     def test_h_input_transmission_unity(self, grid256, bg_source):
         # the polarizer passes an H input fully: train transmission is 1

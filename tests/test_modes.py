@@ -13,13 +13,13 @@ from bgqkd import (
     binary_bessel_hologram,
     evaluate_bg,
     evaluate_lg,
-    full_reconstruction_distance,
     nondiffracting_distance,
     shadow_length,
 )
-from bgqkd.analysis import dominant_oam_fraction
+from bgqkd.modes import full_reconstruction_distance
 
 from conftest import W0, WAVELENGTH, K_R
+from diagnostics import dominant_oam_fraction
 from oracles import BESSEL_REFERENCE, J0_ROOTS, J1_ROOTS
 
 

@@ -13,14 +13,17 @@ from bgqkd import (
     back_propagate,
     evaluate_bg,
     evaluate_lg,
-    horizontally_polarized,
-    inner_product,
     nondiffracting_distance,
     propagate,
-    propagate_scalar,
 )
 from bgqkd.analysis import boundary_power_fraction
-from bgqkd.propagation import BandLimitWarning, _kz_and_mask, transmit_to_station
+from bgqkd.fields import horizontally_polarized, inner_product
+from bgqkd.propagation import (
+    BandLimitWarning,
+    _kz_and_mask,
+    propagate_scalar,
+    transmit_to_station,
+)
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
 from oracles import gaussian_overlap_blocked, rayleigh_sommerfeld_point
@@ -157,6 +160,14 @@ class TestObstacle:
         out = apply_obstacle(f, obs)
         expected = 1.0 - gaussian_overlap_blocked(obs.radius, W0)
         assert out.power() / f.power() == pytest.approx(expected, rel=2e-3)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"z": float("nan")}, {"z": float("inf")},
+        {"center": (float("nan"), 0.0)}, {"center": (0.0, float("-inf"))},
+    ], ids=["z-nan", "z-inf", "center-nan", "center-inf"])
+    def test_rejects_non_finite_position(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ObstacleSpec(radius=300e-6, **kwargs)
 
     def test_off_center_mask(self, grid256):
         f = gaussian_field(grid256, 0.6e-3)

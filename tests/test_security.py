@@ -178,28 +178,6 @@ class TestQberFromMatrix:
             with pytest.raises(ValueError):
                 qber_from_matrix(synthetic_matrix(np.zeros((8, 8))))
 
-    def test_counts_weighted_option(self):
-        # vector rows error-free, scalar rows fully random; uniform weighting
-        # averages the bases, counts weighting follows the sifted totals
-        raw = ideal_raw()
-        raw[4:, 4:] = 0.25
-        m = synthetic_matrix(raw)
-        from bgqkd.channel import CountsTable, LABEL_STRINGS
-
-        counts = np.zeros((8, 8), dtype=np.int64)
-        counts[:4, :4] = np.eye(4, dtype=np.int64) * 300
-        counts[4:, 4:] = 25  # 100 sifted per scalar row vs 300 per vector row
-        table = CountsTable(labels=LABEL_STRINGS, counts=counts,
-                            expected=counts.astype(float), seed=0, total_events=1e4)
-        uniform = qber_from_matrix(m, counts=table).e
-        weighted = qber_from_matrix(m, counts=table, weighting="counts").e
-        assert uniform == pytest.approx(0.375)
-        assert weighted == pytest.approx((300 * 4 * 0.0 + 100 * 4 * 0.75) / 1600)
-
-    def test_counts_weighting_requires_counts(self):
-        with pytest.raises(ValueError):
-            qber_from_matrix(synthetic_matrix(ideal_raw()), weighting="counts")
-
 
 class TestSecurityReport:
     def test_reference_gives_unit_nc(self):
