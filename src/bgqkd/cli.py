@@ -257,6 +257,12 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _threads(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bgqkd",
@@ -270,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help=f"built-in preset name ({', '.join(preset_names())})")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="parallel scenarios")
+        p.add_argument("--threads", type=_threads, default=1, help="parallel scenarios")
         p.set_defaults(func=fn)
     return parser
 

@@ -132,7 +132,7 @@ class ObstacleSpec:
 
 
 def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:
-    # scenario-level validation enforces that obstacles fit inside the grid;
+    # config validation enforces that every obstacle fits inside the grid;
     # the mask itself is defined for any radius (an oversized disk blocks all)
     x, y = grid.xy
     return (np.hypot(x - obs.center[0], y - obs.center[1]) >= obs.radius).astype(float)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bgqkd import ModeFamily, ModeSpec, TransverseGrid
+from bgqkd.config import SCHEMA, Key
 
 WAVELENGTH = 810e-9
 W0 = 1.253e-3
@@ -58,3 +59,20 @@ def spin_orbit_states(pair, wavelength=WAVELENGTH):
         h, v = (r + l) / np.sqrt(2.0), 1j * (l - r) / np.sqrt(2.0)
         states.append(PolarizedField(ScalarField(grid, h), ScalarField(grid, v), wavelength))
     return states
+
+
+def schema_leaves(key=Key("mapping", item=SCHEMA), path=()):
+    """(path, Key) of every scalar key of the config schema, walked from the
+    table itself; the path of a list entry continues with index 0."""
+    if key.kind == "mapping":
+        for name, sub in key.item.items():
+            yield from schema_leaves(sub, path + (name,))
+    elif key.kind == "list":
+        yield from schema_leaves(key.item, path + (0,))
+    else:
+        yield path, key
+
+
+def field_path(path):
+    """The ConfigError path of a schema_leaves path: ("a", 0, "b") -> "a[0].b"."""
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]

@@ -21,6 +21,30 @@ TINY = {
 }
 
 
+# values that reached a traceback or ran on instead of ending in exit 2:
+# (command, section patched into TINY, field path the error must name)
+REJECTED = [
+    pytest.param("security", "security: {direct: [{name: a, qber: 0.05, delta: 2}]}",
+                 "security.direct[0].delta", id="direct-delta-above-1"),
+    pytest.param("security", "security: {direct: [{name: a, qber: 0.05, q_mu: 5}]}",
+                 "security.direct[0].q_mu", id="direct-q_mu-above-1"),
+    pytest.param("security", "security: {direct: [{name: a, qber: 0.05, family: XX}]}",
+                 "security.direct[0].family", id="direct-family-unknown"),
+    pytest.param("security", "security: {direct: 5}", "security.direct", id="direct-not-a-list"),
+    pytest.param("scattering", "run: {pgm_stations: 0.3}", "run.pgm_stations",
+                 id="pgm-stations-not-a-list"),
+    pytest.param("scattering", "run: {outputs: [pgm], pgm_stations: [-0.1]}",
+                 "run.pgm_stations[0]", id="pgm-station-negative"),
+    pytest.param("security", "spdc: {pump_waist: 0}", "spdc.pump_waist", id="pump-waist-zero"),
+    pytest.param("security", "spdc: {pump_waist: -1mm}", "spdc.pump_waist",
+                 id="pump-waist-negative"),
+    pytest.param("scattering", "detection: {mode: ideal, smf_waist: 0}", "detection.smf_waist",
+                 id="smf-waist-zero"),
+    pytest.param("selfheal-scan", "selfheal: {obstacle: {radius: 6mm}, z_stations: [0.1]}",
+                 "selfheal.obstacle", id="selfheal-obstacle-outside-grid"),
+]
+
+
 def write_config(tmp_path, doc, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
@@ -64,6 +88,21 @@ class TestConfigErrors:
         rc = main(["security", "--config", write_config(tmp_path, doc),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command,patch,path", REJECTED)
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, command, patch, path):
+        doc = dict(TINY, **yaml.safe_load(patch))
+        rc = main([command, "--config", write_config(tmp_path, doc),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"config error at {path}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--preset", "paper-bg", "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_selfheal_without_section(self, tmp_path):
         rc = main(["selfheal-scan", "--config", write_config(tmp_path, TINY),

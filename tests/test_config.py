@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 import yaml
 
@@ -9,6 +11,7 @@ from bgqkd.config import (
     parse_wavenumber,
     preset_names,
 )
+from conftest import field_path, schema_leaves
 
 
 def minimal_doc(**overrides):
@@ -36,6 +39,28 @@ NON_FINITE = [
     ("channel.obstacles[0].center[0]",
      "channel: {length: 0.05, obstacles: [{radius: 0.5mm, center: [.inf, 0]}]}"),
 ]
+
+
+# a valid document with every section and one entry in every list, so that
+# each key of the schema has a place to be set
+FULL = yaml.safe_load("""
+schema_version: 1
+grid: {n: 64, extent: 10mm}
+source: {family: BG, ell: 1, k_r: 18 rad/mm, w0: 1mm, wavelength: 810nm}
+spdc: {pump_waist: 1mm, mu: 1.0e-3, q_mu: 1.0e-4, delta: 1.0e-3}
+channel: {length: 0.05, station_z: 0.01, obstacles: [{radius: 0.5mm, center: [0, 0], z: 0.01}]}
+scenarios:
+  - {name: a, channel: {length: 0.05, station_z: 0.01,
+                        obstacles: [{radius: 0.5mm, center: [0, 0], z: 0.01}]}}
+detection: {mode: cascade, smf_waist: 0.45mm, noise_floor: 1.0e-4}
+security:
+  dimension: 4
+  f_ec: 1.2
+  direct: [{name: a, family: BG, qber: 0.05, delta: 1.0e-3, q_mu: 1.0e-4, mu: 1.0e-3}]
+run: {seed: 1, events: 1.0e+6, outputs: [json], pgm_stations: [0.02]}
+selfheal: {obstacle: {radius: 0.5mm, center: [0, 0], z: 0.0}, z_stations: [0.1]}
+""")
+NUMERIC = [path for path, key in schema_leaves() if key.kind != "text"]
 
 
 class TestUnitParsing:
@@ -159,6 +184,19 @@ class TestSchema:
             parse_config(doc)
         assert err.value.path == path
         assert "finite" in err.value.message
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("path", NUMERIC, ids=[field_path(p) for p in NUMERIC])
+    def test_every_numeric_key_rejects_non_finite(self, path, value):
+        parse_config(FULL)  # the document is valid before the change
+        doc = copy.deepcopy(FULL)
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.path == field_path(path)
 
     def test_cascade_needs_waist(self):
         doc = minimal_doc(detection={"mode": "cascade"})
