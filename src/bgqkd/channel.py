@@ -113,6 +113,16 @@ def source_pair(source: ModeSpec, grid: TransverseGrid) -> tuple[ScalarField, Sc
     return spin_orbit_pair(heralded_profile(source, grid), abs(source.ell) or 1)
 
 
+def cascade_detection_scalar(source: ModeSpec, grid: TransverseGrid,
+                             detection: DetectionModel) -> np.ndarray:
+    """The cascade receiver's scalar at the detection plane: the fiber
+    Gaussian times the binary Bessel hologram (BG sources with k_r > 0)."""
+    fiber = np.exp(-(grid.r / detection.smf_waist) ** 2).astype(complex)
+    if source.family is ModeFamily.BG and source.k_r > 0:
+        fiber *= binary_bessel_hologram(0, source.k_r, grid).samples
+    return fiber
+
+
 def detection_states(source: ModeSpec, grid: TransverseGrid, ell: int,
                      decoding_distance: float,
                      detection: DetectionModel) -> tuple[ScalarField, ScalarField]:
@@ -125,9 +135,7 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, ell: int,
     BP(hologram * fiber)).
     """
     if detection.kind is DetectionKind.CASCADE:
-        fiber = np.exp(-(grid.r / detection.smf_waist) ** 2).astype(complex)
-        if source.family is ModeFamily.BG and source.k_r > 0:
-            fiber *= binary_bessel_hologram(0, source.k_r, grid).samples
+        fiber = cascade_detection_scalar(source, grid, detection)
         scalar = back_propagate_scalar(ScalarField(grid, fiber), source.wavelength,
                                        decoding_distance)
         return spin_orbit_pair(scalar, ell)
@@ -140,7 +148,12 @@ def spin_orbit_amplitudes(dets: tuple[ScalarField, ScalarField],
     """8 x 8 amplitudes <d_j|f_i> at [i, j] (over the sample window) for the
     prepared states carried by `pair` and the detection states carried by `dets`."""
     x, y = (np.stack([f.samples[window].ravel() for f in p]) for p in (dets, pair))
-    gram = x.conj() @ y.T * pair[0].grid.pixel_area  # G[s, s'] = <g_s|u_s'>
+    return gram_amplitudes(x.conj() @ y.T * pair[0].grid.pixel_area)
+
+
+def gram_amplitudes(gram: np.ndarray) -> np.ndarray:
+    """8 x 8 amplitudes <d_j|f_i> at [i, j] from the pairs' 2 x 2 overlaps
+    G[s, s'] = <g_s|u_s'>."""
     return SPIN_ORBIT @ np.kron(np.eye(2), gram).T @ SPIN_ORBIT.conj().T
 
 

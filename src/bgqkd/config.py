@@ -165,7 +165,7 @@ _DIRECT = {
 SCHEMA = {
     "schema_version": Key("integer", bounds=f"[{SCHEMA_VERSION}, {SCHEMA_VERSION}]"),
     "grid": Key("mapping", {}, item={
-        "n": Key("integer", 1024),
+        "n": Key("integer", 1024, "[64, 4096]"),
         "extent": Key("length", 10e-3, "(0, inf)"),
     }),
     "source": Key("mapping", {}, item={
@@ -189,7 +189,7 @@ SCHEMA = {
     "detection": Key("mapping", {}, item={
         "mode": Key("text", "ideal", choices=("ideal", "cascade")),
         "smf_waist": Key("length", None, "(0, inf)"),
-        "noise_floor": Key("number", 0.0, "[0, inf)"),
+        "noise_floor": Key("number", 0.0, "[0, 1]"),
     }),
     "security": Key("mapping", {}, item={
         "dimension": Key("integer", 4, "[2, inf)"),

@@ -65,6 +65,17 @@ def band_limit_message(tail: float) -> str | None:
     return None
 
 
+def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
+    """The free-space kernel K = exp(-i dz k_z), zero on evanescent components,
+    on the FFT-ordered frequency grid: propagate_scalar multiplies a field's
+    spectrum by it. K(-k) = K(k), so back-propagation is its adjoint."""
+    kz, propagating = _kz_and_mask(grid, wavelength)
+    kernel = -1j * dz * kz
+    np.exp(kernel, out=kernel)
+    kernel *= propagating
+    return kernel
+
+
 def propagate_scalar(f: ScalarField, wavelength: float, dz: float,
                      check_band_limit: bool = True) -> ScalarField:
     """Advance one scalar component by dz >= 0 metres of free space."""
@@ -75,11 +86,10 @@ def propagate_scalar(f: ScalarField, wavelength: float, dz: float,
     grid = f.grid
     if check_band_limit and (msg := band_limit_message(band_tail_fraction(_band_grams((f,))))):
         warnings.warn(msg, BandLimitWarning, stacklevel=2)
-    kz, propagating = _kz_and_mask(grid, wavelength)
-    spec = spfft.fft2(f.samples, workers=FFT_WORKERS)
-    spec *= np.exp(-1j * dz * kz)
-    spec *= propagating
-    out = spfft.ifft2(spec, workers=FFT_WORKERS)
+    kernel = transfer_function(grid, wavelength, dz)
+    # in place: a transport holds one spectrum-sized temporary besides its output
+    spec = np.multiply(spfft.fft2(f.samples, workers=FFT_WORKERS), kernel, out=kernel)
+    out = spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)
     return ScalarField(grid, out)
 
 

@@ -150,7 +150,8 @@ def qber_from_matrix(m: ScatteringMatrix, counts: Optional[CountsTable] = None) 
     Rows whose matched-basis sum vanishes are excluded with a warning (a
     fully blocked channel contributes no sifted events); the remaining rows,
     of both bases, count equally. When a counts table is supplied the
-    statistical uncertainty is propagated from it.
+    statistical uncertainty is propagated from it; it stays None when no
+    matched row drew a count.
     """
     fracs = []
     excluded = []
@@ -171,7 +172,10 @@ def qber_from_matrix(m: ScatteringMatrix, counts: Optional[CountsTable] = None) 
     e = 1.0 - float(np.average(fracs))
     sigma = None
     if counts is not None:
-        _, sigma = counts.empirical_qber()
+        try:
+            _, sigma = counts.empirical_qber()
+        except ValueError:  # no sifted counts: the uncertainty is unknown
+            pass
     return QberResult(e=e, sigma=sigma, excluded_rows=tuple(excluded))
 
 
@@ -240,6 +244,8 @@ def security_report(matrix: ScatteringMatrix, *,
     i_ab = mutual_information(qber.e, d)
     rate = key_rate(qber.e, delta, d=d, f_ec=f_ec, q_mu=q_mu, variant=variant)
     notes = list(matrix.warnings)
+    if counts is not None and qber.sigma is None:
+        notes.append("no sifted counts; QBER uncertainty unavailable")
     nc = None
     if reference is not None:
         ref_val = reference.raw[PSI00, PSI00]

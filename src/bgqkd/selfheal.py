@@ -13,18 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as spfft
 
 from .channel import (
+    DetectionKind,
     DetectionModel,
-    detection_states,
+    cascade_detection_scalar,
+    gram_amplitudes,
     source_pair,
-    spin_orbit_amplitudes,
     state_powers,
 )
 from .fields import ScalarField, TransverseGrid
 from .jones import ALL_LABELS, MubLabel
 from .modes import ModeSpec
-from .propagation import ObstacleSpec, back_propagate_scalar, obstacle_mask, propagate_scalar
+from .propagation import (
+    FFT_WORKERS,
+    ObstacleSpec,
+    obstacle_mask,
+    propagate_scalar,
+    transfer_function,
+)
 
 
 @dataclass(frozen=True)
@@ -58,35 +66,78 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     column compares the demodulated matched field's axial intensity with and
     without the obstacle, the classic reconstruction curve for the ell = 0
     profile.
+
+    The stations differ only in the leg L. Back-propagation is the adjoint of
+    propagation, so the overlap of a detection-plane scalar a, carried back
+    over L, with a station-plane field b is the spectral sum
+    <BP_L a|b> = dA / N^2 sum_k conj(a^) K_L b^, K_L = transfer_function(L).
+    The spectra are taken once per scan; a station costs one K_L and a few
+    such sums.
     """
     ell = abs(source.ell) or 1
     j = ALL_LABELS.index(label)
     station = obs.z if obs is not None else 0.0
+    for z in z_stations:
+        if z < station:
+            raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
+    pair = source_pair(source, grid)
     free = tuple(propagate_scalar(u, source.wavelength, station, check_band_limit=False)
-                 for u in source_pair(source, grid))
+                 for u in pair)
     blocked = free
     if obs is not None:
         mask = obstacle_mask(grid, obs)
         blocked = tuple(ScalarField(grid, u.samples * mask) for u in free)
     power = float(state_powers(blocked)[j])
-    axis = np.zeros((grid.n, grid.n))
-    axis[grid.n // 2, grid.n // 2] = 1.0
+
+    # Station-plane spectra, rows [b, s, s'] for b in (blocked, free):
+    # conj(t_s) u_s' with t_+- = exp(+-i ell phi), on which the turned cascade
+    # scalar and the demodulated axial sample project; ideal detection
+    # projects the pair u_s' itself, rows 8 + [b, s'].
+    n, area = grid.n, grid.pixel_area
+    scale = area / n ** 2  # <a|b> = scale * sum_k conj(a^) b^
     turn = np.exp(1j * ell * grid.phi)
+    cascade = detection.kind is DetectionKind.CASCADE
+    targets = np.empty((8 if cascade else 12, n, n), dtype=complex)
+    for b, station_pair in enumerate((blocked, free)):
+        for s2, u in enumerate(station_pair):
+            for s, t in enumerate((turn.conj(), turn)):
+                np.multiply(t, u.samples, out=targets[4 * b + 2 * s + s2])
+            if not cascade:
+                targets[8 + 2 * b + s2] = u.samples
+    centres = targets[:8, n // 2, n // 2].copy()  # before the transform overwrites them
+    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(len(targets), -1)
+    # The adjoint train ends on the H polarizer, so the demodulated axial
+    # amplitude after the leg is the projection on state j built from the
+    # back-propagated axial sample (no vpoint null: every pixel is
+    # demodulated). That sample's spectrum is the checkerboard (-1)^(kx + ky).
+    sign = (-1.0) ** np.arange(n)
+    axis = np.outer(sign, sign).ravel()
+    if cascade:
+        probes = [cascade_detection_scalar(source, grid, detection)]
+    else:  # the ideal projector is the source pair at the detection plane
+        probes = [u.samples for u in pair]
+    probes = spfft.fft2(np.array(probes), workers=FFT_WORKERS).reshape(len(probes), -1).conj()
+
     rows = []
     for z in z_stations:
-        if z < station:
-            raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
         leg = z - station
-        # The adjoint train ends on the H polarizer, and back-propagation is
-        # the adjoint of propagation, so the demodulated axial amplitude after
-        # the leg is the projection on state j built from the back-propagated
-        # axial sample (no vpoint null: every pixel is demodulated).
-        w = back_propagate_scalar(ScalarField(grid, axis), source.wavelength, leg).samples
-        demod = (ScalarField(grid, w * turn), ScalarField(grid, w * turn.conj()))
-        dets = detection_states(source, grid, ell, leg, detection)
+        kernel = transfer_function(grid, source.wavelength, leg).ravel()
+        dets = probes * kernel  # conj spectra of the detection scalars carried back over L
+        # with no leg the axial sample stays where it is (propagate_scalar
+        # returns its input for dz = 0) and meets only the centre samples
+        axial = centres * area if leg == 0 else (axis * kernel) @ targets[:8].T * scale
+        overlaps = dets @ targets.T * scale
+        if cascade:
+            # spin_orbit_pair drops the centre sample d(0) of the back-propagated
+            # scalar d (<d|delta_0> = conj(d(0)) dA); the unit power it then
+            # scales d to cancels in the fidelity ratio
+            centre = dets[0] @ axis * scale
+            grams = (overlaps[0] - centre * centres).reshape(2, 2, 2)
+        else:
+            grams = overlaps[:, 8:].reshape(2, 2, 2).transpose(1, 0, 2)
         (p_obs, a_obs), (p_free, a_free) = (
-            [abs(spin_orbit_amplitudes(d, pair)[j, j]) ** 2 for d in (dets, demod)]
-            for pair in (blocked, free))
+            [abs(gram_amplitudes(g)[j, j]) ** 2 for g in (det, ax)]
+            for det, ax in zip(grams, axial.reshape(2, 2, 2)))
         if p_free <= 0:
             raise ValueError("free-space detection probability vanished; check the geometry")
         rows.append((z, p_obs / p_free, power, a_obs / a_free if a_free > 0 else 0.0))

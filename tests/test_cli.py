@@ -42,6 +42,9 @@ REJECTED = [
                  id="smf-waist-zero"),
     pytest.param("selfheal-scan", "selfheal: {obstacle: {radius: 6mm}, z_stations: [0.1]}",
                  "selfheal.obstacle", id="selfheal-obstacle-outside-grid"),
+    pytest.param("scattering", f"grid: {{n: {2 ** 24}}}", "grid.n", id="grid-n-too-large"),
+    pytest.param("scattering", "detection: {mode: ideal, noise_floor: 2.0}",
+                 "detection.noise_floor", id="noise-floor-above-1"),
 ]
 
 
@@ -202,6 +205,18 @@ class TestSecurity:
         assert by_name["blocked"]["normalized_counts"] < 0.9
         assert (out / "security_summary.txt").is_file()
         assert (out / "free-space_lg_counts.csv").is_file()
+
+    @pytest.mark.parametrize("events", [0, 1.0e-3])
+    def test_no_sifted_counts_leaves_sigma_unset(self, tmp_path, events):
+        doc = dict(TINY, grid=dict(TINY["grid"], n=64), run=dict(TINY["run"], events=events))
+        out = tmp_path / "out"
+        rc = main(["security", "--config", write_config(tmp_path, doc), "--out-dir", str(out)])
+        assert rc == 0
+        reports = json.loads((out / "security_reports.json").read_text())
+        assert len(reports) == 2
+        for r in reports:
+            assert r["qber_sigma"] is None
+            assert "no sifted counts; QBER uncertainty unavailable" in r["notes"]
 
     def test_seed_override_changes_counts(self, tmp_path):
         cfg = write_config(tmp_path, TINY)

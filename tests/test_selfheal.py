@@ -1,17 +1,54 @@
+import sys
+
+import numpy as np
 import pytest
 
+import bgqkd
 from bgqkd import (
     DetectionKind,
     DetectionModel,
     ObstacleSpec,
+    ScalarField,
+    TransverseGrid,
     self_healing_fidelity,
     selfheal_scan,
     shadow_length,
 )
-from bgqkd.jones import MubLabel
+from bgqkd.channel import detection_states, source_pair, spin_orbit_amplitudes, state_powers
+from bgqkd.jones import ALL_LABELS, MubLabel
+from bgqkd.propagation import back_propagate_scalar, obstacle_mask, propagate_scalar
 
 L = MubLabel.from_string
 CASCADE = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=0.0)
+IDEAL = DetectionModel(DetectionKind.IDEAL)
+
+
+def direct_space_scan(source, label, obs, z_stations, grid, detection):
+    """The scan as a receiver in direct space: per station, the detection
+    states and the axial sample are back-propagated over the leg and
+    projected on the station-plane pair."""
+    ell = abs(source.ell) or 1
+    j = ALL_LABELS.index(label)
+    station = obs.z if obs is not None else 0.0
+    free = tuple(propagate_scalar(u, source.wavelength, station, check_band_limit=False)
+                 for u in source_pair(source, grid))
+    blocked = free
+    if obs is not None:
+        blocked = tuple(ScalarField(grid, u.samples * obstacle_mask(grid, obs)) for u in free)
+    power = float(state_powers(blocked)[j])
+    axis = np.zeros((grid.n, grid.n))
+    axis[grid.n // 2, grid.n // 2] = 1.0
+    turn = np.exp(1j * ell * grid.phi)
+    rows = []
+    for z in z_stations:
+        w = back_propagate_scalar(ScalarField(grid, axis), source.wavelength, z - station).samples
+        demod = (ScalarField(grid, w * turn), ScalarField(grid, w * turn.conj()))
+        dets = detection_states(source, grid, ell, z - station, detection)
+        (p_obs, a_obs), (p_free, a_free) = (
+            [abs(spin_orbit_amplitudes(d, pair)[j, j]) ** 2 for d in (dets, demod)]
+            for pair in (blocked, free))
+        rows.append((z, p_obs / p_free, power, a_obs / a_free if a_free > 0 else 0.0))
+    return rows, free
 
 
 def test_no_obstacle_unit_fidelity(grid256, bg_source):
@@ -61,3 +98,62 @@ def test_scan_monotone_on_axis_recovery(grid512, bg_source):
     assert on_axis[-1] >= 0.5
     fidelities = [r[1] for r in rows]
     assert fidelities[-1] > fidelities[0]
+
+
+@pytest.mark.parametrize("detection", [CASCADE, IDEAL], ids=["cascade", "ideal"])
+@pytest.mark.parametrize("obs,extent", [
+    (ObstacleSpec(radius=600e-6, z=0.0), 10e-3),
+    # the 6 mm grid clips the beam, so on the grid the pair's axis null fills
+    # in at the station and meets the centre sample the cascade drops
+    (ObstacleSpec(radius=400e-6, center=(500e-6, -300e-6), z=0.1), 6e-3),
+    (None, 10e-3),
+], ids=["centred-z0", "off-centre-z0.1", "no-obstacle"])
+@pytest.mark.parametrize("label", ["psi00", "phi01"])
+def test_scan_matches_direct_space_receiver(bg_source, detection, obs, extent, label):
+    grid = TransverseGrid(n=256, extent=extent)
+    station = obs.z if obs is not None else 0.0
+    stations = [station, station + 0.05, station + 0.3]
+    expected, free = direct_space_scan(bg_source, L(label), obs, stations, grid, detection)
+    got = selfheal_scan(bg_source, L(label), obs, stations, grid, detection)
+    np.testing.assert_allclose(np.array(got), np.array(expected), rtol=1e-10, atol=0.0)
+    if station > 0:
+        c = grid.n // 2
+        assert all(abs(u.samples[c, c]) > 1e-8 * np.abs(u.samples).max() for u in free)
+
+
+def _count_calls(monkeypatch, owner, name, weight=lambda *args, **kwargs: 1):
+    """Rebind owner.name, and the same function wherever a bgqkd module binds
+    it by name, to a wrapper; returns the running total of weight(call)."""
+    fn = getattr(owner, name)
+    total = [0]
+
+    def counted(*args, **kwargs):
+        total[0] += weight(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "bgqkd":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return total
+
+
+def test_scan_cost_does_not_grow_with_stations(monkeypatch, grid256, bg_source):
+    obs = ObstacleSpec(radius=600e-6, z=0.05)
+    fft = bgqkd.propagation.spfft
+
+    def planes(x, *args, **kwargs):  # one 2-D transform per n x n plane
+        return int(np.prod(np.shape(x)[:-2]))
+
+    costs = []
+    for stations in ([0.3], [0.05 + 0.05 * i for i in range(9)]):
+        with monkeypatch.context() as m:
+            ffts = [_count_calls(m, fft, name, planes) for name in ("fft2", "ifft2")]
+            holograms = _count_calls(m, bgqkd.modes, "binary_bessel_hologram")
+            for detection in (CASCADE, IDEAL):
+                selfheal_scan(bg_source, L("psi00"), obs, stations, grid256, detection)
+            costs.append((sum(f[0] for f in ffts), holograms[0]))
+    assert costs[0] == costs[1]
+    assert costs[0][1] == 1  # the cascade's hologram, once
