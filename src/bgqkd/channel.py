@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import interior_window
 from .fields import PolarizedField, ScalarField, TransverseGrid, horizontally_polarized
 from .jones import ALL_LABELS, SPIN_ORBIT, spin_orbit_pair
-from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, evaluate_mode
+from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, evaluate_mode, radial_factor
 from .propagation import (
     ChannelSpec,
     back_propagate_scalar,
@@ -90,13 +90,27 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
     profile times exp(i ell phi)); the pump is a unit-power Gaussian of the
     given waist. A Gaussian pump enforces the azimuthal selection rule
     ell_s + ell_i = 0.
+
+    Each factor is a function of r times exp(i ell phi), so the grid sum is
+    taken over the grid's rings of equal radius, each weighted by its sum of
+    exp(-i (ell_s + ell_i) phi) (its pixel count when ell_s + ell_i = 0); the
+    norms use the pixel counts. The ring sum equals the grid sum up to
+    rounding.
     """
-    m_s = evaluate_mode(signal, grid).samples
-    m_i = evaluate_mode(idler, grid).samples
-    pump = np.exp(-(grid.r / pump_waist) ** 2)
-    pump = pump / np.sqrt(np.sum(np.abs(pump) ** 2) * grid.pixel_area)
-    acc = np.sum(np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area
-    return complex(acc)
+    if not (np.isfinite(pump_waist) and pump_waist > 0):
+        raise ValueError(f"pump_waist must be positive and finite, got {pump_waist}")
+    r, counts = grid.radii, grid.ring_weights(0)
+
+    def unit(f):
+        p = np.sum(counts * np.abs(f) ** 2) * grid.pixel_area
+        if p == 0.0:
+            raise ValueError("cannot normalize a zero field")
+        return f / np.sqrt(p)
+
+    m_s, m_i = unit(radial_factor(signal, r)), unit(radial_factor(idler, r))
+    pump = unit(np.exp(-(r / pump_waist) ** 2))
+    weights = grid.ring_weights(signal.ell + idler.ell)
+    return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,25 @@ class TransverseGrid:
         radii, inverse, fold = self._radial_index
         return f(radii)[inverse][fold][:, fold]
 
+    @property
+    def radii(self) -> np.ndarray:
+        """The distinct sample radii, ascending: the points `radial` calls f on."""
+        return self._radial_index[0]
+
+    def ring_weights(self, m: int) -> np.ndarray:
+        """Sum of exp(-i m phi) over the pixels at each of `radii`; for m = 0,
+        the number of pixels there (as floats)."""
+        radii, inverse, fold = self._radial_index
+        if m == 0:
+            # a quadrant cell stands for every pixel whose two folds land on it
+            per_fold = np.bincount(fold)
+            return np.bincount(inverse.ravel(), np.outer(per_fold, per_fold).ravel(),
+                               radii.size)
+        index = inverse[fold][:, fold].ravel()
+        w = np.exp(-1j * m * self.phi).ravel()
+        return (np.bincount(index, w.real, radii.size)
+                + 1j * np.bincount(index, w.imag, radii.size))
+
     @cached_property
     def phi(self) -> np.ndarray:
         x, y = self.xy
@@ -101,10 +120,9 @@ class TransverseGrid:
 
 
 def _freeze(samples: np.ndarray, n: int) -> np.ndarray:
-    arr = np.asarray(samples, dtype=np.complex128)
+    arr = np.array(samples, dtype=np.complex128)  # one fresh copy, also of real samples
     if arr.shape != (n, n):
         raise ValueError(f"samples must have shape ({n}, {n}), got {arr.shape}")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 

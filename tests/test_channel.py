@@ -11,6 +11,8 @@ from bgqkd import (
     ModeFamily,
     ModeSpec,
     ObstacleSpec,
+    TransverseGrid,
+    UnsupportedModeError,
     heralded_input,
     prepare_state,
     scattering_matrix,
@@ -21,7 +23,7 @@ from bgqkd.analysis import boundary_power_fraction
 from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, detection_states
 from bgqkd.fields import ScalarField, horizontally_polarized, inner_product
 from bgqkd.jones import ALL_LABELS, MubLabel
-from bgqkd.modes import binary_bessel_hologram, evaluate_bg
+from bgqkd.modes import binary_bessel_hologram, evaluate_bg, evaluate_mode
 from bgqkd.propagation import (
     BandLimitWarning,
     back_propagate,
@@ -42,7 +44,49 @@ def bg_mode(ell, k_r=K_R, w0=W0):
     return ModeSpec(family=ModeFamily.BG, ell=ell, w0=w0, wavelength=WAVELENGTH, k_r=k_r)
 
 
+def grid_sum_overlap(signal, idler, pump_waist, grid):
+    """The SPDC amplitude as a sum over every pixel of the unit-power modes
+    and a per-pixel unit-power pump."""
+    m_s = evaluate_mode(signal, grid).samples
+    m_i = evaluate_mode(idler, grid).samples
+    pump = np.exp(-(grid.r / pump_waist) ** 2)
+    pump = pump / np.sqrt(np.sum(np.abs(pump) ** 2) * grid.pixel_area)
+    return complex(np.sum(np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
+
+
 class TestSpdcOverlap:
+    @pytest.mark.parametrize("family", [ModeFamily.BG, ModeFamily.LG])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_ring_sum_matches_grid_sum(self, family, n):
+        # ell_s + ell_i in {0, +-1, +-2, 4}; on the coarse n = 64 grid the
+        # ring sums of exp(-4i phi) do not cancel (|c| ~ 20 for BG (2, 2))
+        grid = TransverseGrid(n=n, extent=10e-3)
+
+        def mode(ell):
+            return ModeSpec(family=family, ell=ell, w0=W0, wavelength=WAVELENGTH,
+                            k_r=K_R if family is ModeFamily.BG else 0.0)
+
+        pairs = [(0, 0), (1, -1), (2, -2), (1, 0), (-1, 0), (1, 1), (-1, -1), (2, 2)]
+        ref = [grid_sum_overlap(mode(a), mode(b), 1.0e-3, grid) for a, b in pairs]
+        got = [spdc_overlap(mode(a), mode(b), 1.0e-3, grid) for a, b in pairs]
+        peak = max(abs(c) for c in ref)
+        for pair, c, c_ref in zip(pairs, got, ref):
+            assert abs(c - c_ref) <= 1e-12 * abs(c_ref) + 1e-12 * peak, pair
+
+    def test_mixed_families_match_grid_sum(self, grid256):
+        lg = ModeSpec(family=ModeFamily.LG, ell=-1, w0=W0, wavelength=WAVELENGTH)
+        c_ref = grid_sum_overlap(bg_mode(1), lg, 1.0e-3, grid256)
+        assert spdc_overlap(bg_mode(1), lg, 1.0e-3, grid256) == pytest.approx(c_ref, rel=1e-12)
+
+    @pytest.mark.parametrize("waist", [0.0, -1.0e-3, float("nan"), float("inf")])
+    def test_pump_waist_must_be_positive_and_finite(self, grid256, waist):
+        with pytest.raises(ValueError, match="pump_waist"):
+            spdc_overlap(bg_mode(0), bg_mode(0), waist, grid256)
+
+    def test_kr_zero_vortex_rejected(self, grid256):
+        with pytest.raises(UnsupportedModeError):
+            spdc_overlap(bg_mode(1, k_r=0.0), bg_mode(-1), 1.0e-3, grid256)
+
     def test_azimuthal_selection_rule(self, grid256):
         pump = 1.0e-3
         for ls, li in [(1, 1), (1, 0), (2, -1), (0, 1)]:

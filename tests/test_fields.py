@@ -47,6 +47,19 @@ class TestGrid:
             g = TransverseGrid(n=n, extent=7.3e-3)
             assert np.array_equal(g.radial(lambda r: r), g.r)
 
+    def test_ring_weights_are_grid_sums(self):
+        for n in (64, 128):
+            g = TransverseGrid(n=n, extent=7.3e-3)
+            radii, ring = np.unique(g.r, return_inverse=True)
+            assert np.array_equal(g.radii, radii)
+            counts = g.ring_weights(0)
+            assert counts.sum() == n * n
+            assert np.array_equal(counts, np.bincount(ring.ravel()))
+            for m in (1, -2, 4):
+                w = np.exp(-1j * m * g.phi).ravel()
+                expected = [np.sum(w[ring.ravel() == k]) for k in range(radii.size)]
+                assert np.allclose(g.ring_weights(m), expected, rtol=0, atol=1e-12), m
+
 
 class TestInnerProduct:
     def test_normalization_identity(self, grid256):

@@ -160,6 +160,27 @@ class TestEvaluateLg:
     def test_unit_power(self, grid256):
         assert evaluate_lg(lg_spec(1), grid256).power() == pytest.approx(1.0, abs=1e-9)
 
+    def test_matches_full_grid_formula(self, grid256):
+        # the bits of the LG_0^ell formula evaluated on every pixel
+        r = grid256.r
+        for ell in (0, 1, -1, 2):
+            spec = lg_spec(ell)
+            z_r, k = spec.rayleigh_range, spec.wavenumber
+            for z in (0.0, 0.3):
+                w = W0 * np.sqrt(1.0 + (z / z_r) ** 2)
+                gouy = (abs(ell) + 1) * np.arctan2(z, z_r)
+                radial = (np.sqrt(2.0) * r / w) ** abs(ell) * np.exp(-(r / w) ** 2)
+                if z == 0.0:
+                    curvature = 0.0
+                else:
+                    radius = (z_r ** 2 + z ** 2) / z
+                    curvature = k * r ** 2 / (2.0 * radius)
+                phase = np.exp(1j * (ell * grid256.phi - k * z - curvature + gouy))
+                samples = (W0 / w) * radial * phase
+                expected = ScalarField(grid256, samples).normalized().samples
+                got = evaluate_lg(spec, grid256, z=z).samples
+                assert np.array_equal(got, expected), (ell, z)
+
 
 class TestHologram:
     def test_center_positive_and_first_flip(self, grid512):
