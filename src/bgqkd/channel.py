@@ -24,6 +24,7 @@ superposition of two scalar OAM fields, so only those are transported.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,11 +59,13 @@ class DetectionModel:
     noise_floor: float = 0.0
 
     def __post_init__(self):
-        if self.kind is DetectionKind.CASCADE:
-            if self.smf_waist is None or not self.smf_waist > 0:
-                raise ValueError("cascade detection requires a positive smf_waist")
-        if self.noise_floor < 0:
-            raise ValueError("noise_floor must be >= 0")
+        if self.kind is DetectionKind.CASCADE and self.smf_waist is None:
+            raise ValueError("cascade detection requires an smf_waist")
+        if self.smf_waist is not None and not (np.isfinite(self.smf_waist)
+                                               and self.smf_waist > 0):
+            raise ValueError(f"smf_waist must be positive and finite, got {self.smf_waist}")
+        if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
+            raise ValueError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
 
 
 def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> ScalarField:
@@ -82,6 +85,32 @@ def heralded_input(source: ModeSpec, grid: TransverseGrid) -> PolarizedField:
     return horizontally_polarized(heralded_profile(source, grid), source.wavelength)
 
 
+def _unit_on_rings(f: np.ndarray, grid: TransverseGrid) -> np.ndarray:
+    """Radial samples f on `grid.radii`, scaled to unit power over the grid."""
+    p = np.sum(_ring_weights(grid, 0) * np.abs(f) ** 2) * grid.pixel_area
+    if p == 0.0:
+        raise ValueError("cannot normalize a zero field")
+    return f / np.sqrt(p)
+
+
+# An SPDC scan sweeps its idler modes cyclically (21 in the acceptance scan),
+# so a cache smaller than one sweep would never hit.
+@functools.lru_cache(maxsize=32)
+def _ring_factor(spec: ModeSpec, grid: TransverseGrid) -> np.ndarray:
+    """The unit-power radial factor of `spec` on `grid.radii` (read-only)."""
+    out = _unit_on_rings(radial_factor(spec, grid.radii), grid)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _ring_weights(grid: TransverseGrid, m: int) -> np.ndarray:
+    """`grid.ring_weights(m)` (read-only)."""
+    out = grid.ring_weights(m)
+    out.setflags(write=False)
+    return out
+
+
 def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
                  grid: TransverseGrid) -> complex:
     """Two-photon detection amplitude c = Int m_s* m_i* m_p d2x.
@@ -95,21 +124,14 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
     taken over the grid's rings of equal radius, each weighted by its sum of
     exp(-i (ell_s + ell_i) phi) (its pixel count when ell_s + ell_i = 0); the
     norms use the pixel counts. The ring sum equals the grid sum up to
-    rounding.
+    rounding. Each distinct mode is evaluated once per grid and kept (the
+    last 32), as are the ring weights.
     """
     if not (np.isfinite(pump_waist) and pump_waist > 0):
         raise ValueError(f"pump_waist must be positive and finite, got {pump_waist}")
-    r, counts = grid.radii, grid.ring_weights(0)
-
-    def unit(f):
-        p = np.sum(counts * np.abs(f) ** 2) * grid.pixel_area
-        if p == 0.0:
-            raise ValueError("cannot normalize a zero field")
-        return f / np.sqrt(p)
-
-    m_s, m_i = unit(radial_factor(signal, r)), unit(radial_factor(idler, r))
-    pump = unit(np.exp(-(r / pump_waist) ** 2))
-    weights = grid.ring_weights(signal.ell + idler.ell)
+    m_s, m_i = _ring_factor(signal, grid), _ring_factor(idler, grid)
+    pump = _unit_on_rings(np.exp(-(grid.radii / pump_waist) ** 2), grid)
+    weights = _ring_weights(grid, signal.ell + idler.ell)
     return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
 
 
@@ -308,8 +330,10 @@ class CountRates:
     basis_probability: float = 0.5  # probability of choosing the vector basis
 
     def __post_init__(self):
-        if self.pairs_per_second < 0 or self.integration_time < 0:
-            raise ValueError("rates must be non-negative")
+        for name in ("pairs_per_second", "integration_time"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0 < self.basis_probability < 1:
             raise ValueError("basis_probability must be in (0, 1)")
 

@@ -65,7 +65,8 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     the obstacle mask applies after the shared propagation. The on-axis
     column compares the demodulated matched field's axial intensity with and
     without the obstacle, the classic reconstruction curve for the ell = 0
-    profile.
+    profile; it is NaN at a station with no leg (z at the obstacle) and
+    wherever the free axial intensity is 0.
 
     The stations differ only in the leg L. Back-propagation is the adjoint of
     propagation, so the overlap of a detection-plane scalar a, carried back
@@ -123,9 +124,7 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
         leg = z - station
         kernel = transfer_function(grid, source.wavelength, leg).ravel()
         dets = probes * kernel  # conj spectra of the detection scalars carried back over L
-        # with no leg the axial sample stays where it is (propagate_scalar
-        # returns its input for dz = 0) and meets only the centre samples
-        axial = centres * area if leg == 0 else (axis * kernel) @ targets[:8].T * scale
+        axial = (axis * kernel) @ targets[:8].T * scale
         overlaps = dets @ targets.T * scale
         if cascade:
             # spin_orbit_pair drops the centre sample d(0) of the back-propagated
@@ -140,5 +139,8 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
             for det, ax in zip(grams, axial.reshape(2, 2, 2)))
         if p_free <= 0:
             raise ValueError("free-space detection probability vanished; check the geometry")
-        rows.append((z, p_obs / p_free, power, a_obs / a_free if a_free > 0 else 0.0))
+        # with no leg the axial amplitudes are the pair's centre samples,
+        # vortex nulls that hold only rounding, so their ratio is undefined
+        rows.append((z, p_obs / p_free, power,
+                     a_obs / a_free if leg > 0 and a_free > 0 else np.nan))
     return rows

@@ -40,7 +40,7 @@ from bgqkd.propagation import propagate_scalar
 from bgqkd.security import PhotonStatistics
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
-from oracles import rayleigh_sommerfeld_point
+from reference_oracles import rayleigh_sommerfeld_point
 
 
 def report(criterion, ok, detail=""):

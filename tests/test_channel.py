@@ -1,4 +1,5 @@
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,11 +20,12 @@ from bgqkd import (
     simulate_counts,
     spdc_overlap,
 )
+from bgqkd import channel
 from bgqkd.analysis import boundary_power_fraction
 from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, detection_states
 from bgqkd.fields import ScalarField, horizontally_polarized, inner_product
 from bgqkd.jones import ALL_LABELS, MubLabel
-from bgqkd.modes import binary_bessel_hologram, evaluate_bg, evaluate_mode
+from bgqkd.modes import binary_bessel_hologram, evaluate_bg, evaluate_mode, radial_factor
 from bgqkd.propagation import (
     BandLimitWarning,
     back_propagate,
@@ -115,6 +117,93 @@ class TestSpdcOverlap:
         for i in range(5):
             assert mag[i, i] == pytest.approx(mag.max(), rel=None, abs=mag.max()) \
                 or mag[i, i] >= mag[i].max() * 0.999
+
+
+# the acceptance scan (criterion 6): selection-rule pairs at K_R, then the
+# upper triangle of BG ell = 0 over 21 k_r values
+SCAN_KS = np.linspace(10e3, 26e3, 21)
+SCAN_PAIRS = ([(bg_mode(ls), bg_mode(li)) for ls, li in [(1, 1), (0, 1), (2, -1), (-1, -1), (1, -2)]]
+              + [(bg_mode(0, k_r=SCAN_KS[i]), bg_mode(0, k_r=SCAN_KS[j]))
+                 for i in range(21) for j in range(i, 21)])
+
+
+def uncached_overlap(signal, idler, pump_waist, grid):
+    """`spdc_overlap`'s ring sum with every factor evaluated afresh."""
+    r, counts = grid.radii, grid.ring_weights(0)
+
+    def unit(f):
+        return f / np.sqrt(np.sum(counts * np.abs(f) ** 2) * grid.pixel_area)
+
+    m_s, m_i = unit(radial_factor(signal, r)), unit(radial_factor(idler, r))
+    pump = unit(np.exp(-(r / pump_waist) ** 2))
+    weights = grid.ring_weights(signal.ell + idler.ell)
+    return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
+
+
+def clear_ring_caches():
+    channel._ring_factor.cache_clear()
+    channel._ring_weights.cache_clear()
+
+
+@pytest.fixture
+def cold_ring_caches():
+    clear_ring_caches()
+    yield
+    clear_ring_caches()
+
+
+class TestSpdcOverlapCache:
+    grid = TransverseGrid(n=128, extent=10e-3)
+
+    def scan(self, pairs=SCAN_PAIRS):
+        return [spdc_overlap(s, i, 1.0e-3, self.grid) for s, i in pairs]
+
+    def test_each_distinct_mode_evaluated_once(self, monkeypatch, cold_ring_caches):
+        modes, ms = [], []
+
+        def counted_factor(spec, r):
+            modes.append(spec)
+            return radial_factor(spec, r)
+
+        ring_weights = TransverseGrid.ring_weights
+
+        def counted_weights(grid, m):
+            ms.append(m)
+            return ring_weights(grid, m)
+
+        monkeypatch.setattr(channel, "radial_factor", counted_factor)
+        monkeypatch.setattr(TransverseGrid, "ring_weights", counted_weights)
+        self.scan()
+        distinct = {mode for pair in SCAN_PAIRS for mode in pair}
+        assert len(distinct) == 25  # k_r = 18 rad/mm, ell = 0 is in both parts
+        assert len(modes) == len(distinct) and set(modes) == distinct
+        assert sorted(ms) == [-2, -1, 0, 1, 2]
+
+    def test_cached_arrays_are_read_only(self, cold_ring_caches):
+        self.scan(SCAN_PAIRS[:6])
+        arrays = [channel._ring_factor(bg_mode(1), self.grid),
+                  channel._ring_weights(self.grid, 0), channel._ring_weights(self.grid, 2)]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_equals_uncached_evaluation(self, n, cold_ring_caches):
+        grid = TransverseGrid(n=n, extent=10e-3)
+        lg = ModeSpec(family=ModeFamily.LG, ell=-2, w0=W0, wavelength=WAVELENGTH)
+        pairs = SCAN_PAIRS + [(bg_mode(2), lg), (lg, bg_mode(0)), (bg_mode(2), bg_mode(2))]
+        expected = [uncached_overlap(s, i, 1.0e-3, grid) for s, i in pairs]
+        cold = [spdc_overlap(s, i, 1.0e-3, grid) for s, i in pairs]
+        warm = [spdc_overlap(s, i, 1.0e-3, grid) for s, i in pairs]
+        assert cold == expected and warm == expected
+
+    def test_two_threads_match_serial_scan(self, cold_ring_caches):
+        serial = self.scan()
+        clear_ring_caches()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda p: spdc_overlap(*p, 1.0e-3, self.grid), SCAN_PAIRS))
+        assert threaded == serial
 
 
 class TestHeraldedInput:
@@ -304,6 +393,33 @@ def test_engine_matches_jones_train_oracle(grid256, bg_source, name, det):
     if name != "centred":
         # real crosstalk: a prepared state leaks into its orthogonal partners
         assert np.max(raw[:4, :4] - np.diag(np.diag(raw[:4, :4]))) > 1e-6
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+class TestNonFiniteRejected:
+    def test_noise_floor(self, value):
+        with pytest.raises(ValueError, match="noise_floor"):
+            DetectionModel(DetectionKind.IDEAL, noise_floor=value)
+
+    @pytest.mark.parametrize("kind", [DetectionKind.CASCADE, DetectionKind.IDEAL])
+    def test_smf_waist(self, value, kind):
+        with pytest.raises(ValueError, match="smf_waist"):
+            DetectionModel(kind, smf_waist=value)
+
+    def test_pairs_per_second(self, value):
+        with pytest.raises(ValueError, match="pairs_per_second"):
+            CountRates(pairs_per_second=value, integration_time=1.0)
+
+    def test_integration_time(self, value):
+        with pytest.raises(ValueError, match="integration_time"):
+            CountRates(pairs_per_second=1e6, integration_time=value)
+
+    def test_basis_probability(self, value):
+        with pytest.raises(ValueError, match="basis_probability"):
+            CountRates(pairs_per_second=1e6, integration_time=1.0, basis_probability=value)
 
 
 class TestSimulateCounts:

@@ -279,3 +279,22 @@ class TestSelfhealScan:
         families = {ln.split(",")[0] for ln in lines[1:]}
         assert families == {"BG", "LG"}
         assert len(lines) == 1 + 2 * 2
+
+    def test_zero_leg_on_axis_ratio_is_nan(self, tmp_path):
+        doc = {
+            "schema_version": 1,
+            "grid": {"n": 128, "extent": "8mm"},
+            "source": {"family": "LG", "ell": 2, "w0": "0.8mm", "wavelength": "810nm"},
+            "selfheal": {
+                "label": "psi00",
+                "obstacle": {"radius": "0.4mm", "z": "0m"},
+                "z_stations": ["0m", "0.15m"],
+            },
+        }
+        out = tmp_path / "out"
+        rc = main(["selfheal-scan", "--config", write_config(tmp_path, doc),
+                   "--out-dir", str(out)])
+        assert rc == 0
+        rows = [ln.split(",") for ln in
+                (out / "selfheal_scan.csv").read_text().strip().splitlines()[1:]]
+        assert rows[0][4] == "nan" and rows[1][4] != "nan"

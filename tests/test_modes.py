@@ -20,7 +20,7 @@ from bgqkd.modes import full_reconstruction_distance
 
 from conftest import W0, WAVELENGTH, K_R
 from diagnostics import dominant_oam_fraction
-from oracles import BESSEL_REFERENCE, J0_ROOTS, J1_ROOTS
+from reference_oracles import BESSEL_REFERENCE, J0_ROOTS, J1_ROOTS
 
 
 def bg_spec(ell=0, k_r=K_R, w0=W0):

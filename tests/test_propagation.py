@@ -26,7 +26,7 @@ from bgqkd.propagation import (
 )
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
-from oracles import gaussian_overlap_blocked, rayleigh_sommerfeld_point
+from reference_oracles import gaussian_overlap_blocked, rayleigh_sommerfeld_point
 
 
 def gaussian_field(grid, w0):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -114,11 +115,35 @@ def test_scan_matches_direct_space_receiver(bg_source, detection, obs, extent, l
     station = obs.z if obs is not None else 0.0
     stations = [station, station + 0.05, station + 0.3]
     expected, free = direct_space_scan(bg_source, L(label), obs, stations, grid, detection)
-    got = selfheal_scan(bg_source, L(label), obs, stations, grid, detection)
-    np.testing.assert_allclose(np.array(got), np.array(expected), rtol=1e-10, atol=0.0)
+    got, expected = np.array(selfheal_scan(bg_source, L(label), obs, stations, grid, detection)), \
+        np.array(expected)
+    np.testing.assert_allclose(got[:, :3], expected[:, :3], rtol=1e-10, atol=0.0)
+    # the on-axis ratio is undefined at the zero leg (see test_zero_leg_on_axis_is_nan)
+    assert np.isnan(got[0, 3])
+    np.testing.assert_allclose(got[1:, 3], expected[1:, 3], rtol=1e-10, atol=0.0)
     if station > 0:
         c = grid.n // 2
         assert all(abs(u.samples[c, c]) > 1e-8 * np.abs(u.samples).max() for u in free)
+
+
+@pytest.mark.parametrize("detection", [CASCADE, IDEAL], ids=["cascade", "ideal"])
+@pytest.mark.parametrize("obs", [
+    ObstacleSpec(radius=600e-6, z=0.0),
+    ObstacleSpec(radius=400e-6, center=(500e-6, -300e-6), z=0.1),
+], ids=["centred-z0", "off-centre-z0.1"])
+def test_zero_leg_on_axis_is_nan(lg_source, detection, obs):
+    # at a station on the obstacle plane both axial amplitudes are the ell = 2
+    # pair's centre samples, a vortex null holding only rounding (their ratio
+    # read 0.0 centred and 1.0 off-centre); the other columns keep their values
+    source = dataclasses.replace(lg_source, ell=2)
+    grid = TransverseGrid(n=128, extent=10e-3)
+    stations = [obs.z, obs.z + 0.2]
+    got = selfheal_scan(source, L("psi00"), obs, stations, grid, detection)
+    expected, _ = direct_space_scan(source, L("psi00"), obs, stations, grid, detection)
+    assert np.isnan(got[0][3]) and np.isfinite(got[1][3])
+    np.testing.assert_allclose(np.array(got)[:, :3], np.array(expected)[:, :3],
+                               rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got[1][3], expected[1][3], rtol=1e-10)
 
 
 def _count_calls(monkeypatch, owner, name, weight=lambda *args, **kwargs: 1):
