@@ -6,7 +6,7 @@ The package namespace holds the API of the README's library overview; every
 other name is imported from its own module.
 """
 
-from .fields import PolarizedField, ScalarField, TransverseGrid
+from .fields import ScalarField, TransverseGrid
 from .modes import (
     ModeFamily,
     ModeSpec,
@@ -16,15 +16,14 @@ from .modes import (
     nondiffracting_distance,
     shadow_length,
 )
-from .jones import MubCheckResult, MubLabel, check_mub, mub_state_vector, prepare_state
-from .propagation import ChannelSpec, ObstacleSpec, apply_obstacle, back_propagate, propagate
+from .jones import MubCheckResult, MubLabel, check_mub, mub_state_vector
+from .propagation import ChannelSpec, ObstacleSpec
 from .channel import (
     CountRates,
     CountsTable,
     DetectionKind,
     DetectionModel,
     ScatteringMatrix,
-    heralded_input,
     scattering_matrix,
     simulate_counts,
     spdc_overlap,
@@ -42,6 +41,6 @@ from .security import (
     security_report,
 )
 from .selfheal import SelfHealingResult, self_healing_fidelity, selfheal_scan
-from .errors import ConfigError, GridMismatchError, PreconditionError, UnsupportedModeError
+from .errors import ConfigError, UnsupportedModeError
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .analysis import interior_window
-from .fields import PolarizedField, ScalarField, TransverseGrid, horizontally_polarized
+from .fields import ScalarField, TransverseGrid
 from .jones import ALL_LABELS, SPIN_ORBIT, spin_orbit_pair
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, evaluate_mode, radial_factor
 from .propagation import (
@@ -78,11 +78,6 @@ def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> ScalarField:
         k_r=source.k_r if source.family is ModeFamily.BG else 0.0,
     )
     return evaluate_mode(spec, grid)
-
-
-def heralded_input(source: ModeSpec, grid: TransverseGrid) -> PolarizedField:
-    """Heralded photon state: the ell = 0 profile, horizontally polarized."""
-    return horizontally_polarized(heralded_profile(source, grid), source.wavelength)
 
 
 def _unit_on_rings(f: np.ndarray, grid: TransverseGrid) -> np.ndarray:
@@ -214,6 +209,11 @@ LABEL_STRINGS: tuple[str, ...] = tuple(str(l) for l in ALL_LABELS)
 _H_WEIGHTS = (SPIN_ORBIT[:, :2] + SPIN_ORBIT[:, 2:]) / np.sqrt(2.0)
 
 
+def basis_slice(i: int) -> slice:
+    """The columns of state i's own basis in an 8 x 8 matrix over LABEL_STRINGS."""
+    return slice(0, 4) if i < 4 else slice(4, 8)
+
+
 def _read_only(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.setflags(write=False)
@@ -248,14 +248,11 @@ class ScatteringMatrix:
         object.__setattr__(self, "raw", _read_only(self.raw, float))
         object.__setattr__(self, "transmission", _read_only(self.transmission, float))
 
-    def basis_slice(self, i: int) -> slice:
-        return slice(0, 4) if i < 4 else slice(4, 8)
-
     def row_normalized(self) -> np.ndarray:
         """Rows scaled by the matched-basis sum (detection-conditional)."""
         out = np.zeros_like(self.raw)
         for i in range(8):
-            s = self.raw[i, self.basis_slice(i)].sum()
+            s = self.raw[i, basis_slice(i)].sum()
             if s > 0:
                 out[i] = self.raw[i] / s
         return out
@@ -361,8 +358,7 @@ class CountsTable:
         fracs = []
         variances = []
         for i in range(8):
-            b = slice(0, 4) if i < 4 else slice(4, 8)
-            row_total = self.counts[i, b].sum()
+            row_total = self.counts[i, basis_slice(i)].sum()
             if row_total == 0:
                 continue
             p = self.counts[i, i] / row_total

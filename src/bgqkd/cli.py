@@ -4,7 +4,8 @@ Subcommands:
     scattering     simulate the 8x8 detection-probability matrices
     security       QBER / mutual information / key-rate reports
     selfheal-scan  detected-signal recovery versus distance behind an obstacle
-    info           print derived distances and sampling figures for a config
+    info           print derived distances, sampling figures and the
+                   wave-plate settings of each state for a config
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-guard violation
 (band-limit or grid-boundary warnings under run.guard = strict).
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -31,6 +33,7 @@ from .channel import (
 from .config import RunConfig, load_config, load_preset, preset_names
 from .errors import ConfigError
 from .io import write_pgm
+from .jones import ALL_LABELS, wave_plates
 from .modes import ModeFamily, ModeSpec, nondiffracting_distance, shadow_length
 from .propagation import ChannelSpec, transmit_scalars
 from .security import (
@@ -119,8 +122,7 @@ def _write_intensity_snapshots(cfg: RunConfig, out: Path) -> None:
             z_stop = min(z, scenario.channel.length)
             obstacles = tuple(o for o in scenario.channel.obstacles if o.z <= z_stop)
             chan = ChannelSpec(length=z_stop, obstacles=obstacles, station_z=z_stop)
-            at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan,
-                                       check_band_limit=False)
+            at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan)
             for i, label in enumerate(LABEL_STRINGS):
                 name = f"{scenario.name}_{fam}_{label}_z{z:.4f}.pgm"
                 write_pgm(out / name, state_intensity(i, at_z))
@@ -225,7 +227,7 @@ def _write_selfheal_snapshots(cfg: RunConfig, out: Path) -> None:
     obs = cfg.selfheal.obstacle
     for z in cfg.selfheal.z_stations:
         chan = ChannelSpec(length=z, obstacles=(obs,), station_z=z)
-        at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan, check_band_limit=False)
+        at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan)
         write_pgm(out / f"selfheal_{cfg.source.family.value.lower()}_z{z:.4f}.pgm",
                   state_intensity(i, at_z))
 
@@ -254,6 +256,13 @@ def cmd_info(args) -> int:
         print(f"scenario {s.name}: length={s.channel.length} m, "
               f"station_z={s.channel.station_z} m, L={s.channel.decoding_distance} m, "
               f"obstacles={[(o.radius, o.z) for o in s.channel.obstacles]}")
+    q = (abs(src.ell) or 1) / 2
+    for label in ALL_LABELS:
+        kind, before, after = wave_plates(label)
+        plates = [f"{kind} {math.degrees(before):.1f} deg", f"q-plate q={q:g}"]
+        if after is not None:
+            plates.append(f"{kind} {math.degrees(after):.1f} deg")
+        print(f"state {label}: H polarizer, " + ", ".join(plates))
     return EXIT_OK
 
 

@@ -5,16 +5,8 @@ class BgqkdError(Exception):
     """Base class for package errors."""
 
 
-class GridMismatchError(BgqkdError):
-    """Two fields do not share the same transverse grid (or wavelength)."""
-
-
 class UnsupportedModeError(BgqkdError):
     """Requested mode family/indices outside the supported set (e.g. LG with p > 0)."""
-
-
-class PreconditionError(BgqkdError):
-    """An operation's physical precondition is violated."""
 
 
 class ConfigError(BgqkdError):

@@ -1,8 +1,9 @@
-"""Discrete transverse optical fields: grids, scalar and polarized fields.
+"""Discrete transverse optical fields: the sampling grid and scalar fields.
 
 All fields live on a square, axis-centred Cartesian grid. Quadrature is the
 midpoint rule (sum times pixel area), which matches the FFT propagation grid
-exactly. Polarized fields are stored in the linear (H, V) basis.
+exactly. Polarization is carried as spin-orbit coefficients on a pair of
+scalar OAM fields (see channel).
 
 All objects are immutable after construction; operations are pure functions.
 """
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-from .errors import GridMismatchError
 
 
 @dataclass(frozen=True)
@@ -153,67 +152,3 @@ def unit_power_field(grid: TransverseGrid, samples: np.ndarray) -> ScalarField:
     if p == 0.0:
         raise ValueError("cannot normalize a zero field")
     return ScalarField(grid, samples / np.sqrt(p))
-
-
-@dataclass(frozen=True)
-class PolarizedField:
-    """Two-component (H, V) transverse field with its wavelength (m)."""
-
-    h: ScalarField
-    v: ScalarField
-    wavelength: float
-
-    def __post_init__(self):
-        if self.h.grid != self.v.grid:
-            raise GridMismatchError("H and V components must share one grid")
-        if not (self.wavelength > 0 and np.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-
-    @property
-    def grid(self) -> TransverseGrid:
-        return self.h.grid
-
-    def power(self) -> float:
-        return self.h.power() + self.v.power()
-
-    def normalized(self) -> "PolarizedField":
-        p = self.power()
-        if p == 0.0:
-            raise ValueError("cannot normalize a zero field")
-        s = 1.0 / np.sqrt(p)
-        return polarized_from_arrays(self.grid, self.h.samples * s, self.v.samples * s,
-                                     self.wavelength)
-
-    def intensity(self) -> np.ndarray:
-        return self.h.intensity() + self.v.intensity()
-
-
-def polarized_from_arrays(grid: TransverseGrid, h: np.ndarray, v: np.ndarray,
-                          wavelength: float) -> PolarizedField:
-    return PolarizedField(ScalarField(grid, h), ScalarField(grid, v), wavelength)
-
-
-def horizontally_polarized(scalar: ScalarField, wavelength: float) -> PolarizedField:
-    """Put a scalar profile into the H component, V = 0."""
-    zero = np.zeros_like(scalar.samples)
-    return PolarizedField(scalar, ScalarField(scalar.grid, zero), wavelength)
-
-
-def _require_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError(
-            f"fields on different grids: n={a.grid.n}, extent={a.grid.extent} vs "
-            f"n={b.grid.n}, extent={b.grid.extent}"
-        )
-
-
-def inner_product(a: PolarizedField, b: PolarizedField) -> complex:
-    """Polarization-summed overlap <a|b>; rejects grid or wavelength mismatch."""
-    _require_same_grid(a, b)
-    if a.wavelength != b.wavelength:
-        raise GridMismatchError(
-            f"fields at different wavelengths: {a.wavelength} vs {b.wavelength}"
-        )
-    acc = np.sum(np.conj(a.h.samples) * b.h.samples)
-    acc += np.sum(np.conj(a.v.samples) * b.v.samples)
-    return complex(acc * a.grid.pixel_area)

@@ -1,30 +1,27 @@
 """Scalar angular-spectrum diffraction engine and obstructed channels.
 
-The forward kernel is exp(-i dz sqrt(k^2 - kx^2 - ky^2)) applied per
-polarization component (fields carry exp(-i k_z z) forward phase, matching
-the analytic mode conventions); evanescent components are truncated to zero.
-Back-propagation is the explicit conjugation route, not a negative dz.
+The forward kernel is exp(-i dz sqrt(k^2 - kx^2 - ky^2)) applied to each
+scalar field (fields carry exp(-i k_z z) forward phase, matching the analytic
+mode conventions); evanescent components are truncated to zero.
+Back-propagation is the explicit conjugation route, not a negative dz. Free
+space and the obstacles act alike on both polarizations, so only scalars are
+transported; the band-limit guard reads the Gram matrices of transmit_scalars.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as spfft
 
-from .fields import PolarizedField, ScalarField, TransverseGrid, polarized_from_arrays
+from .fields import ScalarField, TransverseGrid
 
 FFT_WORKERS = -1  # scipy.fft workers; results are independent of the value
 
 BAND_LIMIT_TOL = 1e-4
 _BAND_ANNULUS = 0.1
-
-
-class BandLimitWarning(UserWarning):
-    """Field carries non-negligible power near the Nyquist edge."""
 
 
 @functools.lru_cache(maxsize=8)
@@ -76,16 +73,13 @@ def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.
     return kernel
 
 
-def propagate_scalar(f: ScalarField, wavelength: float, dz: float,
-                     check_band_limit: bool = True) -> ScalarField:
-    """Advance one scalar component by dz >= 0 metres of free space."""
+def propagate_scalar(f: ScalarField, wavelength: float, dz: float) -> ScalarField:
+    """Advance one scalar field by dz >= 0 metres of free space."""
     if dz < 0:
-        raise ValueError("dz must be >= 0; use back_propagate for the reverse direction")
+        raise ValueError("dz must be >= 0; use back_propagate_scalar for the reverse direction")
     if dz == 0.0:
         return f
     grid = f.grid
-    if check_band_limit and (msg := band_limit_message(band_tail_fraction(_band_grams((f,))))):
-        warnings.warn(msg, BandLimitWarning, stacklevel=2)
     kernel = transfer_function(grid, wavelength, dz)
     # in place: a transport holds one spectrum-sized temporary besides its output
     spec = np.multiply(spfft.fft2(f.samples, workers=FFT_WORKERS), kernel, out=kernel)
@@ -93,32 +87,13 @@ def propagate_scalar(f: ScalarField, wavelength: float, dz: float,
     return ScalarField(grid, out)
 
 
-def propagate(f: PolarizedField, dz: float, check_band_limit: bool = True) -> PolarizedField:
-    """Advance both polarization components by dz >= 0 metres of free space.
-
-    Power is preserved to 1e-9 for band-limited fields (evanescent truncation
-    only removes power that cannot propagate).
-    """
-    if dz == 0.0:
-        return f
-    h = propagate_scalar(f.h, f.wavelength, dz, check_band_limit)
-    v = propagate_scalar(f.v, f.wavelength, dz, check_band_limit=False)
-    return PolarizedField(h, v, f.wavelength)
-
-
 def back_propagate_scalar(f: ScalarField, wavelength: float, dz: float) -> ScalarField:
     """Reverse-direction transport via conjugation: U(-dz) = conj(U(dz) conj(.))."""
     if dz < 0:
         raise ValueError("dz must be >= 0")
     conj = ScalarField(f.grid, np.conj(f.samples))
-    fwd = propagate_scalar(conj, wavelength, dz, check_band_limit=False)
+    fwd = propagate_scalar(conj, wavelength, dz)
     return ScalarField(f.grid, np.conj(fwd.samples))
-
-
-def back_propagate(f: PolarizedField, dz: float) -> PolarizedField:
-    h = back_propagate_scalar(f.h, f.wavelength, dz)
-    v = back_propagate_scalar(f.v, f.wavelength, dz)
-    return PolarizedField(h, v, f.wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +121,6 @@ def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:
     # the mask itself is defined for any radius (an oversized disk blocks all)
     x, y = grid.xy
     return (np.hypot(x - obs.center[0], y - obs.center[1]) >= obs.radius).astype(float)
-
-
-def apply_obstacle(f: PolarizedField, obs: ObstacleSpec) -> PolarizedField:
-    """Hard-edge binary mask: zero inside the disk, unchanged outside."""
-    mask = obstacle_mask(f.grid, obs)
-    return polarized_from_arrays(f.grid, f.h.samples * mask, f.v.samples * mask, f.wavelength)
 
 
 @dataclass(frozen=True)
@@ -189,37 +158,23 @@ class ChannelSpec:
         return self.length - self.station_z
 
 
-def transmit_scalars(fields: tuple[ScalarField, ...], wavelength: float, channel: ChannelSpec,
-                     check_band_limit: bool = True):
+def transmit_scalars(fields: tuple[ScalarField, ...], wavelength: float, channel: ChannelSpec):
     """Carry scalar fields through all obstacles up to the station plane.
 
     Free space and the opaque masks act alike on every field. Returns the
-    fields at the station and, when check_band_limit is set, the band Gram
-    matrices of the fields entering each free-space segment, from which
-    band_tail_fraction gives the tail of any superposition of them.
+    fields at the station and the band Gram matrices of the fields entering
+    each free-space segment, from which band_tail_fraction gives the tail of
+    any superposition of them.
     """
     grams = []
     z = 0.0
     for obs in channel.obstacles + (None,):
         stop = channel.station_z if obs is None else obs.z
         if stop > z:
-            if check_band_limit:
-                grams.append(_band_grams(fields))
-            fields = tuple(propagate_scalar(f, wavelength, stop - z, check_band_limit=False)
-                           for f in fields)
+            grams.append(_band_grams(fields))
+            fields = tuple(propagate_scalar(f, wavelength, stop - z) for f in fields)
             z = stop
         if obs is not None:
             mask = obstacle_mask(fields[0].grid, obs)
             fields = tuple(ScalarField(f.grid, f.samples * mask) for f in fields)
     return fields, grams
-
-
-def transmit_to_station(f: PolarizedField, channel: ChannelSpec,
-                        check_band_limit: bool = True) -> PolarizedField:
-    """Propagate through all obstacles up to the demodulation station plane,
-    component by component; the band-limit guard watches the H component."""
-    (h, v), grams = transmit_scalars((f.h, f.v), f.wavelength, channel, check_band_limit)
-    for g in grams:
-        if msg := band_limit_message(band_tail_fraction(g, (1.0, 0.0))):
-            warnings.warn(msg, BandLimitWarning, stacklevel=2)
-    return PolarizedField(h, v, f.wavelength)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .channel import CountsTable, ScatteringMatrix
+from .channel import CountsTable, ScatteringMatrix, basis_slice
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,6 @@ class KeyRateResult:
     per_signal_table_consistent: float
     secure: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "r_delta": self.r_delta,
-            "per_signal": self.per_signal,
-            "per_signal_as_printed": self.per_signal_as_printed,
-            "per_signal_table_consistent": self.per_signal_table_consistent,
-            "secure": self.secure,
-        }
-
 
 def key_rate(e: float, delta: float, d: int = 4, f_ec: float = 1.2,
              q_mu: float = 1.0, variant: str = "table_consistent") -> KeyRateResult:
@@ -156,8 +146,7 @@ def qber_from_matrix(m: ScatteringMatrix, counts: Optional[CountsTable] = None) 
     fracs = []
     excluded = []
     for i in range(8):
-        b = m.basis_slice(i)
-        s = m.raw[i, b].sum()
+        s = m.raw[i, basis_slice(i)].sum()
         if s <= 0:
             excluded.append(m.labels[i])
             continue
@@ -201,21 +190,9 @@ class SecurityReport:
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "family": self.family,
-            "dimension": self.dimension,
-            "qber": self.qber,
-            "qber_sigma": self.qber_sigma,
-            "mutual_information_bits": self.mutual_information_bits,
-            "delta": self.delta,
-            "key_rate": self.key_rate.to_json_dict(),
-            "normalized_counts": self.normalized_counts,
-            "f_ec": self.f_ec,
-            "mu": self.mu,
-            "q_mu": self.q_mu,
-            "notes": list(self.notes),
-        }
+        """The report as plain data: nested results become dicts, tuples stay
+        tuples (json writes them as lists)."""
+        return asdict(self)
 
 
 def security_report(matrix: ScatteringMatrix, *,

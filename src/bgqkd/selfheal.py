@@ -82,8 +82,7 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
         if z < station:
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
     pair = source_pair(source, grid)
-    free = tuple(propagate_scalar(u, source.wavelength, station, check_band_limit=False)
-                 for u in pair)
+    free = tuple(propagate_scalar(u, source.wavelength, station) for u in pair)
     blocked = free
     if obs is not None:
         mask = obstacle_mask(grid, obs)

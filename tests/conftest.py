@@ -31,7 +31,8 @@ def lg_source():
 
 def random_polarized(grid, seed, wavelength=WAVELENGTH, band_limit=0.2):
     """Smooth random band-limited field for property tests."""
-    from bgqkd import PolarizedField, ScalarField
+    from bgqkd import ScalarField
+    from polarized_oracle import PolarizedField
 
     rng = np.random.default_rng(seed)
     k_cut = band_limit * np.pi / grid.spacing
@@ -48,8 +49,9 @@ def random_polarized(grid, seed, wavelength=WAVELENGTH, band_limit=0.2):
 def spin_orbit_states(pair, wavelength=WAVELENGTH):
     """The 8 polarized states sum_k SPIN_ORBIT[i, k] |p_k> (x) pair[k % 2],
     (p_k) = (R, R, L, L), with |R> = (1, -i)/sqrt(2), |L> = (1, i)/sqrt(2)."""
-    from bgqkd import PolarizedField, ScalarField
+    from bgqkd import ScalarField
     from bgqkd.jones import SPIN_ORBIT
+    from polarized_oracle import PolarizedField
 
     grid = pair[0].grid
     states = []

@@ -6,7 +6,8 @@ components with |L> = (1, i)/sqrt(2), |R> = (1, -i)/sqrt(2).
 import numpy as np
 from scipy import ndimage
 
-from bgqkd.fields import PolarizedField, ScalarField, polarized_from_arrays
+from bgqkd.fields import ScalarField
+from polarized_oracle import PolarizedField, polarized_from_arrays
 
 _SQRT2 = np.sqrt(2.0)
 

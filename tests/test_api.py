@@ -1,6 +1,11 @@
-"""The package namespace is the API that README.md documents, and no more."""
+"""The package namespace is the API that README.md documents, and no more;
+the CLI loads every module the benchmark's tracer wraps, and the package
+never reaches into the tests."""
 
+import ast
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -10,7 +15,8 @@ import bgqkd
 from bgqkd.config import parse_config
 from conftest import schema_leaves
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_import():
@@ -39,3 +45,34 @@ def test_readme_config_block_documents_the_schema():
     names = {step for path, _ in schema_leaves() for step in path if isinstance(step, str)}
     # every key is named as `key:`, in a comment if it is not set in the example
     assert sorted(n for n in names if not re.search(rf"(?<!\w){n}:", block)) == []
+
+
+def test_cli_import_loads_every_traced_module():
+    # perfbench/tracer.py wraps the functions of bgqkd.<name> for each name
+    # in its MODULES, looked up in sys.modules after `import bgqkd.cli`
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    modules = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["MODULES"])
+    assert modules
+    loaded = subprocess.run(  # `-c` puts the working directory first on sys.path
+        [sys.executable, "-c", "import sys, bgqkd.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, cwd=Path(bgqkd.__file__).parents[1],
+    ).stdout.split()
+    assert sorted(f"bgqkd.{name}" for name in modules if f"bgqkd.{name}" not in loaded) == []
+
+
+def test_package_imports_nothing_from_tests():
+    test_modules = {p.stem for p in (ROOT / "tests").glob("*.py")} | {"tests"}
+    package = Path(bgqkd.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] in test_modules]
+    assert found == []

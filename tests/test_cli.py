@@ -60,6 +60,17 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "z_max" in out
         assert "z_min" in out
+        # each state's wave plates around the q = ell/2 plate, first applied first
+        assert [line for line in out.splitlines() if line.startswith("state ")] == [
+            "state psi00: H polarizer, HWP 0.0 deg, q-plate q=0.5",
+            "state psi01: H polarizer, HWP 45.0 deg, q-plate q=0.5",
+            "state psi10: H polarizer, HWP 0.0 deg, q-plate q=0.5, HWP 0.0 deg",
+            "state psi11: H polarizer, HWP 45.0 deg, q-plate q=0.5, HWP 0.0 deg",
+            "state phi00: H polarizer, QWP 45.0 deg, q-plate q=0.5, QWP 90.0 deg",
+            "state phi01: H polarizer, QWP -45.0 deg, q-plate q=0.5, QWP 0.0 deg",
+            "state phi10: H polarizer, QWP 45.0 deg, q-plate q=0.5, QWP 0.0 deg",
+            "state phi11: H polarizer, QWP -45.0 deg, q-plate q=0.5, QWP 90.0 deg",
+        ]
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["info"]) == 2

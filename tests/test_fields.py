@@ -2,23 +2,26 @@ import numpy as np
 import pytest
 
 from bgqkd import (
-    GridMismatchError,
     ModeFamily,
     ModeSpec,
-    PolarizedField,
     ScalarField,
     TransverseGrid,
     evaluate_bg,
     evaluate_lg,
     mub_state_vector,
-    prepare_state,
 )
-from bgqkd.channel import heralded_input
-from bgqkd.fields import horizontally_polarized, inner_product
 from bgqkd.jones import MubLabel
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
 from diagnostics import circular, linear
+from polarized_oracle import (
+    GridMismatchError,
+    PolarizedField,
+    heralded_input,
+    horizontally_polarized,
+    inner_product,
+    prepare_state,
+)
 
 
 def bg_scalar(grid, ell, k_r=K_R):

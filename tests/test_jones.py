@@ -4,30 +4,12 @@ import pytest
 from bgqkd import (
     ModeFamily,
     ModeSpec,
-    PolarizedField,
-    PreconditionError,
     ScalarField,
     check_mub,
     evaluate_lg,
     mub_state_vector,
-    prepare_state,
 )
-from bgqkd.channel import heralded_input
-from bgqkd.fields import horizontally_polarized, inner_product
-from bgqkd.jones import (
-    ALL_LABELS,
-    HalfWavePlate,
-    HorizontalPolarizer,
-    MubLabel,
-    OpticalTrain,
-    QPlate,
-    QuarterWavePlate,
-    apply_element,
-    hwp_matrix,
-    preparation_train,
-    qwp_matrix,
-    spin_orbit_pair,
-)
+from bgqkd.jones import ALL_LABELS, MubLabel, spin_orbit_pair
 
 from conftest import WAVELENGTH, random_polarized, spin_orbit_states
 from diagnostics import (
@@ -36,6 +18,24 @@ from diagnostics import (
     linear,
     polarization_variance,
     projected_lobe_axis,
+)
+from polarized_oracle import (
+    HalfWavePlate,
+    HorizontalPolarizer,
+    OpticalTrain,
+    PolarizedField,
+    PreconditionError,
+    QPlate,
+    QuarterWavePlate,
+    apply_element,
+    heralded_input,
+    horizontally_polarized,
+    hwp_matrix,
+    inner_product,
+    preparation_train,
+    prepare_state,
+    qwp_matrix,
+    state_rows,
 )
 
 L = MubLabel.from_string
@@ -104,7 +104,7 @@ class TestMatrices:
             assert out.power() == pytest.approx(f.power(), rel=1e-12)
 
     def test_adjoint_train_inverts(self, grid256, bg_source):
-        from bgqkd.jones import vpoint_conditioned
+        from polarized_oracle import vpoint_conditioned
 
         base = vpoint_conditioned(heralded_input(bg_source, grid256)).normalized()
         for label in ALL_LABELS:
@@ -180,7 +180,7 @@ class TestPrepareState:
     def test_h_input_transmission_unity(self, grid256, bg_source):
         # the polarizer passes an H input fully: train transmission is 1
         # (relative to the V-point-conditioned input the pipeline prepares)
-        from bgqkd.jones import vpoint_conditioned
+        from polarized_oracle import vpoint_conditioned
 
         base = vpoint_conditioned(heralded_input(bg_source, grid256))
         for label in ALL_LABELS:
@@ -243,7 +243,8 @@ class TestCheckMub:
         base = heralded_input(bg_source, grid256)
         psi = [prepare_state(l, base) for l in ALL_LABELS[:4]]
         phi = [prepare_state(l, base) for l in ALL_LABELS[4:]]
-        res = check_mub(ALL_LABELS[:4], ALL_LABELS[4:], states_a=psi, states_b=phi)
+        res = check_mub(ALL_LABELS[:4], ALL_LABELS[4:], states_a=state_rows(psi),
+                        states_b=state_rows(phi))
         assert res.ok and res.mutually_unbiased
         assert np.max(np.abs(res.overlaps - 0.25)) < 1e-3
 
@@ -261,8 +262,8 @@ class TestCheckMub:
         base = heralded_input(bg_source, grid256)
         s = prepare_state(L("psi00"), base)
         res = check_mub(ALL_LABELS[:4], ALL_LABELS[4:],
-                        states_a=[s, s, s, s],
-                        states_b=[prepare_state(l, base) for l in ALL_LABELS[4:]])
+                        states_a=state_rows([s, s, s, s]),
+                        states_b=state_rows([prepare_state(l, base) for l in ALL_LABELS[4:]]))
         assert not res.ok
         assert "not orthonormal" in res.failure
 

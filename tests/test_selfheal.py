@@ -31,7 +31,7 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     ell = abs(source.ell) or 1
     j = ALL_LABELS.index(label)
     station = obs.z if obs is not None else 0.0
-    free = tuple(propagate_scalar(u, source.wavelength, station, check_band_limit=False)
+    free = tuple(propagate_scalar(u, source.wavelength, station)
                  for u in source_pair(source, grid))
     blocked = free
     if obs is not None:
