@@ -19,7 +19,8 @@ cascade
 
 Both reduce to a single projection at the station plane against an
 effective detection state. Every prepared and detection state is a spin-orbit
-superposition of two scalar OAM fields, so only those are transported.
+superposition of two scalar OAM fields, so only those are transported, as one
+(2, n, n) array.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .jones import ALL_LABELS, SPIN_ORBIT, spin_orbit_pair
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, evaluate_mode, radial_factor
 from .propagation import (
     ChannelSpec,
-    back_propagate_scalar,
+    back_propagate_samples,
     band_limit_message,
     band_tail_fraction,
     transmit_scalars,
@@ -137,11 +138,12 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
 # state j is sum_k SPIN_ORBIT[j, k] |p_k> (x) g_{s_k}, with (p_k) = (R, R, L, L)
 # and (s_k) = (+, -, +, -) (see jones.spin_orbit_pair). Free space and the
 # obstacles act alike on both polarizations, so a channel only needs the two
-# scalars u_+- carried to the station and their 2 x 2 overlaps.
+# scalars u_+- carried to the station, one (2, n, n) array beside its grid,
+# and their 2 x 2 overlaps.
 
-def source_pair(source: ModeSpec, grid: TransverseGrid) -> tuple[ScalarField, ScalarField]:
-    """The prepared states' OAM pair u_+- at the channel input."""
-    return spin_orbit_pair(heralded_profile(source, grid), abs(source.ell) or 1)
+def source_pair(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
+    """The prepared states' OAM pair u_+- at the channel input, (2, n, n)."""
+    return spin_orbit_pair(heralded_profile(source, grid).samples, grid, abs(source.ell) or 1)
 
 
 def cascade_detection_scalar(source: ModeSpec, grid: TransverseGrid,
@@ -155,9 +157,8 @@ def cascade_detection_scalar(source: ModeSpec, grid: TransverseGrid,
 
 
 def detection_states(source: ModeSpec, grid: TransverseGrid, ell: int,
-                     decoding_distance: float,
-                     detection: DetectionModel) -> tuple[ScalarField, ScalarField]:
-    """The effective detection states' OAM pair g_+- at the station plane.
+                     decoding_distance: float, detection: DetectionModel) -> np.ndarray:
+    """The effective detection states' OAM pair g_+- at the station plane, (2, n, n).
 
     Projecting the station-plane field on detection state j (built from the
     pair like the prepared states) equals running the physical receiver:
@@ -166,20 +167,20 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, ell: int,
     BP(hologram * fiber)).
     """
     if detection.kind is DetectionKind.CASCADE:
-        fiber = cascade_detection_scalar(source, grid, detection)
-        scalar = back_propagate_scalar(ScalarField(grid, fiber), source.wavelength,
-                                       decoding_distance)
-        return spin_orbit_pair(scalar, ell)
-    pair = spin_orbit_pair(heralded_profile(source, grid), ell)
-    return tuple(back_propagate_scalar(g, source.wavelength, decoding_distance) for g in pair)
+        g = cascade_detection_scalar(source, grid, detection)
+        return spin_orbit_pair(back_propagate_samples(g, grid, source.wavelength,
+                                                      decoding_distance), grid, ell)
+    pair = spin_orbit_pair(heralded_profile(source, grid).samples, grid, ell)
+    return back_propagate_samples(pair, grid, source.wavelength, decoding_distance)
 
 
-def spin_orbit_amplitudes(dets: tuple[ScalarField, ScalarField],
-                          pair: tuple[ScalarField, ScalarField], window=np.s_[:, :]) -> np.ndarray:
+def spin_orbit_amplitudes(dets: np.ndarray, pair: np.ndarray, grid: TransverseGrid,
+                          window=np.s_[:, :]) -> np.ndarray:
     """8 x 8 amplitudes <d_j|f_i> at [i, j] (over the sample window) for the
-    prepared states carried by `pair` and the detection states carried by `dets`."""
-    x, y = (np.stack([f.samples[window].ravel() for f in p]) for p in (dets, pair))
-    return gram_amplitudes(x.conj() @ y.T * pair[0].grid.pixel_area)
+    prepared states carried by `pair` and the detection states carried by
+    `dets`, both (2, n, n) on `grid`."""
+    x, y = (p[(..., *window)].reshape(2, -1) for p in (dets, pair))
+    return gram_amplitudes(x.conj() @ y.T * grid.pixel_area)
 
 
 def gram_amplitudes(gram: np.ndarray) -> np.ndarray:
@@ -188,15 +189,15 @@ def gram_amplitudes(gram: np.ndarray) -> np.ndarray:
     return SPIN_ORBIT @ np.kron(np.eye(2), gram).T @ SPIN_ORBIT.conj().T
 
 
-def state_powers(pair: tuple[ScalarField, ScalarField], window=np.s_[:, :]) -> np.ndarray:
+def state_powers(pair: np.ndarray, grid: TransverseGrid, window=np.s_[:, :]) -> np.ndarray:
     """Power of each of the 8 states carried by `pair`, within the sample window."""
-    return np.real(np.diag(spin_orbit_amplitudes(pair, pair, window)))
+    return np.real(np.diag(spin_orbit_amplitudes(pair, pair, grid, window)))
 
 
-def state_intensity(i: int, pair: tuple[ScalarField, ScalarField]) -> np.ndarray:
+def state_intensity(i: int, pair: np.ndarray) -> np.ndarray:
     """Intensity map of state i carried by `pair` (sum over R and L)."""
     a = SPIN_ORBIT[i]
-    up, um = pair[0].samples, pair[1].samples
+    up, um = pair
     return np.abs(a[0] * up + a[1] * um) ** 2 + np.abs(a[2] * up + a[3] * um) ** 2
 
 
@@ -292,10 +293,10 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
     """
     ell = abs(source.ell) or 1
     dets = detection_states(source, grid, ell, channel.decoding_distance, detection)
-    pair, band = transmit_scalars(source_pair(source, grid), source.wavelength, channel)
-    raw = np.abs(spin_orbit_amplitudes(dets, pair)) ** 2 + detection.noise_floor
-    power = state_powers(pair)
-    interior = state_powers(pair, interior_window(grid.n))
+    pair, band = transmit_scalars(source_pair(source, grid), grid, source.wavelength, channel)
+    raw = np.abs(spin_orbit_amplitudes(dets, pair, grid)) ** 2 + detection.noise_floor
+    power = state_powers(pair, grid)
+    interior = state_powers(pair, grid, interior_window(grid.n))
     notes: list[str] = []
     for i, label in enumerate(LABEL_STRINGS):
         for g in band:

@@ -34,7 +34,8 @@ from .config import RunConfig, load_config, load_preset, preset_names
 from .errors import ConfigError
 from .io import write_pgm
 from .jones import ALL_LABELS, wave_plates
-from .modes import ModeFamily, ModeSpec, nondiffracting_distance, shadow_length
+from .modes import (ModeFamily, ModeSpec, full_reconstruction_distance,
+                    nondiffracting_distance, shadow_length)
 from .propagation import ChannelSpec, transmit_scalars
 from .security import (
     PhotonStatistics,
@@ -104,7 +105,10 @@ def cmd_scattering(args) -> int:
         print(f"{m.scenario} [{m.family}]: mean matched diagonal = "
               f"{m.matched_diagonal().mean():.4f}")
     if "pgm" in cfg.run.outputs:
-        _write_intensity_snapshots(cfg, out)
+        _write_snapshots(cfg, out, [
+            (s.channel, cfg.run.pgm_stations or (s.channel.length,),
+             {i: f"{s.name}_{fam}_{label}" for i, label in enumerate(LABEL_STRINGS)})
+            for s in cfg.scenarios])
     violations = _guard_violations(matrices)
     for w in violations:
         print(f"guard: {w}", file=sys.stderr)
@@ -113,19 +117,20 @@ def cmd_scattering(args) -> int:
     return EXIT_OK
 
 
-def _write_intensity_snapshots(cfg: RunConfig, out: Path) -> None:
-    fam = cfg.source.family.value.lower()
+def _write_snapshots(cfg: RunConfig, out: Path, runs) -> None:
+    """PGM intensity maps of the source's states. Each run is (channel,
+    stations, stems): at each station z, capped at the channel's length, the
+    source pair is carried through the channel's obstacles up to z, and the
+    map of state i is written to f"{stems[i]}_z{z:.4f}.pgm"."""
     pair = source_pair(cfg.source, cfg.grid)
-    for scenario in cfg.scenarios:
-        stations = cfg.run.pgm_stations or (scenario.channel.length,)
+    for channel, stations, stems in runs:
         for z in stations:
-            z_stop = min(z, scenario.channel.length)
-            obstacles = tuple(o for o in scenario.channel.obstacles if o.z <= z_stop)
+            z_stop = min(z, channel.length)
+            obstacles = tuple(o for o in channel.obstacles if o.z <= z_stop)
             chan = ChannelSpec(length=z_stop, obstacles=obstacles, station_z=z_stop)
-            at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan)
-            for i, label in enumerate(LABEL_STRINGS):
-                name = f"{scenario.name}_{fam}_{label}_z{z:.4f}.pgm"
-                write_pgm(out / name, state_intensity(i, at_z))
+            at_z, _ = transmit_scalars(pair, cfg.grid, cfg.source.wavelength, chan)
+            for i, stem in stems.items():
+                write_pgm(out / f"{stem}_z{z:.4f}.pgm", state_intensity(i, at_z))
 
 
 def cmd_security(args) -> int:
@@ -217,19 +222,12 @@ def cmd_selfheal_scan(args) -> int:
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     if "pgm" in cfg.run.outputs:
-        _write_selfheal_snapshots(cfg, out)
+        sh, fam = cfg.selfheal, cfg.source.family.value.lower()
+        channel = ChannelSpec(length=max(sh.z_stations), obstacles=(sh.obstacle,),
+                              station_z=max(sh.z_stations))
+        _write_snapshots(cfg, out, [(channel, sh.z_stations,
+                                     {LABEL_STRINGS.index(str(sh.label)): f"selfheal_{fam}"})])
     return EXIT_OK
-
-
-def _write_selfheal_snapshots(cfg: RunConfig, out: Path) -> None:
-    pair = source_pair(cfg.source, cfg.grid)
-    i = LABEL_STRINGS.index(str(cfg.selfheal.label))
-    obs = cfg.selfheal.obstacle
-    for z in cfg.selfheal.z_stations:
-        chan = ChannelSpec(length=z, obstacles=(obs,), station_z=z)
-        at_z, _ = transmit_scalars(pair, cfg.source.wavelength, chan)
-        write_pgm(out / f"selfheal_{cfg.source.family.value.lower()}_z{z:.4f}.pgm",
-                  state_intensity(i, at_z))
 
 
 def cmd_info(args) -> int:
@@ -247,9 +245,8 @@ def cmd_info(args) -> int:
         radii = sorted(set(radii) | {cfg.selfheal.obstacle.radius})
     for r in radii:
         if src.family is ModeFamily.BG and src.k_r > 0:
-            z_min = shadow_length(r, src)
-            print(f"obstacle R={r * 1e6:.0f} um: z_min={z_min:.4f} m, "
-                  f"full reconstruction at {2 * z_min:.4f} m")
+            print(f"obstacle R={r * 1e6:.0f} um: z_min={shadow_length(r, src):.4f} m, "
+                  f"full reconstruction at {full_reconstruction_distance(r, src):.4f} m")
         else:
             print(f"obstacle R={r * 1e6:.0f} um: no shadow-length formula for LG (k_r=0)")
     for s in cfg.scenarios:

@@ -1,8 +1,9 @@
 """The paper's spin-orbit recipe: the eight state labels, the wave plates
 around the q = ell/2 plate that prepare each from an H-polarized photon, their
-four-dimensional spin-orbit vectors, the OAM pair the engine carries, and the
-mutual-unbiasedness check. The per-pixel Jones trains that realize the recipe
-on grid fields are the tests' reference (tests/polarized_oracle.py).
+four-dimensional spin-orbit vectors, the OAM pair the engine carries (one
+(2, n, n) array), and the mutual-unbiasedness check. The per-pixel Jones
+trains that realize the recipe on grid fields are the tests' reference
+(tests/polarized_oracle.py).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField
+from .fields import TransverseGrid
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +113,9 @@ SPIN_ORBIT: np.ndarray = np.stack([mub_state_vector(l) for l in ALL_LABELS])
 SPIN_ORBIT.setflags(write=False)
 
 
-def spin_orbit_pair(profile: ScalarField, ell: int = 1) -> tuple[ScalarField, ScalarField]:
-    """The unit-power OAM scalars profile * exp(+-i ell phi), on-axis sample removed.
+def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> np.ndarray:
+    """The unit-power OAM scalars profile * exp(+-i ell phi), on-axis sample
+    removed, as one (2, n, n) array on `grid`.
 
     Every prepared state is a spin-orbit superposition of the pair: the
     wave-plate train of labels[i] run on H (x) profile equals, up to a global
@@ -121,11 +123,14 @@ def spin_orbit_pair(profile: ScalarField, ell: int = 1) -> tuple[ScalarField, Sc
     (p_k) = (R, R, L, L), the rows of SPIN_ORBIT being mub_state_vector of
     ALL_LABELS.
     """
-    grid = profile.grid
-    u = np.where(grid.r == 0.0, 0.0, profile.samples)
+    u = np.where(grid.r == 0.0, 0.0, profile)
     u = u / np.sqrt(np.sum(np.abs(u) ** 2) * grid.pixel_area)
     turn = np.exp(1j * ell * grid.phi)
-    return ScalarField(grid, u * turn), ScalarField(grid, u * turn.conj())
+    pair = np.empty((2, grid.n, grid.n), dtype=complex)
+    np.multiply(u, turn, out=pair[0])
+    # conj(turn) * u, the operand order (and rounding) of numpy's elided u * turn.conj()
+    np.multiply(np.conj(turn, out=pair[1]), u, out=pair[1])
+    return pair
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Scalar angular-spectrum diffraction engine and obstructed channels.
 
-The forward kernel is exp(-i dz sqrt(k^2 - kx^2 - ky^2)) applied to each
-scalar field (fields carry exp(-i k_z z) forward phase, matching the analytic
-mode conventions); evanescent components are truncated to zero.
-Back-propagation is the explicit conjugation route, not a negative dz. Free
-space and the obstacles act alike on both polarizations, so only scalars are
-transported; the band-limit guard reads the Gram matrices of transmit_scalars.
+Fields are stacks of samples (..., n, n) beside their TransverseGrid; the
+engine's OAM pair is one (2, n, n) array. propagate_samples is the one
+transport: an FFT of the stack, the kernel exp(-i dz sqrt(k^2 - kx^2 - ky^2))
+(forward phase exp(-i k_z z), as in the analytic modes; evanescent components
+are zeroed) and an inverse FFT. Back-propagation is the conjugation route, not
+a negative dz. Free space and the obstacles act alike on both polarizations,
+so only scalars are transported; the band-limit guard reads Gram matrices
+taken from each segment's spectrum.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as spfft
 
-from .fields import ScalarField, TransverseGrid
+from .fields import TransverseGrid
 
 FFT_WORKERS = -1  # scipy.fft workers; results are independent of the value
 
@@ -33,17 +35,6 @@ def _kz_and_mask(grid: TransverseGrid, wavelength: float):
     kz.setflags(write=False)
     propagating.setflags(write=False)
     return kz, propagating
-
-
-def _band_grams(fields: tuple[ScalarField, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of the fields' angular spectra over the outer band
-    annulus and over all of k-space."""
-    grid = fields[0].grid
-    outer = grid.k_squared > ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
-    flat = spfft.fft2(np.stack([f.samples for f in fields]), workers=FFT_WORKERS)
-    flat = flat.reshape(len(fields), -1)
-    edge = flat[:, outer.ravel()]
-    return edge.conj() @ edge.T, flat.conj() @ flat.T
 
 
 def band_tail_fraction(grams: tuple[np.ndarray, np.ndarray], weights=(1.0,)) -> float:
@@ -64,7 +55,7 @@ def band_limit_message(tail: float) -> str | None:
 
 def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
     """The free-space kernel K = exp(-i dz k_z), zero on evanescent components,
-    on the FFT-ordered frequency grid: propagate_scalar multiplies a field's
+    on the FFT-ordered frequency grid: propagate_samples multiplies a field's
     spectrum by it. K(-k) = K(k), so back-propagation is its adjoint."""
     kz, propagating = _kz_and_mask(grid, wavelength)
     kernel = -1j * dz * kz
@@ -73,27 +64,31 @@ def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.
     return kernel
 
 
-def propagate_scalar(f: ScalarField, wavelength: float, dz: float) -> ScalarField:
-    """Advance one scalar field by dz >= 0 metres of free space."""
+def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz: float,
+                      grams: list | None = None) -> np.ndarray:
+    """Advance a stack of scalar fields u (..., n, n) by dz >= 0 metres of
+    free space (u itself at dz = 0). With a list `grams`, the stack's band
+    Gram matrices over the outer band annulus and over all of k-space, read
+    off its spectrum before the kernel multiply, are appended to it."""
     if dz < 0:
-        raise ValueError("dz must be >= 0; use back_propagate_scalar for the reverse direction")
+        raise ValueError("dz must be >= 0; use back_propagate_samples for the reverse direction")
     if dz == 0.0:
-        return f
-    grid = f.grid
-    kernel = transfer_function(grid, wavelength, dz)
-    # in place: a transport holds one spectrum-sized temporary besides its output
-    spec = np.multiply(spfft.fft2(f.samples, workers=FFT_WORKERS), kernel, out=kernel)
-    out = spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)
-    return ScalarField(grid, out)
+        return u
+    spec = spfft.fft2(u, workers=FFT_WORKERS)
+    if grams is not None:
+        flat = spec.reshape(-1, grid.n * grid.n)
+        outer = grid.k_squared > ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
+        edge = flat[:, outer.ravel()]
+        grams.append((edge.conj() @ edge.T, flat.conj() @ flat.T))
+    spec *= transfer_function(grid, wavelength, dz)
+    return spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)
 
 
-def back_propagate_scalar(f: ScalarField, wavelength: float, dz: float) -> ScalarField:
+def back_propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float,
+                           dz: float) -> np.ndarray:
     """Reverse-direction transport via conjugation: U(-dz) = conj(U(dz) conj(.))."""
-    if dz < 0:
-        raise ValueError("dz must be >= 0")
-    conj = ScalarField(f.grid, np.conj(f.samples))
-    fwd = propagate_scalar(conj, wavelength, dz)
-    return ScalarField(f.grid, np.conj(fwd.samples))
+    out = propagate_samples(np.conj(u), grid, wavelength, dz)
+    return np.conj(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +153,23 @@ class ChannelSpec:
         return self.length - self.station_z
 
 
-def transmit_scalars(fields: tuple[ScalarField, ...], wavelength: float, channel: ChannelSpec):
-    """Carry scalar fields through all obstacles up to the station plane.
+def transmit_scalars(pair: np.ndarray, grid: TransverseGrid, wavelength: float,
+                     channel: ChannelSpec):
+    """Carry a stack of scalar fields (..., n, n) through all obstacles up to
+    the station plane, one propagate_samples step per free-space segment.
 
     Free space and the opaque masks act alike on every field. Returns the
     fields at the station and the band Gram matrices of the fields entering
-    each free-space segment, from which band_tail_fraction gives the tail of
-    any superposition of them.
+    each segment, from which band_tail_fraction gives the tail of any
+    superposition of them.
     """
     grams = []
     z = 0.0
     for obs in channel.obstacles + (None,):
         stop = channel.station_z if obs is None else obs.z
         if stop > z:
-            grams.append(_band_grams(fields))
-            fields = tuple(propagate_scalar(f, wavelength, stop - z) for f in fields)
+            pair = propagate_samples(pair, grid, wavelength, stop - z, grams)
             z = stop
         if obs is not None:
-            mask = obstacle_mask(fields[0].grid, obs)
-            fields = tuple(ScalarField(f.grid, f.samples * mask) for f in fields)
-    return fields, grams
+            pair = pair * obstacle_mask(grid, obs)
+    return pair, grams

@@ -23,14 +23,14 @@ from .channel import (
     source_pair,
     state_powers,
 )
-from .fields import ScalarField, TransverseGrid
+from .fields import TransverseGrid
 from .jones import ALL_LABELS, MubLabel
 from .modes import ModeSpec
 from .propagation import (
     FFT_WORKERS,
     ObstacleSpec,
     obstacle_mask,
-    propagate_scalar,
+    propagate_samples,
     transfer_function,
 )
 
@@ -82,12 +82,9 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
         if z < station:
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
     pair = source_pair(source, grid)
-    free = tuple(propagate_scalar(u, source.wavelength, station) for u in pair)
-    blocked = free
-    if obs is not None:
-        mask = obstacle_mask(grid, obs)
-        blocked = tuple(ScalarField(grid, u.samples * mask) for u in free)
-    power = float(state_powers(blocked)[j])
+    free = propagate_samples(pair, grid, source.wavelength, station)
+    blocked = free if obs is None else free * obstacle_mask(grid, obs)
+    power = float(state_powers(blocked, grid)[j])
 
     # Station-plane spectra, rows [b, s, s'] for b in (blocked, free):
     # conj(t_s) u_s' with t_+- = exp(+-i ell phi), on which the turned cascade
@@ -99,11 +96,10 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     cascade = detection.kind is DetectionKind.CASCADE
     targets = np.empty((8 if cascade else 12, n, n), dtype=complex)
     for b, station_pair in enumerate((blocked, free)):
-        for s2, u in enumerate(station_pair):
-            for s, t in enumerate((turn.conj(), turn)):
-                np.multiply(t, u.samples, out=targets[4 * b + 2 * s + s2])
-            if not cascade:
-                targets[8 + 2 * b + s2] = u.samples
+        for s, t in enumerate((turn.conj(), turn)):
+            np.multiply(t, station_pair, out=targets[4 * b + 2 * s:4 * b + 2 * s + 2])
+        if not cascade:
+            targets[8 + 2 * b:10 + 2 * b] = station_pair
     centres = targets[:8, n // 2, n // 2].copy()  # before the transform overwrites them
     targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(len(targets), -1)
     # The adjoint train ends on the H polarizer, so the demodulated axial
@@ -113,10 +109,10 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     sign = (-1.0) ** np.arange(n)
     axis = np.outer(sign, sign).ravel()
     if cascade:
-        probes = [cascade_detection_scalar(source, grid, detection)]
+        probes = cascade_detection_scalar(source, grid, detection)[None]
     else:  # the ideal projector is the source pair at the detection plane
-        probes = [u.samples for u in pair]
-    probes = spfft.fft2(np.array(probes), workers=FFT_WORKERS).reshape(len(probes), -1).conj()
+        probes = pair
+    probes = spfft.fft2(probes, workers=FFT_WORKERS).reshape(len(probes), -1).conj()
 
     rows = []
     for z in z_stations:

@@ -46,18 +46,18 @@ def random_polarized(grid, seed, wavelength=WAVELENGTH, band_limit=0.2):
     return f.normalized()
 
 
-def spin_orbit_states(pair, wavelength=WAVELENGTH):
+def spin_orbit_states(pair, grid, wavelength=WAVELENGTH):
     """The 8 polarized states sum_k SPIN_ORBIT[i, k] |p_k> (x) pair[k % 2],
-    (p_k) = (R, R, L, L), with |R> = (1, -i)/sqrt(2), |L> = (1, i)/sqrt(2)."""
+    (p_k) = (R, R, L, L), with |R> = (1, -i)/sqrt(2), |L> = (1, i)/sqrt(2);
+    pair is the engine's (2, n, n) array on grid."""
     from bgqkd import ScalarField
     from bgqkd.jones import SPIN_ORBIT
     from polarized_oracle import PolarizedField
 
-    grid = pair[0].grid
     states = []
     for a in SPIN_ORBIT:
-        r = a[0] * pair[0].samples + a[1] * pair[1].samples
-        l = a[2] * pair[0].samples + a[3] * pair[1].samples
+        r = a[0] * pair[0] + a[1] * pair[1]
+        l = a[2] * pair[0] + a[3] * pair[1]
         h, v = (r + l) / np.sqrt(2.0), 1j * (l - r) / np.sqrt(2.0)
         states.append(PolarizedField(ScalarField(grid, h), ScalarField(grid, v), wavelength))
     return states

@@ -34,7 +34,7 @@ from bgqkd.modes import ModeSpec
 from bgqkd.propagation import (
     ChannelSpec,
     ObstacleSpec,
-    back_propagate_scalar,
+    back_propagate_samples,
     band_limit_message,
     band_tail_fraction,
     obstacle_mask,
@@ -296,11 +296,12 @@ def transmit_to_station(f: PolarizedField, channel: ChannelSpec,
     """Propagate through all obstacles up to the demodulation station plane,
     component by component; the band-limit guard watches the H component
     and, when check_band_limit is set, warns with BandLimitWarning."""
-    (h, v), grams = transmit_scalars((f.h, f.v), f.wavelength, channel)
+    (h, v), grams = transmit_scalars(np.stack([f.h.samples, f.v.samples]), f.grid,
+                                     f.wavelength, channel)
     for g in grams if check_band_limit else ():
         if msg := band_limit_message(band_tail_fraction(g, (1.0, 0.0))):
             warnings.warn(msg, BandLimitWarning, stacklevel=2)
-    return PolarizedField(h, v, f.wavelength)
+    return polarized_from_arrays(f.grid, h, v, f.wavelength)
 
 
 def propagate(f: PolarizedField, dz: float) -> PolarizedField:
@@ -316,9 +317,9 @@ def propagate(f: PolarizedField, dz: float) -> PolarizedField:
 
 
 def back_propagate(f: PolarizedField, dz: float) -> PolarizedField:
-    h = back_propagate_scalar(f.h, f.wavelength, dz)
-    v = back_propagate_scalar(f.v, f.wavelength, dz)
-    return PolarizedField(h, v, f.wavelength)
+    h, v = back_propagate_samples(np.stack([f.h.samples, f.v.samples]), f.grid,
+                                  f.wavelength, dz)
+    return polarized_from_arrays(f.grid, h, v, f.wavelength)
 
 
 def apply_obstacle(f: PolarizedField, obs: ObstacleSpec) -> PolarizedField:

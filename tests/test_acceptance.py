@@ -31,7 +31,7 @@ from bgqkd import (
 )
 from bgqkd.config import load_preset
 from bgqkd.jones import ALL_LABELS
-from bgqkd.propagation import propagate_scalar
+from bgqkd.propagation import propagate_samples
 from bgqkd.security import PhotonStatistics
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
@@ -158,8 +158,8 @@ def test_criterion_4_propagation_engine():
                              wavelength=WAVELENGTH), g128)
     rs_ok = True
     for z in (0.4, 0.6, 0.8):
-        numeric = propagate_scalar(u, WAVELENGTH, z)
-        got = abs(numeric.samples[64, 64]) ** 2
+        numeric = propagate_samples(u.samples, g128, WAVELENGTH, z)
+        got = abs(numeric[64, 64]) ** 2
         ref = abs(rayleigh_sommerfeld_point(u.samples, g128.spacing, WAVELENGTH,
                                             0.0, 0.0, z)) ** 2
         rs_ok &= abs(got - ref) / ref <= 0.02

@@ -76,3 +76,21 @@ def test_package_imports_nothing_from_tests():
                 continue
             found += [f"{path.name}: {n}" for n in names if n.split(".")[0] in test_modules]
     assert found == []
+
+
+def test_only_the_transport_step_and_selfheal_import_scipy_fft():
+    # propagation holds the one FFT -> kernel -> inverse FFT step and selfheal
+    # its spectral sums; no other module may grow a transport of its own
+    package = Path(bgqkd.__file__).resolve().parent
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
+                users.add(path.stem)
+    assert users == {"propagation", "selfheal"}

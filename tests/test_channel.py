@@ -23,7 +23,7 @@ from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, basis_slice, detect
 from bgqkd.fields import ScalarField
 from bgqkd.jones import ALL_LABELS, MubLabel
 from bgqkd.modes import binary_bessel_hologram, evaluate_bg, evaluate_mode, radial_factor
-from bgqkd.propagation import back_propagate_scalar
+from bgqkd.propagation import back_propagate_samples
 
 from conftest import W0, WAVELENGTH, K_R, spin_orbit_states
 from diagnostics import dominant_oam_fraction
@@ -322,7 +322,8 @@ class TestScatteringMatrix:
 
     def test_detection_states_orthonormal(self, grid256, bg_source):
         for det in (CASCADE, IDEAL):
-            states = spin_orbit_states(detection_states(bg_source, grid256, 1, 0.30, det))
+            states = spin_orbit_states(detection_states(bg_source, grid256, 1, 0.30, det),
+                                       grid256)
             for block in (states[:4], states[4:]):
                 for i, a in enumerate(block):
                     for j, b in enumerate(block):
@@ -346,8 +347,9 @@ def _oracle_detection_states(source, grid, channel, det):
     if det.kind is DetectionKind.CASCADE:
         g = np.exp(-(grid.r / det.smf_waist) ** 2)
         g = g * binary_bessel_hologram(0, source.k_r, grid).samples
-        g = back_propagate_scalar(ScalarField(grid, g).normalized(), source.wavelength, leg)
-        base = horizontally_polarized(g, source.wavelength)
+        g = back_propagate_samples(ScalarField(grid, g).normalized().samples, grid,
+                                   source.wavelength, leg)
+        base = horizontally_polarized(ScalarField(grid, g), source.wavelength)
         return [prepare_state(label, base) for label in ALL_LABELS]
     base = heralded_input(source, grid)
     return [back_propagate(prepare_state(label, base), leg) for label in ALL_LABELS]

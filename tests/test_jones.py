@@ -159,7 +159,7 @@ class TestPrepareState:
         # each wave-plate train yields its SPIN_ORBIT row on the OAM pair,
         # pixel by pixel (relative to the peak amplitude), up to one global phase
         base = heralded_input(bg_source, grid256)
-        states = spin_orbit_states(spin_orbit_pair(base.h, ell))
+        states = spin_orbit_states(spin_orbit_pair(base.h.samples, grid256, ell), grid256)
         for label, target in zip(ALL_LABELS, states):
             prepared = prepare_state(label, base, ell)
             phase = inner_product(target, prepared)

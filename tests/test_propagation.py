@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft as spfft
 
 from bgqkd import (
     ChannelSpec,
@@ -12,7 +13,14 @@ from bgqkd import (
     evaluate_lg,
     nondiffracting_distance,
 )
-from bgqkd.propagation import _kz_and_mask, propagate_scalar
+from bgqkd.channel import source_pair
+from bgqkd.propagation import (
+    _kz_and_mask,
+    obstacle_mask,
+    propagate_samples,
+    transfer_function,
+    transmit_scalars,
+)
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
 from polarized_oracle import (
@@ -99,15 +107,16 @@ class TestPropagate:
         spec = ModeSpec(family=ModeFamily.BG, ell=0, w0=W0, wavelength=WAVELENGTH, k_r=K_R)
         z_half = 0.5 * nondiffracting_distance(spec)
         start = evaluate_bg(spec, grid, z=0.0)
-        numerics = {z: propagate_scalar(start, WAVELENGTH, z) for z in (z_half, 0.517)}
+        numerics = {z: propagate_samples(start.samples, grid, WAVELENGTH, z)
+                    for z in (z_half, 0.517)}
         sel = grid.r < 1e-3
         i0 = np.abs(start.samples[sel]) ** 2
-        iz = np.abs(numerics[z_half].samples[sel]) ** 2
+        iz = np.abs(numerics[z_half][sel]) ** 2
         corr = np.corrcoef(i0, iz)[0, 1]
         assert corr > 0.99
         for z, numeric in numerics.items():
             analytic = evaluate_bg(spec, grid, z=z)
-            overlap = abs(np.sum(np.conj(analytic.samples) * numeric.samples)
+            overlap = abs(np.sum(np.conj(analytic.samples) * numeric)
                           * grid.pixel_area) ** 2
             assert overlap > 0.999, z
 
@@ -215,6 +224,46 @@ def test_kernel_cache_stays_bounded(grid256):
     assert _kz_and_mask.cache_info().currsize == limit
 
 
+def test_transmit_transforms_the_pair_once_per_segment(monkeypatch, grid256, bg_source):
+    # one forward and one inverse transform of the pair per free-space
+    # segment: the band guard reads the transport's own spectrum
+    pair = source_pair(bg_source, grid256)
+    chan = ChannelSpec(length=0.4, obstacles=(ObstacleSpec(radius=200e-6, z=0.05),
+                                              ObstacleSpec(radius=300e-6, z=0.1)),
+                       station_z=0.2)
+    planes = {}
+    for name in ("fft2", "ifft2"):
+        def counted(x, *args, _name=name, _fn=getattr(spfft, name), **kwargs):
+            planes[_name] = planes.get(_name, 0) + int(np.prod(np.shape(x)[:-2]))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(spfft, name, counted)
+    _, grams = transmit_scalars(pair, grid256, WAVELENGTH, chan)
+    assert len(grams) == 3
+    assert planes == {"fft2": 2 * 3, "ifft2": 2 * 3}
+
+
+def test_band_grams_read_the_spectrum_before_the_kernel():
+    # dx = 0.4 um < lambda / sqrt(2), so the grid's corners are evanescent:
+    # Gram matrices taken after the kernel multiply would miss their power
+    grid = TransverseGrid(n=64, extent=25.6e-6)
+    rng = np.random.default_rng(37)
+    pair = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
+    obs = ObstacleSpec(radius=3e-6, z=10e-6)
+    _, grams = transmit_scalars(pair, grid, WAVELENGTH,
+                                ChannelSpec(length=30e-6, obstacles=(obs,), station_z=30e-6))
+    kernel = transfer_function(grid, WAVELENGTH, obs.z)
+    entering = [pair, np.fft.ifft2(np.fft.fft2(pair) * kernel) * obstacle_mask(grid, obs)]
+    outer = (grid.k_squared > (0.9 * np.pi / grid.spacing) ** 2).ravel()
+    assert len(grams) == 2
+    for got, u in zip(grams, entering):
+        spec = np.fft.fft2(u).reshape(2, -1)
+        for g, s in zip(got, (spec[:, outer], spec)):
+            ref = s.conj() @ s.T
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    after = (np.fft.fft2(pair) * kernel).reshape(2, -1)
+    assert np.trace(grams[0][1]).real > 1.1 * np.trace(after.conj() @ after.T).real
+
+
 class TestRayleighSommerfeldOracle:
     def test_gaussian_on_axis(self):
         # independent direct-integration check of the FFT engine, n = 128
@@ -222,9 +271,9 @@ class TestRayleighSommerfeldOracle:
         w0 = 0.8e-3
         f = gaussian_field(grid, w0).h
         for z in (0.4, 0.6, 0.8):
-            numeric = propagate_scalar(f, WAVELENGTH, z)
+            numeric = propagate_samples(f.samples, grid, WAVELENGTH, z)
             center = grid.n // 2
-            got = abs(numeric.samples[center, center]) ** 2
+            got = abs(numeric[center, center]) ** 2
             ref = abs(rayleigh_sommerfeld_point(
                 f.samples, grid.spacing, WAVELENGTH, 0.0, 0.0, z)) ** 2
             assert got == pytest.approx(ref, rel=0.02)
@@ -242,8 +291,8 @@ class TestRayleighSommerfeldOracle:
         center = grid.n // 2
 
         def on_axis(z):
-            out = propagate_scalar(blocked, lam, z)
-            return abs(out.samples[center, center]) ** 2
+            out = propagate_samples(blocked.samples, grid, lam, z)
+            return abs(out[center, center]) ** 2
 
         just_behind = on_axis(0.1 * z_min)
         healed = on_axis(2 * z_min)

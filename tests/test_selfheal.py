@@ -9,7 +9,6 @@ from bgqkd import (
     DetectionKind,
     DetectionModel,
     ObstacleSpec,
-    ScalarField,
     TransverseGrid,
     self_healing_fidelity,
     selfheal_scan,
@@ -17,7 +16,7 @@ from bgqkd import (
 )
 from bgqkd.channel import detection_states, source_pair, spin_orbit_amplitudes, state_powers
 from bgqkd.jones import ALL_LABELS, MubLabel
-from bgqkd.propagation import back_propagate_scalar, obstacle_mask, propagate_scalar
+from bgqkd.propagation import back_propagate_samples, obstacle_mask, propagate_samples
 
 L = MubLabel.from_string
 CASCADE = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=0.0)
@@ -31,22 +30,21 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     ell = abs(source.ell) or 1
     j = ALL_LABELS.index(label)
     station = obs.z if obs is not None else 0.0
-    free = tuple(propagate_scalar(u, source.wavelength, station)
-                 for u in source_pair(source, grid))
+    free = propagate_samples(source_pair(source, grid), grid, source.wavelength, station)
     blocked = free
     if obs is not None:
-        blocked = tuple(ScalarField(grid, u.samples * obstacle_mask(grid, obs)) for u in free)
-    power = float(state_powers(blocked)[j])
+        blocked = free * obstacle_mask(grid, obs)
+    power = float(state_powers(blocked, grid)[j])
     axis = np.zeros((grid.n, grid.n))
     axis[grid.n // 2, grid.n // 2] = 1.0
     turn = np.exp(1j * ell * grid.phi)
     rows = []
     for z in z_stations:
-        w = back_propagate_scalar(ScalarField(grid, axis), source.wavelength, z - station).samples
-        demod = (ScalarField(grid, w * turn), ScalarField(grid, w * turn.conj()))
+        w = back_propagate_samples(axis, grid, source.wavelength, z - station)
+        demod = np.stack([w * turn, w * turn.conj()])
         dets = detection_states(source, grid, ell, z - station, detection)
         (p_obs, a_obs), (p_free, a_free) = (
-            [abs(spin_orbit_amplitudes(d, pair)[j, j]) ** 2 for d in (dets, demod)]
+            [abs(spin_orbit_amplitudes(d, pair, grid)[j, j]) ** 2 for d in (dets, demod)]
             for pair in (blocked, free))
         rows.append((z, p_obs / p_free, power, a_obs / a_free if a_free > 0 else 0.0))
     return rows, free
@@ -123,7 +121,7 @@ def test_scan_matches_direct_space_receiver(bg_source, detection, obs, extent, l
     np.testing.assert_allclose(got[1:, 3], expected[1:, 3], rtol=1e-10, atol=0.0)
     if station > 0:
         c = grid.n // 2
-        assert all(abs(u.samples[c, c]) > 1e-8 * np.abs(u.samples).max() for u in free)
+        assert all(abs(u[c, c]) > 1e-8 * np.abs(u).max() for u in free)
 
 
 @pytest.mark.parametrize("detection", [CASCADE, IDEAL], ids=["cascade", "ideal"])
