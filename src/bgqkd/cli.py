@@ -27,8 +27,8 @@ from .channel import (
     ScatteringMatrix,
     scattering_matrix,
     simulate_counts,
-    source_pair,
     state_intensity,
+    station_pair,
 )
 from .config import RunConfig, load_config, load_preset, preset_names
 from .errors import ConfigError
@@ -36,7 +36,7 @@ from .io import write_pgm
 from .jones import ALL_LABELS, wave_plates
 from .modes import (ModeFamily, ModeSpec, full_reconstruction_distance,
                     nondiffracting_distance, shadow_length)
-from .propagation import ChannelSpec, transmit_scalars
+from .propagation import ChannelSpec
 from .security import (
     PhotonStatistics,
     SecurityReport,
@@ -121,16 +121,16 @@ def _write_snapshots(cfg: RunConfig, out: Path, runs) -> None:
     """PGM intensity maps of the source's states. Each run is (channel,
     stations, stems): at each station z, capped at the channel's length, the
     source pair is carried through the channel's obstacles up to z, and the
-    map of state i is written to f"{stems[i]}_z{z:.4f}.pgm"."""
-    pair = source_pair(cfg.source, cfg.grid)
-    for channel, stations, stems in runs:
-        for z in stations:
-            z_stop = min(z, channel.length)
-            obstacles = tuple(o for o in channel.obstacles if o.z <= z_stop)
-            chan = ChannelSpec(length=z_stop, obstacles=obstacles, station_z=z_stop)
-            at_z, _ = transmit_scalars(pair, cfg.grid, cfg.source.wavelength, chan)
-            for i, stem in stems.items():
-                write_pgm(out / f"{stem}_z{z:.4f}.pgm", state_intensity(i, at_z))
+    map of state i is written to f"{stems[i]}_z{z:.4f}.pgm". The snapshots
+    are taken in order of z, so the leg cache keeps a leg that several runs
+    share while they step on from it."""
+    shots = sorted(((min(z, channel.length), z, channel, stems)
+                    for channel, stations, stems in runs for z in stations),
+                   key=lambda shot: shot[0])
+    for z_stop, z, channel, stems in shots:
+        at_z, _ = station_pair(cfg.source, cfg.grid, channel.obstacles, z_stop)
+        for i, stem in stems.items():
+            write_pgm(out / f"{stem}_z{z:.4f}.pgm", state_intensity(i, at_z))
 
 
 def cmd_security(args) -> int:
@@ -249,10 +249,25 @@ def cmd_info(args) -> int:
                   f"full reconstruction at {full_reconstruction_distance(r, src):.4f} m")
         else:
             print(f"obstacle R={r * 1e6:.0f} um: no shadow-length formula for LG (k_r=0)")
+    # the angular-spectrum kernel is adequately sampled over legs up to
+    # N dx^2 / lambda, and an obstacle's edge is resolved at a distance z
+    # behind it while its Fresnel phase across one pixel, k R dx / z, is small
+    grid = cfg.grid
+    z_sampled = grid.n * grid.spacing ** 2 / src.wavelength
+    print(f"kernel sampling limit N dx^2/lambda: {z_sampled:.4f} m")
     for s in cfg.scenarios:
         print(f"scenario {s.name}: length={s.channel.length} m, "
               f"station_z={s.channel.station_z} m, L={s.channel.decoding_distance} m, "
               f"obstacles={[(o.radius, o.z) for o in s.channel.obstacles]}")
+        print(f"  sampling: station leg {s.channel.station_z / z_sampled:.3f}, "
+              f"decoding leg {s.channel.decoding_distance / z_sampled:.3f} x N dx^2/lambda")
+    if cfg.selfheal is not None:
+        obs, k = cfg.selfheal.obstacle, 2 * math.pi / src.wavelength
+        for z in cfg.selfheal.z_stations:
+            leg = z - obs.z
+            phase = k * obs.radius * grid.spacing / leg if leg > 0 else math.inf
+            print(f"selfheal station z={z:.4f} m: edge phase per pixel "
+                  f"k R dx / z = {phase:.3f} rad")
     q = (abs(src.ell) or 1) / 2
     for label in ALL_LABELS:
         kind, before, after = wave_plates(label)

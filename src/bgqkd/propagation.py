@@ -39,7 +39,7 @@ def _kz_and_mask(grid: TransverseGrid, wavelength: float):
 
 def band_tail_fraction(grams: tuple[np.ndarray, np.ndarray], weights=(1.0,)) -> float:
     """Outer-annulus spectral power fraction of sum_s weights[s] * field_s,
-    from the fields' band Gram matrices (see transmit_scalars)."""
+    from the fields' band Gram matrices (see propagate_samples)."""
     c = np.asarray(weights, dtype=complex)
     tail, total = (float(np.real(c.conj() @ g @ c)) for g in grams)
     return tail / total if total > 0 else 0.0
@@ -151,25 +151,3 @@ class ChannelSpec:
     def decoding_distance(self) -> float:
         """L: distance from the demodulation station to the detection plane."""
         return self.length - self.station_z
-
-
-def transmit_scalars(pair: np.ndarray, grid: TransverseGrid, wavelength: float,
-                     channel: ChannelSpec):
-    """Carry a stack of scalar fields (..., n, n) through all obstacles up to
-    the station plane, one propagate_samples step per free-space segment.
-
-    Free space and the opaque masks act alike on every field. Returns the
-    fields at the station and the band Gram matrices of the fields entering
-    each segment, from which band_tail_fraction gives the tail of any
-    superposition of them.
-    """
-    grams = []
-    z = 0.0
-    for obs in channel.obstacles + (None,):
-        stop = channel.station_z if obs is None else obs.z
-        if stop > z:
-            pair = propagate_samples(pair, grid, wavelength, stop - z, grams)
-            z = stop
-        if obs is not None:
-            pair = pair * obstacle_mask(grid, obs)
-    return pair, grams

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import fft as spfft
 
-from bgqkd import ModeFamily, ModeSpec, TransverseGrid
+from bgqkd import ModeFamily, ModeSpec, TransverseGrid, channel
 from bgqkd.config import SCHEMA, Key
 
 WAVELENGTH = 810e-9
@@ -27,6 +28,40 @@ def bg_source():
 @pytest.fixture(scope="session")
 def lg_source():
     return ModeSpec(family=ModeFamily.LG, ell=1, w0=W0, wavelength=WAVELENGTH)
+
+
+def clear_ring_caches():
+    channel._ring_factor.cache_clear()
+    channel._ring_weights.cache_clear()
+
+
+@pytest.fixture
+def cold_ring_caches():
+    clear_ring_caches()
+    yield
+    clear_ring_caches()
+
+
+@pytest.fixture
+def cold_leg_cache():
+    """The channel's shared transport legs (channel._arrival), cleared before
+    and after the test."""
+    channel._arrival.cache_clear()
+    yield
+    channel._arrival.cache_clear()
+
+
+@pytest.fixture
+def fft_planes(monkeypatch):
+    """Counts of the n x n planes scipy.fft's fft2 and ifft2 transform while
+    the test runs."""
+    planes = {"fft2": 0, "ifft2": 0}
+    for name in planes:
+        def counted(x, *args, _name=name, _fn=getattr(spfft, name), **kwargs):
+            planes[_name] += int(np.prod(np.shape(x)[:-2]))
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(spfft, name, counted)
+    return planes
 
 
 def random_polarized(grid, seed, wavelength=WAVELENGTH, band_limit=0.2):

@@ -38,7 +38,7 @@ from bgqkd.propagation import (
     band_limit_message,
     band_tail_fraction,
     obstacle_mask,
-    transmit_scalars,
+    propagate_samples,
 )
 
 _H_INPUT_V_POWER_TOL = 1e-6
@@ -296,8 +296,15 @@ def transmit_to_station(f: PolarizedField, channel: ChannelSpec,
     """Propagate through all obstacles up to the demodulation station plane,
     component by component; the band-limit guard watches the H component
     and, when check_band_limit is set, warns with BandLimitWarning."""
-    (h, v), grams = transmit_scalars(np.stack([f.h.samples, f.v.samples]), f.grid,
-                                     f.wavelength, channel)
+    hv, grams, z = np.stack([f.h.samples, f.v.samples]), [], 0.0
+    for obs in channel.obstacles + (None,):
+        stop = channel.station_z if obs is None else obs.z
+        if stop > z:
+            hv = propagate_samples(hv, f.grid, f.wavelength, stop - z, grams)
+            z = stop
+        if obs is not None:
+            hv = hv * obstacle_mask(f.grid, obs)
+    h, v = hv
     for g in grams if check_band_limit else ():
         if msg := band_limit_message(band_tail_fraction(g, (1.0, 0.0))):
             warnings.warn(msg, BandLimitWarning, stacklevel=2)

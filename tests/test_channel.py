@@ -23,9 +23,9 @@ from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, basis_slice, detect
 from bgqkd.fields import ScalarField
 from bgqkd.jones import ALL_LABELS, MubLabel
 from bgqkd.modes import binary_bessel_hologram, evaluate_bg, evaluate_mode, radial_factor
-from bgqkd.propagation import back_propagate_samples
+from bgqkd.propagation import back_propagate_samples, obstacle_mask, transfer_function
 
-from conftest import W0, WAVELENGTH, K_R, spin_orbit_states
+from conftest import W0, WAVELENGTH, K_R, clear_ring_caches, spin_orbit_states
 from diagnostics import dominant_oam_fraction
 from polarized_oracle import (
     BandLimitWarning,
@@ -140,18 +140,6 @@ def uncached_overlap(signal, idler, pump_waist, grid):
     pump = unit(np.exp(-(r / pump_waist) ** 2))
     weights = grid.ring_weights(signal.ell + idler.ell)
     return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
-
-
-def clear_ring_caches():
-    channel._ring_factor.cache_clear()
-    channel._ring_weights.cache_clear()
-
-
-@pytest.fixture
-def cold_ring_caches():
-    clear_ring_caches()
-    yield
-    clear_ring_caches()
 
 
 class TestSpdcOverlapCache:
@@ -322,7 +310,7 @@ class TestScatteringMatrix:
 
     def test_detection_states_orthonormal(self, grid256, bg_source):
         for det in (CASCADE, IDEAL):
-            states = spin_orbit_states(detection_states(bg_source, grid256, 1, 0.30, det),
+            states = spin_orbit_states(detection_states(bg_source, grid256, 0.30, det),
                                        grid256)
             for block in (states[:4], states[4:]):
                 for i, a in enumerate(block):
@@ -397,6 +385,88 @@ def test_engine_matches_jones_train_oracle(grid256, bg_source, name, det):
     if name != "centred":
         # real crosstalk: a prepared state leaks into its orthogonal partners
         assert np.max(raw[:4, :4] - np.diag(np.diag(raw[:4, :4]))) > 1e-6
+
+
+class TestSharedLegs:
+    """The source pair's transport, walked once per channel prefix (see
+    channel._arrival) and shared by scenarios and snapshot stations."""
+
+    grid = TransverseGrid(n=128, extent=10e-3)
+    channels = (free_channel(), obstructed_channel(600e-6), obstructed_channel(800e-6))
+
+    def run(self, detection=CASCADE):
+        return [scattering_matrix(c, bg_mode(1), detection, self.grid) for c in self.channels]
+
+    def test_transport_transforms_the_pair_once_per_segment(self, fft_planes, cold_leg_cache,
+                                                            grid256, bg_source):
+        # one forward and one inverse transform of the pair per free-space
+        # segment: the band guard reads the transport's own spectrum
+        chan = ChannelSpec(length=0.4, obstacles=(ObstacleSpec(radius=200e-6, z=0.05),
+                                                  ObstacleSpec(radius=300e-6, z=0.1)),
+                           station_z=0.2)
+        _, grams = channel.station_pair(bg_source, grid256, chan.obstacles, chan.station_z)
+        assert len(grams) == 3
+        assert fft_planes == {"fft2": 2 * 3, "ifft2": 2 * 3}
+
+    def test_band_grams_read_the_spectrum_before_the_kernel(self, monkeypatch, cold_leg_cache,
+                                                            bg_source):
+        # dx = 0.4 um < lambda / sqrt(2), so the grid's corners are evanescent:
+        # Gram matrices taken after the kernel multiply would miss their power
+        grid = TransverseGrid(n=64, extent=25.6e-6)
+        rng = np.random.default_rng(37)
+        pair = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
+        monkeypatch.setattr(channel, "source_pair", lambda source, grid: pair)
+        obs = ObstacleSpec(radius=3e-6, z=10e-6)
+        _, grams = channel.station_pair(bg_source, grid, (obs,), 30e-6)
+        kernel = transfer_function(grid, WAVELENGTH, obs.z)
+        entering = [pair, np.fft.ifft2(np.fft.fft2(pair) * kernel) * obstacle_mask(grid, obs)]
+        outer = (grid.k_squared > (0.9 * np.pi / grid.spacing) ** 2).ravel()
+        assert len(grams) == 2
+        for got, u in zip(grams, entering):
+            spec = np.fft.fft2(u).reshape(2, -1)
+            for g, s in zip(got, (spec[:, outer], spec)):
+                ref = s.conj() @ s.T
+                np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        after = (np.fft.fft2(pair) * kernel).reshape(2, -1)
+        assert np.trace(grams[0][1]).real > 1.1 * np.trace(after.conj() @ after.T).real
+
+    def test_shared_leg_is_carried_once(self, fft_planes, cold_leg_cache):
+        # free space, 600 um and 800 um, all on the station plane: one cascade
+        # detection plane per scenario, and the pair's leg to the station once
+        matrices = self.run()
+        assert fft_planes["fft2"] == 3 + 2
+        for c, m in zip(self.channels, matrices):
+            channel._arrival.cache_clear()
+            alone = scattering_matrix(c, bg_mode(1), CASCADE, self.grid)
+            assert np.array_equal(m.raw, alone.raw)
+            assert np.array_equal(m.transmission, alone.transmission)
+            assert m.warnings == alone.warnings
+
+    def test_cached_legs_are_read_only(self, cold_leg_cache):
+        pair, grams = channel.station_pair(bg_mode(1), self.grid, (), 0.02)
+        assert pair is channel.station_pair(bg_mode(1), self.grid, (), 0.02)[0]
+        for a in (pair, *grams[0]):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_two_threads_match_serial_run(self, cold_leg_cache):
+        serial = self.run(IDEAL)
+        channel._arrival.cache_clear()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(
+                lambda c: scattering_matrix(c, bg_mode(1), IDEAL, self.grid), self.channels))
+        for a, b in zip(threaded, serial):
+            assert np.array_equal(a.raw, b.raw)
+            assert np.array_equal(a.transmission, b.transmission)
+            assert a.warnings == b.warnings
+
+    def test_cache_stays_bounded(self, cold_leg_cache):
+        grid = TransverseGrid(n=64, extent=10e-3)
+        limit = channel._arrival.cache_info().maxsize
+        for i in range(limit + 3):
+            channel.station_pair(bg_mode(1), grid, (), 0.01 * (i + 1))
+        assert channel._arrival.cache_info().currsize == limit
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]

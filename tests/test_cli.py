@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
+import bgqkd
 from bgqkd.cli import main
 
 TINY = {
@@ -71,6 +73,23 @@ class TestInfo:
             "state phi10: H polarizer, QWP 45.0 deg, q-plate q=0.5, QWP 0.0 deg",
             "state phi11: H polarizer, QWP -45.0 deg, q-plate q=0.5, QWP 90.0 deg",
         ]
+
+    def test_sampling_figures(self, capsys):
+        # N dx^2 / lambda = 1024 (10 mm / 1024)^2 / 810 nm = 0.1206 m against
+        # the 0.02 m station leg and the 0.30 m decoding leg
+        assert main(["info", "--preset", "paper-bg"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "kernel sampling limit N dx^2/lambda: 0.1206 m" in lines
+        sampling = [line for line in lines if line.startswith("  sampling: ")]
+        assert sampling == ["  sampling: station leg 0.166, decoding leg 2.488 x N dx^2/lambda"] * 3
+        # k R dx / z for the 600 um disk at z = 0: 0.88 rad at the first station
+        assert main(["info", "--preset", "paper-selfheal-bg"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stations = [line for line in lines if line.startswith("selfheal station ")]
+        assert len(stations) == 5
+        assert stations[0] == ("selfheal station z=0.0517 m: edge phase per pixel "
+                               "k R dx / z = 0.879 rad")
+        assert not any(line.startswith("  sampling: ") for line in lines)
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["info"]) == 2
@@ -159,6 +178,21 @@ class TestScattering:
         pgms = sorted(out.glob("*.pgm"))
         assert len(pgms) == 16  # 8 states x 2 stations
         assert pgms[0].read_bytes().startswith(b"P5\n")
+
+    def test_snapshots_share_legs(self, tmp_path, fft_planes, cold_leg_cache):
+        # paper-bg's three scenarios at four stations: the snapshots reuse the
+        # matrices' leg to the 0.02 m obstacle plane and take 7 more segments
+        # (0.01, 0.1 and 0.32 m free; 0.1 and 0.32 m behind each disk), where
+        # carrying the pair afresh to every station took 16 (32 forward planes)
+        doc = yaml.safe_load((Path(bgqkd.__file__).parent / "presets/paper-bg.yaml").read_text())
+        doc["grid"]["n"] = 128
+        doc["run"].update(outputs=["json", "pgm"], pgm_stations=["0.01m", "0.02m", "0.1m", "0.32m"])
+        out = tmp_path / "out"
+        assert main(["scattering", "--config", write_config(tmp_path, doc),
+                     "--out-dir", str(out)]) == 0
+        assert len(list(out.glob("*.pgm"))) == 3 * 4 * 8
+        # one cascade detection plane per scenario, and two planes per segment
+        assert fft_planes["fft2"] == 3 + 2 * 8
 
     def test_strict_guard_exit_3(self, tmp_path):
         # a coarse grid makes the ringy BG states trip the band-limit guard

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import fft as spfft
 
 from bgqkd import (
     ChannelSpec,
@@ -13,13 +12,9 @@ from bgqkd import (
     evaluate_lg,
     nondiffracting_distance,
 )
-from bgqkd.channel import source_pair
 from bgqkd.propagation import (
     _kz_and_mask,
-    obstacle_mask,
     propagate_samples,
-    transfer_function,
-    transmit_scalars,
 )
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
@@ -222,46 +217,6 @@ def test_kernel_cache_stays_bounded(grid256):
     for i in range(limit + 3):
         _kz_and_mask(grid256, WAVELENGTH * (1.0 + 0.01 * i))
     assert _kz_and_mask.cache_info().currsize == limit
-
-
-def test_transmit_transforms_the_pair_once_per_segment(monkeypatch, grid256, bg_source):
-    # one forward and one inverse transform of the pair per free-space
-    # segment: the band guard reads the transport's own spectrum
-    pair = source_pair(bg_source, grid256)
-    chan = ChannelSpec(length=0.4, obstacles=(ObstacleSpec(radius=200e-6, z=0.05),
-                                              ObstacleSpec(radius=300e-6, z=0.1)),
-                       station_z=0.2)
-    planes = {}
-    for name in ("fft2", "ifft2"):
-        def counted(x, *args, _name=name, _fn=getattr(spfft, name), **kwargs):
-            planes[_name] = planes.get(_name, 0) + int(np.prod(np.shape(x)[:-2]))
-            return _fn(x, *args, **kwargs)
-        monkeypatch.setattr(spfft, name, counted)
-    _, grams = transmit_scalars(pair, grid256, WAVELENGTH, chan)
-    assert len(grams) == 3
-    assert planes == {"fft2": 2 * 3, "ifft2": 2 * 3}
-
-
-def test_band_grams_read_the_spectrum_before_the_kernel():
-    # dx = 0.4 um < lambda / sqrt(2), so the grid's corners are evanescent:
-    # Gram matrices taken after the kernel multiply would miss their power
-    grid = TransverseGrid(n=64, extent=25.6e-6)
-    rng = np.random.default_rng(37)
-    pair = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
-    obs = ObstacleSpec(radius=3e-6, z=10e-6)
-    _, grams = transmit_scalars(pair, grid, WAVELENGTH,
-                                ChannelSpec(length=30e-6, obstacles=(obs,), station_z=30e-6))
-    kernel = transfer_function(grid, WAVELENGTH, obs.z)
-    entering = [pair, np.fft.ifft2(np.fft.fft2(pair) * kernel) * obstacle_mask(grid, obs)]
-    outer = (grid.k_squared > (0.9 * np.pi / grid.spacing) ** 2).ravel()
-    assert len(grams) == 2
-    for got, u in zip(grams, entering):
-        spec = np.fft.fft2(u).reshape(2, -1)
-        for g, s in zip(got, (spec[:, outer], spec)):
-            ref = s.conj() @ s.T
-            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-    after = (np.fft.fft2(pair) * kernel).reshape(2, -1)
-    assert np.trace(grams[0][1]).real > 1.1 * np.trace(after.conj() @ after.T).real
 
 
 class TestRayleighSommerfeldOracle:

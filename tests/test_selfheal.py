@@ -42,7 +42,7 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     for z in z_stations:
         w = back_propagate_samples(axis, grid, source.wavelength, z - station)
         demod = np.stack([w * turn, w * turn.conj()])
-        dets = detection_states(source, grid, ell, z - station, detection)
+        dets = detection_states(source, grid, z - station, detection)
         (p_obs, a_obs), (p_free, a_free) = (
             [abs(spin_orbit_amplitudes(d, pair, grid)[j, j]) ** 2 for d in (dets, demod)]
             for pair in (blocked, free))
