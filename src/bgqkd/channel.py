@@ -33,6 +33,7 @@ snapshot applies only the masks on its own plane.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -215,6 +216,9 @@ def state_intensity(i: int, pair: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shared transport
 
+_ARRIVAL_LOCK = threading.Lock()  # pool threads that miss together carry a leg once
+
+
 # Three entries keep a shared leg alive while snapshots, taken in order of z,
 # step on from it for any number of scenarios; each entry is one (2, n, n) pair.
 @functools.lru_cache(maxsize=3)
@@ -251,7 +255,8 @@ def station_pair(source: ModeSpec, grid: TransverseGrid,
     the fields entering each free-space segment. Both may be shared with
     other calls: do not write into them."""
     passed = tuple(o for o in obstacles if o.z < z)
-    pair, grams = _arrival(source, grid, passed, z)
+    with _ARRIVAL_LOCK:
+        pair, grams = _arrival(source, grid, passed, z)
     for obs in obstacles:
         if obs.z == z:
             pair = pair * obstacle_mask(grid, obs)

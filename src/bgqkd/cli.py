@@ -255,6 +255,8 @@ def cmd_info(args) -> int:
     grid = cfg.grid
     z_sampled = grid.n * grid.spacing ** 2 / src.wavelength
     print(f"kernel sampling limit N dx^2/lambda: {z_sampled:.4f} m")
+    print(f"field pair (2, n, n) complex: {32 * grid.n ** 2:,} bytes; kernel evaluated on "
+          f"{grid.distinct_k_squared.size:,} distinct |k_t|^2 of {grid.n ** 2:,}")
     for s in cfg.scenarios:
         print(f"scenario {s.name}: length={s.channel.length} m, "
               f"station_z={s.channel.station_z} m, L={s.channel.decoding_distance} m, "

@@ -80,7 +80,8 @@ class TransverseGrid:
         f must act elementwise; the result equals f(self.r) bit for bit.
         """
         radii, inverse, fold = self._radial_index
-        return f(radii)[inverse][fold][:, fold]
+        # take fills the grid in C order; [fold][:, fold] would be Fortran-ordered
+        return f(radii)[inverse].take(fold, 0).take(fold, 1)
 
     @property
     def radii(self) -> np.ndarray:
@@ -96,7 +97,7 @@ class TransverseGrid:
             per_fold = np.bincount(fold)
             return np.bincount(inverse.ravel(), np.outer(per_fold, per_fold).ravel(),
                                radii.size)
-        index = inverse[fold][:, fold].ravel()
+        index = inverse.take(fold, 0).take(fold, 1).ravel()
         w = np.exp(-1j * m * self.phi).ravel()
         return (np.bincount(index, w.real, radii.size)
                 + 1j * np.bincount(index, w.imag, radii.size))
@@ -109,13 +110,26 @@ class TransverseGrid:
         return p
 
     @cached_property
-    def k_squared(self) -> np.ndarray:
-        """|k_t|^2 on the FFT-ordered spatial-frequency grid (rad^2/m^2)."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        kx, ky = np.meshgrid(k1, k1, indexing="xy")
-        k2 = kx ** 2 + ky ** 2
-        k2.setflags(write=False)
-        return k2
+    def _spectral_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # fftfreq's entries at j and n - j are exact negatives, so |k_t|^2 on
+        # the grid is its (n/2+1)^2 quadrant over k[0..n/2] at min(j, n - j)
+        h = self.n // 2
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)[:h + 1]
+        k2, inverse = np.unique(k[None, :] ** 2 + k[:, None] ** 2, return_inverse=True)
+        fold = np.minimum(np.arange(self.n), self.n - np.arange(self.n))
+        return k2, inverse.reshape(h + 1, h + 1), fold
+
+    def spectral(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """f(|k_t|^2) on the FFT-ordered frequency grid (rad^2/m^2), with f
+        called once on the 1-D array of distinct values; f must act
+        elementwise, and the result equals f(kx**2 + ky**2) bit for bit."""
+        k2, inverse, fold = self._spectral_index
+        return f(k2)[inverse].take(fold, 0).take(fold, 1)
+
+    @property
+    def distinct_k_squared(self) -> np.ndarray:
+        """The distinct |k_t|^2, ascending: the points `spectral` calls f on."""
+        return self._spectral_index[0]
 
 
 def _freeze(samples: np.ndarray, n: int) -> np.ndarray:

@@ -146,7 +146,8 @@ def evaluate_bg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarF
 def evaluate_lg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarField:
     """Evaluate a Laguerre-Gaussian LG_0^ell mode at distance z, unit power."""
     # sampled per pixel: expanding these cheap real factors from the distinct
-    # radii saved no time and raised the CLI's peak RSS by 8 MB at n = 512
+    # radii saved no time and raised the CLI's peak RSS by 8 MB at n = 512,
+    # measured when `radial` still expanded in Fortran order (not re-measured)
     return unit_power_field(grid, _lg_samples(spec, lambda f: f(grid.r), z, grid.phi))
 
 

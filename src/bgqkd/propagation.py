@@ -4,7 +4,9 @@ Fields are stacks of samples (..., n, n) beside their TransverseGrid; the
 engine's OAM pair is one (2, n, n) array. propagate_samples is the one
 transport: an FFT of the stack, the kernel exp(-i dz sqrt(k^2 - kx^2 - ky^2))
 (forward phase exp(-i k_z z), as in the analytic modes; evanescent components
-are zeroed) and an inverse FFT. Back-propagation is the conjugation route, not
+are zeroed) and an inverse FFT. The kernel depends only on |k_t|^2, so it is
+evaluated once per distinct value and expanded to the grid in C order
+(TransverseGrid.spectral). Back-propagation is the conjugation route, not
 a negative dz. Free space and the obstacles act alike on both polarizations,
 so only scalars are transported; the band-limit guard reads Gram matrices
 taken from each segment's spectrum.
@@ -12,7 +14,6 @@ taken from each segment's spectrum.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,17 +25,6 @@ FFT_WORKERS = -1  # scipy.fft workers; results are independent of the value
 
 BAND_LIMIT_TOL = 1e-4
 _BAND_ANNULUS = 0.1
-
-
-@functools.lru_cache(maxsize=8)
-def _kz_and_mask(grid: TransverseGrid, wavelength: float):
-    k = 2.0 * np.pi / wavelength
-    k2 = grid.k_squared
-    propagating = k2 <= k * k
-    kz = np.sqrt(np.maximum(k * k - k2, 0.0))
-    kz.setflags(write=False)
-    propagating.setflags(write=False)
-    return kz, propagating
 
 
 def band_tail_fraction(grams: tuple[np.ndarray, np.ndarray], weights=(1.0,)) -> float:
@@ -57,11 +47,9 @@ def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.
     """The free-space kernel K = exp(-i dz k_z), zero on evanescent components,
     on the FFT-ordered frequency grid: propagate_samples multiplies a field's
     spectrum by it. K(-k) = K(k), so back-propagation is its adjoint."""
-    kz, propagating = _kz_and_mask(grid, wavelength)
-    kernel = -1j * dz * kz
-    np.exp(kernel, out=kernel)
-    kernel *= propagating
-    return kernel
+    k = 2.0 * np.pi / wavelength
+    return grid.spectral(lambda k2: np.exp(-1j * dz * np.sqrt(np.maximum(k * k - k2, 0.0)))
+                         * (k2 <= k * k))
 
 
 def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz: float,
@@ -77,8 +65,8 @@ def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz
     spec = spfft.fft2(u, workers=FFT_WORKERS)
     if grams is not None:
         flat = spec.reshape(-1, grid.n * grid.n)
-        outer = grid.k_squared > ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
-        edge = flat[:, outer.ravel()]
+        cut = ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
+        edge = flat[:, grid.spectral(lambda k2: k2 > cut).ravel()]
         grams.append((edge.conj() @ edge.T, flat.conj() @ flat.T))
     spec *= transfer_function(grid, wavelength, dz)
     return spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)

@@ -71,7 +71,7 @@ def random_polarized(grid, seed, wavelength=WAVELENGTH, band_limit=0.2):
 
     rng = np.random.default_rng(seed)
     k_cut = band_limit * np.pi / grid.spacing
-    keep = grid.k_squared <= k_cut ** 2
+    keep = grid.spectral(lambda k2: k2) <= k_cut ** 2
     comps = []
     for _ in range(2):
         spec = (rng.standard_normal((grid.n, grid.n))

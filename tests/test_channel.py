@@ -1,3 +1,4 @@
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +24,8 @@ from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, basis_slice, detect
 from bgqkd.fields import ScalarField
 from bgqkd.jones import ALL_LABELS, MubLabel
 from bgqkd.modes import binary_bessel_hologram, evaluate_bg, evaluate_mode, radial_factor
-from bgqkd.propagation import back_propagate_samples, obstacle_mask, transfer_function
+from bgqkd.propagation import (back_propagate_samples, obstacle_mask, propagate_samples,
+                               transfer_function)
 
 from conftest import W0, WAVELENGTH, K_R, clear_ring_caches, spin_orbit_states
 from diagnostics import dominant_oam_fraction
@@ -420,7 +422,7 @@ class TestSharedLegs:
         _, grams = channel.station_pair(bg_source, grid, (obs,), 30e-6)
         kernel = transfer_function(grid, WAVELENGTH, obs.z)
         entering = [pair, np.fft.ifft2(np.fft.fft2(pair) * kernel) * obstacle_mask(grid, obs)]
-        outer = (grid.k_squared > (0.9 * np.pi / grid.spacing) ** 2).ravel()
+        outer = (grid.spectral(lambda k2: k2) > (0.9 * np.pi / grid.spacing) ** 2).ravel()
         assert len(grams) == 2
         for got, u in zip(grams, entering):
             spec = np.fft.fft2(u).reshape(2, -1)
@@ -450,12 +452,32 @@ class TestSharedLegs:
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
 
-    def test_two_threads_match_serial_run(self, cold_leg_cache):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_threads_match_serial_run_and_carry_the_leg_once(self, monkeypatch,
+                                                              cold_leg_cache, workers):
+        # pool threads that miss the cold cache together wait for the first
+        # one's leg instead of carrying it again (more workers than cores and
+        # frequent thread switches make the race likely)
+        planes = []
+
+        def counted(u, *args, **kwargs):
+            planes.append(len(u))
+            return propagate_samples(u, *args, **kwargs)
+        monkeypatch.setattr(channel, "propagate_samples", counted)
         serial = self.run(IDEAL)
+        assert sum(planes) == 2
         channel._arrival.cache_clear()
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(
-                lambda c: scattering_matrix(c, bg_mode(1), IDEAL, self.grid), self.channels))
+        planes.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                threaded = list(pool.map(
+                    lambda c: scattering_matrix(c, bg_mode(1), IDEAL, self.grid),
+                    self.channels, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(planes) == 2
         for a, b in zip(threaded, serial):
             assert np.array_equal(a.raw, b.raw)
             assert np.array_equal(a.transmission, b.transmission)

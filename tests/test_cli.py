@@ -80,6 +80,10 @@ class TestInfo:
         assert main(["info", "--preset", "paper-bg"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "kernel sampling limit N dx^2/lambda: 0.1206 m" in lines
+        # one (2, 1024, 1024) complex128 pair; the kernel is evaluated once
+        # per distinct |k_t|^2, about n^2/10 values at n = 1024
+        assert ("field pair (2, n, n) complex: 33,554,432 bytes; kernel evaluated on "
+                "106,395 distinct |k_t|^2 of 1,048,576") in lines
         sampling = [line for line in lines if line.startswith("  sampling: ")]
         assert sampling == ["  sampling: station leg 0.166, decoding leg 2.488 x N dx^2/lambda"] * 3
         # k R dx / z for the 600 um disk at z = 0: 0.88 rad at the first station

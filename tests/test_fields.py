@@ -50,6 +50,33 @@ class TestGrid:
             g = TransverseGrid(n=n, extent=7.3e-3)
             assert np.array_equal(g.radial(lambda r: r), g.r)
 
+    def test_spectral_reproduces_per_pixel_k_squared(self):
+        for n, extent in ((64, 25.6e-6), (128, 7.3e-3), (512, 10e-3)):
+            g = TransverseGrid(n=n, extent=extent)
+            k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing)
+            kx, ky = np.meshgrid(k1, k1, indexing="xy")
+            assert np.array_equal(g.spectral(lambda k2: k2), kx ** 2 + ky ** 2)
+
+    def test_spectral_calls_f_once_on_the_distinct_values(self, grid256):
+        calls = []
+
+        def f(k2):
+            calls.append(k2)
+            return np.sqrt(k2)
+        out = grid256.spectral(f)
+        assert len(calls) == 1
+        (k2,) = calls
+        assert k2.ndim == 1 and k2.size < grid256.n ** 2 / 8
+        assert np.array_equal(k2, grid256.distinct_k_squared)
+        assert np.array_equal(k2, np.unique(grid256.spectral(lambda k2: k2)))
+        assert out.shape == (grid256.n, grid256.n)
+
+    def test_expansions_are_c_contiguous(self, grid256):
+        for out in (grid256.radial(lambda r: r), grid256.spectral(lambda k2: k2),
+                    grid256.radial(lambda r: np.exp(1j * r)),
+                    grid256.spectral(lambda k2: k2 > 0)):
+            assert out.flags.c_contiguous
+
     def test_ring_weights_are_grid_sums(self):
         for n in (64, 128):
             g = TransverseGrid(n=n, extent=7.3e-3)

@@ -13,8 +13,8 @@ from bgqkd import (
     nondiffracting_distance,
 )
 from bgqkd.propagation import (
-    _kz_and_mask,
     propagate_samples,
+    transfer_function,
 )
 
 from conftest import W0, WAVELENGTH, K_R, random_polarized
@@ -212,11 +212,19 @@ class TestChannelSpec:
         assert out.power() < f.power()
 
 
-def test_kernel_cache_stays_bounded(grid256):
-    limit = _kz_and_mask.cache_info().maxsize
-    for i in range(limit + 3):
-        _kz_and_mask(grid256, WAVELENGTH * (1.0 + 0.01 * i))
-    assert _kz_and_mask.cache_info().currsize == limit
+@pytest.mark.parametrize("n,extent", [(64, 25.6e-6), (256, 10e-3), (512, 10e-3)])
+def test_transfer_function_equals_per_pixel_kernel(n, extent):
+    # n = 64 at dx = 0.4 um has evanescent corners, which the kernel zeroes
+    grid = TransverseGrid(n=n, extent=extent)
+    k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    kx, ky = np.meshgrid(k1, k1, indexing="xy")
+    k2 = kx ** 2 + ky ** 2
+    k = 2.0 * np.pi / WAVELENGTH
+    for dz in (1e-5, 0.02, 0.3):
+        expected = np.exp(-1j * dz * np.sqrt(np.maximum(k * k - k2, 0.0))) * (k2 <= k * k)
+        kernel = transfer_function(grid, WAVELENGTH, dz)
+        assert kernel.tobytes() == expected.tobytes()
+        assert kernel.flags.c_contiguous
 
 
 class TestRayleighSommerfeldOracle:
