@@ -160,7 +160,7 @@ def cascade_detection_scalar(source: ModeSpec, grid: TransverseGrid,
                              detection: DetectionModel) -> np.ndarray:
     """The cascade receiver's scalar at the detection plane: the fiber
     Gaussian times the binary Bessel hologram (BG sources with k_r > 0)."""
-    fiber = np.exp(-(grid.r / detection.smf_waist) ** 2).astype(complex)
+    fiber = grid.radial(lambda r: np.exp(-(r / detection.smf_waist) ** 2).astype(complex))
     if source.family is ModeFamily.BG and source.k_r > 0:
         fiber *= binary_bessel_hologram(0, source.k_r, grid).samples
     return fiber
@@ -177,10 +177,9 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: 
     (g_+- = exp(+-i ell phi) BP(hologram * fiber)).
     """
     if detection.kind is DetectionKind.CASCADE:
-        g = cascade_detection_scalar(source, grid, detection)
-        return spin_orbit_pair(back_propagate_samples(g, grid, source.wavelength,
-                                                      decoding_distance), grid,
-                               abs(source.ell) or 1)
+        g = back_propagate_samples(cascade_detection_scalar(source, grid, detection), grid,
+                                   source.wavelength, decoding_distance)
+        return spin_orbit_pair(g, grid, abs(source.ell) or 1)
     return back_propagate_samples(source_pair(source, grid), grid, source.wavelength,
                                   decoding_distance)
 
@@ -353,8 +352,9 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
     band tail of each state before every free-space segment, and its power
     fraction near the grid edge at the station.
     """
-    dets = detection_states(source, grid, channel.decoding_distance, detection)
+    # the station pair first, so that no detection pair is alive while a leg is carried
     pair, band = station_pair(source, grid, channel.obstacles, channel.station_z)
+    dets = detection_states(source, grid, channel.decoding_distance, detection)
     raw = np.abs(spin_orbit_amplitudes(dets, pair, grid)) ** 2 + detection.noise_floor
     del dets  # before the state powers' window copies, beside the cached leg
     power = state_powers(pair, grid)

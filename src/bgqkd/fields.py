@@ -6,6 +6,7 @@ exactly. Polarization is carried as spin-orbit coefficients on a pair of
 scalar OAM fields (see channel).
 
 All objects are immutable after construction; operations are pure functions.
+A grid keeps no n x n plane, only its axis and quadrant-sized folds.
 """
 
 from __future__ import annotations
@@ -48,19 +49,15 @@ class TransverseGrid:
         """1-D sample coordinates (m), shared by both axes."""
         return (np.arange(self.n) - self.n // 2) * self.spacing
 
-    @cached_property
-    def xy(self) -> tuple[np.ndarray, np.ndarray]:
-        x, y = np.meshgrid(self.axis, self.axis, indexing="xy")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        return x, y
-
-    @cached_property
+    @property
     def r(self) -> np.ndarray:
-        x, y = self.xy
-        r = np.hypot(x, y)
-        r.setflags(write=False)
-        return r
+        """Radius of every sample (m), built per call; `radial` evaluates f(r)."""
+        return np.hypot(self.axis[None, :], self.axis[:, None])
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Azimuth of every sample (rad), built per call like `r`."""
+        return np.arctan2(self.axis[:, None], self.axis[None, :])
 
     @cached_property
     def _radial_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,13 +100,6 @@ class TransverseGrid:
                 + 1j * np.bincount(index, w.imag, radii.size))
 
     @cached_property
-    def phi(self) -> np.ndarray:
-        x, y = self.xy
-        p = np.arctan2(y, x)
-        p.setflags(write=False)
-        return p
-
-    @cached_property
     def _spectral_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # fftfreq's entries at j and n - j are exact negatives, so |k_t|^2 on
         # the grid is its (n/2+1)^2 quadrant over k[0..n/2] at min(j, n - j)
@@ -132,37 +122,33 @@ class TransverseGrid:
         return self._spectral_index[0]
 
 
-def _freeze(samples: np.ndarray, n: int) -> np.ndarray:
-    arr = np.array(samples, dtype=np.complex128)  # one fresh copy, also of real samples
-    if arr.shape != (n, n):
-        raise ValueError(f"samples must have shape ({n}, {n}), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ScalarField:
-    """Complex scalar amplitude sampled on a TransverseGrid."""
+    """Complex scalar amplitude sampled on a TransverseGrid.
+
+    The samples are read-only: an owned C-ordered complex128 array is frozen
+    in place, so the caller's array becomes read-only too; anything else is
+    copied to one (a conversion, or a view, whose base stays writable).
+    """
 
     grid: TransverseGrid
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _freeze(self.samples, self.grid.n))
+        samples, n = np.require(self.samples, np.complex128, "COE"), self.grid.n
+        if samples.shape != (n, n):
+            raise ValueError(f"samples must have shape ({n}, {n}), got {samples.shape}")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
 
     def power(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) * self.grid.pixel_area)
 
     def normalized(self) -> "ScalarField":
-        return unit_power_field(self.grid, self.samples)
+        p = self.power()
+        if p == 0.0:
+            raise ValueError("cannot normalize a zero field")
+        return ScalarField(self.grid, self.samples / np.sqrt(p))
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.samples) ** 2
-
-
-def unit_power_field(grid: TransverseGrid, samples: np.ndarray) -> ScalarField:
-    """ScalarField(grid, samples).normalized(), building one field instead of two."""
-    p = float(np.sum(np.abs(samples) ** 2) * grid.pixel_area)
-    if p == 0.0:
-        raise ValueError("cannot normalize a zero field")
-    return ScalarField(grid, samples / np.sqrt(p))

@@ -1,9 +1,9 @@
 """The paper's spin-orbit recipe: the eight state labels, the wave plates
 around the q = ell/2 plate that prepare each from an H-polarized photon, their
 four-dimensional spin-orbit vectors, the OAM pair the engine carries (one
-(2, n, n) array), and the mutual-unbiasedness check. The per-pixel Jones
-trains that realize the recipe on grid fields are the tests' reference
-(tests/polarized_oracle.py).
+(2, n, n) array) and its vortex turn, and the mutual-unbiasedness check. The
+per-pixel Jones trains that realize the recipe on grid fields are the tests'
+reference (tests/polarized_oracle.py).
 """
 
 from __future__ import annotations
@@ -113,6 +113,12 @@ SPIN_ORBIT: np.ndarray = np.stack([mub_state_vector(l) for l in ALL_LABELS])
 SPIN_ORBIT.setflags(write=False)
 
 
+def vortex_turn(grid: TransverseGrid, ell: int) -> np.ndarray:
+    """exp(i ell phi) on `grid`: one n x n plane, the azimuth only transient."""
+    turn = np.empty((grid.n, grid.n), dtype=complex)
+    return np.exp(np.multiply(1j * ell, grid.phi, out=turn), out=turn)
+
+
 def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> np.ndarray:
     """The unit-power OAM scalars profile * exp(+-i ell phi), on-axis sample
     removed, as one (2, n, n) array on `grid`.
@@ -123,9 +129,10 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     (p_k) = (R, R, L, L), the rows of SPIN_ORBIT being mub_state_vector of
     ALL_LABELS.
     """
-    u = np.where(grid.r == 0.0, 0.0, profile)
-    u = u / np.sqrt(np.sum(np.abs(u) ** 2) * grid.pixel_area)
-    turn = np.exp(1j * ell * grid.phi)
+    u = np.array(profile, dtype=complex)
+    u[grid.n // 2, grid.n // 2] = 0.0  # the one sample at r = 0
+    u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid.pixel_area)
+    turn = vortex_turn(grid, ell)
     pair = np.empty((2, grid.n, grid.n), dtype=complex)
     np.multiply(u, turn, out=pair[0])
     # conj(turn) * u, the operand order (and rounding) of numpy's elided u * turn.conj()

@@ -102,8 +102,8 @@ class ObstacleSpec:
 def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:
     # config validation enforces that every obstacle fits inside the grid;
     # the mask itself is defined for any radius (an oversized disk blocks all)
-    x, y = grid.xy
-    return (np.hypot(x - obs.center[0], y - obs.center[1]) >= obs.radius).astype(float)
+    x, y = grid.axis - obs.center[0], grid.axis - obs.center[1]
+    return (np.hypot(x[None, :], y[:, None]) >= obs.radius).astype(float)
 
 
 @dataclass(frozen=True)

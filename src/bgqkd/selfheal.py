@@ -24,7 +24,7 @@ from .channel import (
     state_powers,
 )
 from .fields import TransverseGrid
-from .jones import ALL_LABELS, MubLabel
+from .jones import ALL_LABELS, MubLabel, vortex_turn
 from .modes import ModeSpec
 from .propagation import (
     FFT_WORKERS,
@@ -81,25 +81,36 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     for z in z_stations:
         if z < station:
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
+    cascade = detection.kind is DetectionKind.CASCADE
+    n, area = grid.n, grid.pixel_area
     pair = source_pair(source, grid)
+    # conj spectra of the detection-plane scalars; the ideal projector is the source pair
+    probes = cascade_detection_scalar(source, grid, detection)[None] if cascade else pair.copy()
+    probes = spfft.fft2(probes, overwrite_x=True, workers=FFT_WORKERS).reshape(len(probes), -1)
+    np.conj(probes, out=probes)
     free = propagate_samples(pair, grid, source.wavelength, station)
-    blocked = free if obs is None else free * obstacle_mask(grid, obs)
-    power = float(state_powers(blocked, grid)[j])
+    del pair
+    mask = None if obs is None else obstacle_mask(grid, obs)
+    power = float(state_powers(free if mask is None else free * mask, grid)[j])
 
     # Station-plane spectra, rows [b, s, s'] for b in (blocked, free):
     # conj(t_s) u_s' with t_+- = exp(+-i ell phi), on which the turned cascade
     # scalar and the demodulated axial sample project; ideal detection
-    # projects the pair u_s' itself, rows 8 + [b, s'].
-    n, area = grid.n, grid.pixel_area
+    # projects the pair u_s' itself, rows 8 + [b, s']. The pair is gone; the
+    # free rows come first, then the blocked field is masked in place of free.
     scale = area / n ** 2  # <a|b> = scale * sum_k conj(a^) b^
-    turn = np.exp(1j * ell * grid.phi)
-    cascade = detection.kind is DetectionKind.CASCADE
+    turn = vortex_turn(grid, ell)
     targets = np.empty((8 if cascade else 12, n, n), dtype=complex)
-    for b, station_pair in enumerate((blocked, free)):
-        for s, t in enumerate((turn.conj(), turn)):
-            np.multiply(t, station_pair, out=targets[4 * b + 2 * s:4 * b + 2 * s + 2])
+    for b in (1, 0):
+        if b == 0 and mask is not None:
+            np.multiply(free, mask, out=free)
+        block = targets[4 * b:4 * b + 4]
+        np.multiply(np.conj(turn, out=block[1]), free[0], out=block[0])
+        np.multiply(block[1], free[1], out=block[1])
+        np.multiply(turn, free, out=block[2:])
         if not cascade:
-            targets[8 + 2 * b:10 + 2 * b] = station_pair
+            targets[8 + 2 * b:10 + 2 * b] = free
+    del free, mask, turn
     centres = targets[:8, n // 2, n // 2].copy()  # before the transform overwrites them
     targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(len(targets), -1)
     # The adjoint train ends on the H polarizer, so the demodulated axial
@@ -108,18 +119,14 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     # demodulated). That sample's spectrum is the checkerboard (-1)^(kx + ky).
     sign = (-1.0) ** np.arange(n)
     axis = np.outer(sign, sign).ravel()
-    if cascade:
-        probes = cascade_detection_scalar(source, grid, detection)[None]
-    else:  # the ideal projector is the source pair at the detection plane
-        probes = pair
-    probes = spfft.fft2(probes, workers=FFT_WORKERS).reshape(len(probes), -1).conj()
 
     rows = []
     for z in z_stations:
         leg = z - station
         kernel = transfer_function(grid, source.wavelength, leg).ravel()
-        dets = probes * kernel  # conj spectra of the detection scalars carried back over L
         axial = (axis * kernel) @ targets[:8].T * scale
+        dets = probes * kernel  # conj spectra of the detection scalars carried back over L
+        del kernel  # and dets below: one station's planes at a time
         overlaps = dets @ targets.T * scale
         if cascade:
             # spin_orbit_pair drops the centre sample d(0) of the back-propagated
@@ -138,4 +145,5 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
         # vortex nulls that hold only rounding, so their ratio is undefined
         rows.append((z, p_obs / p_free, power,
                      a_obs / a_free if leg > 0 and a_free > 0 else np.nan))
+        del dets
     return rows

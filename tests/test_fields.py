@@ -209,3 +209,62 @@ def test_zero_field_cannot_be_normalized():
     g = TransverseGrid(n=64, extent=1e-3)
     with pytest.raises(ValueError, match="zero field"):
         ScalarField(g, np.zeros((64, 64))).normalized()
+
+
+class TestFreeze:
+    """ScalarField freezes an owned complex array in place and copies the rest."""
+
+    grid = TransverseGrid(n=64, extent=1e-3)
+
+    def samples(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+
+    def test_owned_complex_array_is_frozen_in_place(self):
+        a = self.samples()
+        f = ScalarField(self.grid, a)
+        assert f.samples is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
+    def test_real_samples_are_converted_and_the_input_left_writable(self):
+        a = self.samples().real.copy()
+        f = ScalarField(self.grid, a)
+        assert f.samples.dtype == np.complex128 and not f.samples.flags.writeable
+        assert a.flags.writeable
+        a[0, 0] += 1.0
+        assert f.samples[0, 0] != a[0, 0]
+
+    def test_view_is_copied(self):
+        base = np.stack([self.samples(1), self.samples(2)])
+        f = ScalarField(self.grid, base[1])
+        assert not np.shares_memory(f.samples, base)
+        assert base.flags.writeable
+        before = f.samples.copy()
+        base[1] = 0.0  # a write through the base cannot reach the field
+        assert np.array_equal(f.samples, before)
+
+    def test_fortran_ordered_samples_are_copied_to_c_order(self):
+        a = np.asfortranarray(self.samples())
+        f = ScalarField(self.grid, a)
+        assert f.samples.flags.c_contiguous and a.flags.writeable
+        assert np.array_equal(f.samples, a)
+
+    def test_read_only_samples(self):
+        a = self.samples()
+        a.setflags(write=False)
+        assert ScalarField(self.grid, a).samples is a  # owned: shared as it is
+        base = self.samples(3)
+        view = base[:, :]
+        view.setflags(write=False)
+        f = ScalarField(self.grid, view)
+        assert not np.shares_memory(f.samples, base)  # its base is still writable
+        base[:] = 0.0
+        assert np.array_equal(f.samples, self.samples(3))
+
+    def test_wrong_shape_rejected_without_freezing(self):
+        a = np.zeros((32, 64), dtype=complex)
+        with pytest.raises(ValueError, match="shape"):
+            ScalarField(self.grid, a)
+        assert a.flags.writeable

@@ -178,7 +178,7 @@ class TestObstacle:
         obs = ObstacleSpec(radius=300e-6, center=(1e-3, 0.0))
         out = apply_obstacle(f, obs)
         assert 0 < out.power() < f.power()
-        x, y = grid256.xy
+        x, y = np.meshgrid(grid256.axis, grid256.axis, indexing="xy")
         blocked = np.hypot(x - 1e-3, y) < 300e-6
         assert np.all(out.h.samples[blocked] == 0)
 

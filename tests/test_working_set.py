@@ -1,0 +1,71 @@
+"""Working-set bounds of the engine, in n x n complex planes (16 n^2 bytes).
+
+Each bound is the traced (tracemalloc) peak of one call from a cold leg cache
+on a fresh n = 256 grid, with about half a plane of headroom over what the
+engine needs: the scan's 8 station-plane spectra beside the station field,
+the probe spectrum, the vortex turn and the mask; the scattering matrix's
+shared leg and masked pair beside one detection pair being built. The grid
+itself keeps no n x n plane.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from bgqkd import ObstacleSpec, TransverseGrid, channel, selfheal_scan
+from bgqkd.channel import DetectionKind, DetectionModel, scattering_matrix
+from bgqkd.jones import ALL_LABELS
+from bgqkd.propagation import ChannelSpec
+
+N = 256
+PLANE = 16 * N * N
+CASCADE = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=4e-4)
+STATIONS = [0.0517, 0.1293, 0.2586, 0.3879, 0.5171]  # paper-selfheal-bg
+
+
+@pytest.fixture
+def grid():
+    """A fresh grid, with the shared-leg cache cleared before and after."""
+    channel._arrival.cache_clear()
+    yield TransverseGrid(n=N, extent=10e-3)
+    channel._arrival.cache_clear()
+
+
+def traced_peak_planes(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / PLANE
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("source", ["bg_source", "lg_source"])
+def test_cascade_selfheal_scan_peak(request, grid, source):
+    src = request.getfixturevalue(source)
+    obs = ObstacleSpec(radius=600e-6, z=0.0)
+    peak = traced_peak_planes(
+        lambda: selfheal_scan(src, ALL_LABELS[0], obs, STATIONS, grid, CASCADE))
+    assert peak < 13.5, f"{peak:.2f} planes"
+
+
+@pytest.mark.parametrize("source", ["bg_source", "lg_source"])
+def test_masked_scattering_matrix_peak(request, grid, source):
+    src = request.getfixturevalue(source)
+    link = ChannelSpec(length=0.32, obstacles=(ObstacleSpec(radius=600e-6, z=0.02),),
+                       station_z=0.02)
+    peak = traced_peak_planes(lambda: scattering_matrix(link, src, CASCADE, grid))
+    assert peak < 10.0, f"{peak:.2f} planes"
+
+
+def test_grid_keeps_no_plane_after_a_run(grid, bg_source):
+    link = ChannelSpec(length=0.32, obstacles=(ObstacleSpec(radius=600e-6, z=0.02),),
+                       station_z=0.02)
+    scattering_matrix(link, bg_source, CASCADE, grid)
+    selfheal_scan(bg_source, ALL_LABELS[0], ObstacleSpec(radius=600e-6, z=0.0), STATIONS[:2],
+                  grid, CASCADE)
+    grid.ring_weights(1)
+    for name, value in vars(grid).items():
+        for a in value if isinstance(value, tuple) else (value,):
+            assert not (isinstance(a, np.ndarray) and a.size >= N * N), name
