@@ -188,15 +188,11 @@ def spin_orbit_amplitudes(dets: np.ndarray, pair: np.ndarray, grid: TransverseGr
                           window=np.s_[:, :]) -> np.ndarray:
     """8 x 8 amplitudes <d_j|f_i> at [i, j] (over the sample window) for the
     prepared states carried by `pair` and the detection states carried by
-    `dets`, both (2, n, n) on `grid`."""
+    `dets`, both (2, n, n) on `grid`, from the pairs' 2 x 2 overlaps
+    G[s, s'] = <g_s|u_s'>."""
     x = dets[(..., *window)].reshape(2, -1)
     y = x if pair is dets else pair[(..., *window)].reshape(2, -1)
-    return gram_amplitudes(x.conj() @ y.T * grid.pixel_area)
-
-
-def gram_amplitudes(gram: np.ndarray) -> np.ndarray:
-    """8 x 8 amplitudes <d_j|f_i> at [i, j] from the pairs' 2 x 2 overlaps
-    G[s, s'] = <g_s|u_s'>."""
+    gram = x.conj() @ y.T * grid.pixel_area
     return SPIN_ORBIT @ np.kron(np.eye(2), gram).T @ SPIN_ORBIT.conj().T
 
 

@@ -113,9 +113,10 @@ SPIN_ORBIT: np.ndarray = np.stack([mub_state_vector(l) for l in ALL_LABELS])
 SPIN_ORBIT.setflags(write=False)
 
 
-def vortex_turn(grid: TransverseGrid, ell: int) -> np.ndarray:
-    """exp(i ell phi) on `grid`: one n x n plane, the azimuth only transient."""
-    turn = np.empty((grid.n, grid.n), dtype=complex)
+def vortex_turn(grid: TransverseGrid, ell: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(i ell phi) on `grid`: one n x n complex plane, `out` if given, the
+    azimuth only transient."""
+    turn = np.empty((grid.n, grid.n), dtype=complex) if out is None else out
     return np.exp(np.multiply(1j * ell, grid.phi, out=turn), out=turn)
 
 
@@ -132,11 +133,11 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     u = np.array(profile, dtype=complex)
     u[grid.n // 2, grid.n // 2] = 0.0  # the one sample at r = 0
     u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid.pixel_area)
-    turn = vortex_turn(grid, ell)
     pair = np.empty((2, grid.n, grid.n), dtype=complex)
-    np.multiply(u, turn, out=pair[0])
+    turn = vortex_turn(grid, ell, out=pair[0])
     # conj(turn) * u, the operand order (and rounding) of numpy's elided u * turn.conj()
     np.multiply(np.conj(turn, out=pair[1]), u, out=pair[1])
+    np.multiply(u, turn, out=turn)
     return pair
 
 

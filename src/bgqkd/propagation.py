@@ -58,11 +58,24 @@ def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz
     free space (u itself at dz = 0). With a list `grams`, the stack's band
     Gram matrices over the outer band annulus and over all of k-space, read
     off its spectrum before the kernel multiply, are appended to it."""
+    return _propagate(u, grid, wavelength, dz, grams, overwrite=False)
+
+
+def back_propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float,
+                           dz: float) -> np.ndarray:
+    """Reverse-direction transport via conjugation: U(-dz) = conj(U(dz) conj(.)).
+    The conjugate is a fresh array, so it is transformed in place."""
+    out = _propagate(np.conj(u), grid, wavelength, dz, None, overwrite=True)
+    return np.conj(out, out=out)
+
+
+def _propagate(u, grid, wavelength, dz, grams, overwrite):
+    """propagate_samples; with `overwrite`, the transform may reuse u's memory."""
     if dz < 0:
         raise ValueError("dz must be >= 0; use back_propagate_samples for the reverse direction")
     if dz == 0.0:
         return u
-    spec = spfft.fft2(u, workers=FFT_WORKERS)
+    spec = spfft.fft2(u, overwrite_x=overwrite, workers=FFT_WORKERS)
     if grams is not None:
         flat = spec.reshape(-1, grid.n * grid.n)
         cut = ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
@@ -70,13 +83,6 @@ def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz
         grams.append((edge.conj() @ edge.T, flat.conj() @ flat.T))
     spec *= transfer_function(grid, wavelength, dz)
     return spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)
-
-
-def back_propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float,
-                           dz: float) -> np.ndarray:
-    """Reverse-direction transport via conjugation: U(-dz) = conj(U(dz) conj(.))."""
-    out = propagate_samples(np.conj(u), grid, wavelength, dz)
-    return np.conj(out, out=out)
 
 
 # ---------------------------------------------------------------------------

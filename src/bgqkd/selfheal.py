@@ -19,12 +19,10 @@ from .channel import (
     DetectionKind,
     DetectionModel,
     cascade_detection_scalar,
-    gram_amplitudes,
     source_pair,
-    state_powers,
 )
 from .fields import TransverseGrid
-from .jones import ALL_LABELS, MubLabel, vortex_turn
+from .jones import ALL_LABELS, SPIN_ORBIT, MubLabel, vortex_turn
 from .modes import ModeSpec
 from .propagation import (
     FFT_WORKERS,
@@ -72,7 +70,9 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     propagation, so the overlap of a detection-plane scalar a, carried back
     over L, with a station-plane field b is the spectral sum
     <BP_L a|b> = dA / N^2 sum_k conj(a^) K_L b^, K_L = transfer_function(L).
-    The spectra are taken once per scan; a station costs one K_L and a few
+    The matched amplitude is linear in the station pair, so state j's weights
+    are contracted before the transform: 2 station-plane spectra (6 for ideal
+    detection) are taken once per scan, and a station costs one K_L and a few
     such sums.
     """
     ell = abs(source.ell) or 1
@@ -90,60 +90,57 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     np.conj(probes, out=probes)
     free = propagate_samples(pair, grid, source.wavelength, station)
     del pair
-    mask = None if obs is None else obstacle_mask(grid, obs)
-    power = float(state_powers(free if mask is None else free * mask, grid)[j])
+    mask = 1.0 if obs is None else obstacle_mask(grid, obs)
 
-    # Station-plane spectra, rows [b, s, s'] for b in (blocked, free):
-    # conj(t_s) u_s' with t_+- = exp(+-i ell phi), on which the turned cascade
-    # scalar and the demodulated axial sample project; ideal detection
-    # projects the pair u_s' itself, rows 8 + [b, s']. The pair is gone; the
-    # free rows come first, then the blocked field is masked in place of free.
-    scale = area / n ** 2  # <a|b> = scale * sum_k conj(a^) b^
-    turn = vortex_turn(grid, ell)
-    targets = np.empty((8 if cascade else 12, n, n), dtype=complex)
-    for b in (1, 0):
-        if b == 0 and mask is not None:
-            np.multiply(free, mask, out=free)
-        block = targets[4 * b:4 * b + 4]
-        np.multiply(np.conj(turn, out=block[1]), free[0], out=block[0])
-        np.multiply(block[1], free[1], out=block[1])
-        np.multiply(turn, free, out=block[2:])
-        if not cascade:
-            targets[8 + 2 * b:10 + 2 * b] = free
-    del free, mask, turn
-    centres = targets[:8, n // 2, n // 2].copy()  # before the transform overwrites them
-    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(len(targets), -1)
+    # <d_j|f_j> = sum_{s,s'} M[s, s'] <g_s|u_s'> with M = a^H a, a[p, s] =
+    # SPIN_ORBIT[j, (p, s)]: ideal detection projects g_s on Y_s = sum_s'
+    # M[s, s'] u_s', the cascade's turned scalar and the demodulated axial
+    # sample project on X = sum_s conj(t_s) Y_s, t_+- = exp(+-i ell phi).
+    # Rows per field, free then blocked (free times the mask): Y_+, Y_-, X
+    # (ideal) or X (cascade, built from Y in both fields' rows).
+    a = SPIN_ORBIT[j].reshape(2, 2)
+    k = 1 if cascade else 3
+    targets = np.empty((2 * k, n, n), dtype=complex)
+    np.matmul(a.conj().T @ a, free.reshape(2, -1), out=targets[:2].reshape(2, -1))
+    free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
+    power = float(np.vdot(free, targets[:2]).real * area)
+    del free
+    turn = vortex_turn(grid, ell)  # conj(t_-)
+    np.multiply(targets[1], turn, out=targets[k])
+    np.multiply(targets[0], np.conj(turn, out=turn), out=targets[k - 1])
+    targets[k - 1] += targets[k]
+    del turn
+    np.multiply(targets[:k], mask, out=targets[k:])
+    del mask
+    centres = targets[k - 1::k, n // 2, n // 2].copy()  # before the transform overwrites them
+    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(2, k, -1)
     # The adjoint train ends on the H polarizer, so the demodulated axial
     # amplitude after the leg is the projection on state j built from the
     # back-propagated axial sample (no vpoint null: every pixel is
     # demodulated). That sample's spectrum is the checkerboard (-1)^(kx + ky).
     sign = (-1.0) ** np.arange(n)
     axis = np.outer(sign, sign).ravel()
+    scale = area / n ** 2  # <a|b> = scale * sum_k conj(a^) b^
 
     rows = []
     for z in z_stations:
         leg = z - station
         kernel = transfer_function(grid, source.wavelength, leg).ravel()
-        axial = (axis * kernel) @ targets[:8].T * scale
+        axial = targets[:, -1] @ (axis * kernel) * scale
         dets = probes * kernel  # conj spectra of the detection scalars carried back over L
         del kernel  # and dets below: one station's planes at a time
-        overlaps = dets @ targets.T * scale
+        amps = targets.reshape(2, -1)[:, :dets.size] @ dets.ravel() * scale
         if cascade:
             # spin_orbit_pair drops the centre sample d(0) of the back-propagated
             # scalar d (<d|delta_0> = conj(d(0)) dA); the unit power it then
             # scales d to cancels in the fidelity ratio
-            centre = dets[0] @ axis * scale
-            grams = (overlaps[0] - centre * centres).reshape(2, 2, 2)
-        else:
-            grams = overlaps[:, 8:].reshape(2, 2, 2).transpose(1, 0, 2)
-        (p_obs, a_obs), (p_free, a_free) = (
-            [abs(gram_amplitudes(g)[j, j]) ** 2 for g in (det, ax)]
-            for det, ax in zip(grams, axial.reshape(2, 2, 2)))
+            amps -= dets[0] @ axis * scale * centres
+        del dets
+        (p_free, p_obs), (a_free, a_obs) = np.abs(amps) ** 2, np.abs(axial) ** 2
         if p_free <= 0:
             raise ValueError("free-space detection probability vanished; check the geometry")
         # with no leg the axial amplitudes are the pair's centre samples,
         # vortex nulls that hold only rounding, so their ratio is undefined
         rows.append((z, p_obs / p_free, power,
                      a_obs / a_free if leg > 0 and a_free > 0 else np.nan))
-        del dets
     return rows

@@ -107,7 +107,9 @@ def test_scan_monotone_on_axis_recovery(grid512, bg_source):
     (ObstacleSpec(radius=400e-6, center=(500e-6, -300e-6), z=0.1), 6e-3),
     (None, 10e-3),
 ], ids=["centred-z0", "off-centre-z0.1", "no-obstacle"])
-@pytest.mark.parametrize("label", ["psi00", "phi01"])
+# every label: phi00 and phi10 weigh only u_-, phi01 and phi11 only u_+, and
+# psi01 and psi11 carry a sign on one of their two components
+@pytest.mark.parametrize("label", [str(label) for label in ALL_LABELS])
 def test_scan_matches_direct_space_receiver(bg_source, detection, obs, extent, label):
     grid = TransverseGrid(n=256, extent=extent)
     station = obs.z if obs is not None else 0.0
@@ -180,3 +182,14 @@ def test_scan_cost_does_not_grow_with_stations(monkeypatch, grid256, bg_source):
             costs.append((sum(f[0] for f in ffts), holograms[0]))
     assert costs[0] == costs[1]
     assert costs[0][1] == 1  # the cascade's hologram, once
+
+
+@pytest.mark.parametrize("detection,planes", [(CASCADE, 5), (IDEAL, 10)],
+                         ids=["cascade", "ideal"])
+def test_scan_forward_transform_planes(fft_planes, grid256, bg_source, detection, planes):
+    # the detection-plane scalars (1 cascade, 2 ideal), the pair's leg to the
+    # station (2) and the station planes, contracted on the matched state
+    # before the transform (1 per field cascade, 3 ideal)
+    obs = ObstacleSpec(radius=600e-6, z=0.05)
+    selfheal_scan(bg_source, L("phi11"), obs, [0.1, 0.2, 0.3], grid256, detection)
+    assert fft_planes["fft2"] == planes

@@ -2,10 +2,12 @@
 
 Each bound is the traced (tracemalloc) peak of one call from a cold leg cache
 on a fresh n = 256 grid, with about half a plane of headroom over what the
-engine needs: the scan's 8 station-plane spectra beside the station field,
-the probe spectrum, the vortex turn and the mask; the scattering matrix's
-shared leg and masked pair beside one detection pair being built. The grid
-itself keeps no n x n plane.
+engine needs. A scan contracts the matched state's weights before its
+transform, so its station-plane spectra are 2 (cascade) or 6 (ideal) planes;
+each station adds its kernel and the detection spectra carried back by it.
+A scattering matrix holds the shared leg and the masked pair beside one
+detection pair being built, whose back-propagation transforms its own
+conjugate in place. The grid itself keeps no n x n plane.
 """
 
 import tracemalloc
@@ -21,6 +23,7 @@ from bgqkd.propagation import ChannelSpec
 N = 256
 PLANE = 16 * N * N
 CASCADE = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=4e-4)
+IDEAL = DetectionModel(DetectionKind.IDEAL, noise_floor=4e-4)
 STATIONS = [0.0517, 0.1293, 0.2586, 0.3879, 0.5171]  # paper-selfheal-bg
 
 
@@ -41,22 +44,40 @@ def traced_peak_planes(run) -> float:
         tracemalloc.stop()
 
 
+def scan_peak(src, grid, detection) -> float:
+    obs = ObstacleSpec(radius=600e-6, z=0.0)
+    return traced_peak_planes(
+        lambda: selfheal_scan(src, ALL_LABELS[0], obs, STATIONS, grid, detection))
+
+
+def masked_matrix_peak(src, grid, detection) -> float:
+    link = ChannelSpec(length=0.32, obstacles=(ObstacleSpec(radius=600e-6, z=0.02),),
+                       station_z=0.02)
+    return traced_peak_planes(lambda: scattering_matrix(link, src, detection, grid))
+
+
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
 def test_cascade_selfheal_scan_peak(request, grid, source):
-    src = request.getfixturevalue(source)
-    obs = ObstacleSpec(radius=600e-6, z=0.0)
-    peak = traced_peak_planes(
-        lambda: selfheal_scan(src, ALL_LABELS[0], obs, STATIONS, grid, CASCADE))
-    assert peak < 13.5, f"{peak:.2f} planes"
+    peak = scan_peak(request.getfixturevalue(source), grid, CASCADE)
+    assert peak < 6.5, f"{peak:.2f} planes"
+
+
+@pytest.mark.parametrize("source", ["bg_source", "lg_source"])
+def test_ideal_selfheal_scan_peak(request, grid, source):
+    peak = scan_peak(request.getfixturevalue(source), grid, IDEAL)
+    assert peak < 12.4, f"{peak:.2f} planes"
 
 
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
 def test_masked_scattering_matrix_peak(request, grid, source):
-    src = request.getfixturevalue(source)
-    link = ChannelSpec(length=0.32, obstacles=(ObstacleSpec(radius=600e-6, z=0.02),),
-                       station_z=0.02)
-    peak = traced_peak_planes(lambda: scattering_matrix(link, src, CASCADE, grid))
-    assert peak < 10.0, f"{peak:.2f} planes"
+    peak = masked_matrix_peak(request.getfixturevalue(source), grid, CASCADE)
+    assert peak < 9.5, f"{peak:.2f} planes"
+
+
+@pytest.mark.parametrize("source", ["bg_source", "lg_source"])
+def test_ideal_masked_scattering_matrix_peak(request, grid, source):
+    peak = masked_matrix_peak(request.getfixturevalue(source), grid, IDEAL)
+    assert peak < 10.4, f"{peak:.2f} planes"
 
 
 def test_grid_keeps_no_plane_after_a_run(grid, bg_source):
