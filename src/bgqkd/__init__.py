@@ -11,8 +11,6 @@ from .modes import (
     ModeFamily,
     ModeSpec,
     binary_bessel_hologram,
-    evaluate_bg,
-    evaluate_lg,
     nondiffracting_distance,
     shadow_length,
 )
@@ -40,7 +38,7 @@ from .security import (
     qber_from_matrix,
     security_report,
 )
-from .selfheal import SelfHealingResult, self_healing_fidelity, selfheal_scan
+from .selfheal import selfheal_scan
 from .errors import ConfigError, UnsupportedModeError
 
 __version__ = "0.1.0"

@@ -40,9 +40,9 @@ from enum import Enum
 import numpy as np
 
 from .analysis import interior_window
-from .fields import ScalarField, TransverseGrid
+from .fields import TransverseGrid
 from .jones import ALL_LABELS, SPIN_ORBIT, spin_orbit_pair
-from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, evaluate_mode, radial_factor
+from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
     ChannelSpec,
     ObstacleSpec,
@@ -79,8 +79,8 @@ class DetectionModel:
             raise ValueError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
 
 
-def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> ScalarField:
-    """Unit-power ell = 0 radial profile of the given mode family."""
+def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
+    """Unit-power ell = 0 radial profile of the given mode family, (n, n)."""
     spec = ModeSpec(
         family=source.family,
         ell=0,
@@ -88,7 +88,8 @@ def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> ScalarField:
         wavelength=source.wavelength,
         k_r=source.k_r if source.family is ModeFamily.BG else 0.0,
     )
-    return evaluate_mode(spec, grid)
+    s = grid.radial(functools.partial(radial_factor, spec))
+    return s / np.sqrt(float(np.sum(np.abs(s) ** 2) * grid.pixel_area))
 
 
 def _unit_on_rings(f: np.ndarray, grid: TransverseGrid) -> np.ndarray:
@@ -153,7 +154,7 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
 
 def source_pair(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
     """The prepared states' OAM pair u_+- at the channel input, (2, n, n)."""
-    return spin_orbit_pair(heralded_profile(source, grid).samples, grid, abs(source.ell) or 1)
+    return spin_orbit_pair(heralded_profile(source, grid), grid, abs(source.ell) or 1)
 
 
 def cascade_detection_scalar(source: ModeSpec, grid: TransverseGrid,
@@ -162,7 +163,7 @@ def cascade_detection_scalar(source: ModeSpec, grid: TransverseGrid,
     Gaussian times the binary Bessel hologram (BG sources with k_r > 0)."""
     fiber = grid.radial(lambda r: np.exp(-(r / detection.smf_waist) ** 2).astype(complex))
     if source.family is ModeFamily.BG and source.k_r > 0:
-        fiber *= binary_bessel_hologram(0, source.k_r, grid).samples
+        fiber *= binary_bessel_hologram(source.k_r, grid)
     return fiber
 
 

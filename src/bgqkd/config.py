@@ -37,16 +37,6 @@ _LENGTH_UNITS = {
 _WAVENUMBER_UNITS = {"rad/m": 1.0, "rad/mm": 1e3}
 
 
-def parse_length(value: Any, path: str) -> float:
-    """A length in metres: plain number (SI) or string with a unit suffix."""
-    return _value(value, path, Key("length"))
-
-
-def parse_wavenumber(value: Any, path: str) -> float:
-    """A radial wave number in rad/m: plain number or 'N rad/m' / 'N rad/mm'."""
-    return _value(value, path, Key("wave number"))
-
-
 _UNITS = {"length": _LENGTH_UNITS, "wave number": _WAVENUMBER_UNITS}
 _TYPES = {"number": (int, float), "length": (int, float, str), "wave number": (int, float, str),
           "integer": int, "text": str}

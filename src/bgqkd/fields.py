@@ -50,13 +50,8 @@ class TransverseGrid:
         return (np.arange(self.n) - self.n // 2) * self.spacing
 
     @property
-    def r(self) -> np.ndarray:
-        """Radius of every sample (m), built per call; `radial` evaluates f(r)."""
-        return np.hypot(self.axis[None, :], self.axis[:, None])
-
-    @property
     def phi(self) -> np.ndarray:
-        """Azimuth of every sample (rad), built per call like `r`."""
+        """Azimuth of every sample (rad), built per call."""
         return np.arctan2(self.axis[:, None], self.axis[None, :])
 
     @cached_property
@@ -64,7 +59,8 @@ class TransverseGrid:
         # The axis values at offsets -m and +m from the centre are exact
         # negatives, so |axis[j]| = q[|j - n/2|] with q[m] = |axis[n/2 - m]|,
         # m = 0..n/2. The (n/2+1)^2 quadrant hypot(q, q) therefore holds
-        # every radius, each from the same hypot as `r`.
+        # every radius, each from the same hypot as a per-pixel
+        # hypot(axis[None, :], axis[:, None]).
         h = self.n // 2
         q = np.abs(self.axis[:h + 1])[::-1]
         radii, inverse = np.unique(np.hypot(q[None, :], q[:, None]), return_inverse=True)
@@ -74,7 +70,8 @@ class TransverseGrid:
     def radial(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(r) on the grid, with f called once on the 1-D array of distinct radii.
 
-        f must act elementwise; the result equals f(self.r) bit for bit.
+        f must act elementwise; the result equals f of the per-pixel radius
+        hypot(axis[None, :], axis[:, None]) bit for bit.
         """
         radii, inverse, fold = self._radial_index
         # take fills the grid in C order; [fold][:, fold] would be Fortran-ordered

@@ -1,9 +1,12 @@
-"""Analytic transverse modes: Bessel-Gaussian, Laguerre-Gaussian (p = 0), the
-binary Bessel hologram, and the BG range formulas.
+"""Transverse modes at the source plane: the radial factor of a
+Bessel-Gaussian or Laguerre-Gaussian (p = 0) mode, the ell = 0 binary Bessel
+hologram, and the BG range formulas.
 
-Conventions: forward propagation carries exp(-i k_z z); all evaluated modes
-are numerically unit-normalized on their grid (the closed-form prefactor does
-not normalize a Gaussian-apodized mode on a finite window).
+A mode is R(r) exp(i ell phi) at z = 0. Its radial factor is evaluated on the
+grid's distinct radii (TransverseGrid.radial) and scaled to unit power by the
+caller (the closed-form prefactor does not normalize a Gaussian-apodized mode
+on a finite window); every z-evolution is the free-space transport's
+(propagation).
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import numpy as np
 from scipy import special
 
 from .errors import UnsupportedModeError
-from .fields import ScalarField, TransverseGrid
-from .jones import vortex_turn
+from .fields import TransverseGrid
 
 
 class ModeFamily(enum.Enum):
@@ -63,117 +65,36 @@ class ModeSpec:
     def rayleigh_range(self) -> float:
         return np.pi * self.w0 ** 2 / self.wavelength
 
-    @property
-    def k_z(self) -> float:
-        """Longitudinal wave number sqrt(k^2 - k_r^2), rad/m."""
-        k = self.wavenumber
-        if self.k_r >= k:
-            raise ValueError("k_r must be below the free-space wave number")
-        return math.sqrt(k * k - self.k_r * self.k_r)
-
-
-def _bg_samples(spec: ModeSpec, radial, z: float, grid) -> np.ndarray:
-    """Unnormalised samples of `evaluate_bg`'s profile, with `radial(f)`
-    sampling each function f of r: with grid None (z = 0 only), the radial
-    factor R of the mode R exp(i ell phi); else with the phase
-    exp(i ell phi - i k_z z) on the grid, left out where it is 1 (ell = z = 0).
-    """
-    if spec.family is not ModeFamily.BG:
-        raise UnsupportedModeError(f"evaluate_bg requires a BG spec, got {spec.family}")
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
-    z_r = spec.rayleigh_range
-    if abs(z) >= 10.0 * z_r:
-        raise ValueError(f"|z| = {abs(z)} exceeds the 10 z_R sanity bound ({10 * z_r:.3g})")
-    k, k_z = spec.wavenumber, spec.k_z  # k_z rejects k_r >= k, also where no phase is applied
-    if spec.k_r == 0.0 and spec.ell != 0:
-        raise UnsupportedModeError("BG with k_r = 0 vanishes identically for ell != 0")
-    denom = z_r - 1j * z
-    if spec.k_r > 0:
-        bessel = radial(lambda r: special.jv(spec.ell, z_r * spec.k_r * r / denom))
-    else:
-        bessel = 1.0 + 0.0j
-    envelope = radial(
-        lambda r: np.exp((1j * spec.k_r ** 2 * z * spec.w0 ** 2 - 2.0 * k * r ** 2)
-                         / (4.0 * denom)))
-    if grid is None or (spec.ell == 0 and z == 0.0):
-        samples = np.sqrt(2.0 / np.pi) * bessel * envelope
-    else:
-        phase = np.exp(1j * spec.ell * grid.phi - 1j * k_z * z)
-        samples = np.sqrt(2.0 / np.pi) * bessel * phase * envelope
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("BG evaluation produced non-finite samples")
-    return samples
-
-
-def _lg_samples(spec: ModeSpec, radial, z: float, grid) -> np.ndarray:
-    """Unnormalised LG_0^ell samples; `radial` and grid as for `_bg_samples`."""
-    if spec.family is not ModeFamily.LG:
-        raise UnsupportedModeError(f"evaluate_lg requires an LG spec, got {spec.family}")
-    if spec.p != 0:
-        raise UnsupportedModeError(f"only p = 0 LG modes are supported, got p = {spec.p}")
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
-    k = spec.wavenumber
-    z_r = spec.rayleigh_range
-    w = spec.w0 * np.sqrt(1.0 + (z / z_r) ** 2)
-    gouy = (abs(spec.ell) + 1) * np.arctan2(z, z_r)
-    amplitude = (spec.w0 / w) * radial(
-        lambda r: (np.sqrt(2.0) * r / w) ** abs(spec.ell) * np.exp(-(r / w) ** 2))
-    if grid is None or (spec.ell == 0 and z == 0.0):
-        # complex, so unit-power scaling rounds as it does for a phased mode
-        return amplitude.astype(complex)
-    if z == 0.0:
-        curvature = 0.0
-    else:
-        radius = (z_r ** 2 + z ** 2) / z
-        curvature = radial(lambda r: k * r ** 2 / (2.0 * radius))
-    return amplitude * np.exp(1j * (spec.ell * grid.phi - k * z - curvature + gouy))
-
-
-def evaluate_bg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarField:
-    """Evaluate a Bessel-Gaussian mode at propagation distance z, unit power.
-
-    The transverse profile is
-        J_ell(z_R k_r r / (z_R - i z)) * exp(i ell phi - i k_z z)
-            * exp((i k_r^2 z w0^2 - 2 k r^2) / (4 (z_R - i z)))
-    with z_R = pi w0^2 / lambda and k_z = sqrt(k^2 - k_r^2).
-    """
-    return ScalarField(grid, _bg_samples(spec, grid.radial, z, grid)).normalized()
-
-
-def evaluate_lg(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarField:
-    """Evaluate a Laguerre-Gaussian LG_0^ell mode at distance z, unit power."""
-    # from the distinct radii, as for BG: against a per-pixel r it took 6.5
-    # instead of 12.6 ms at n = 512 (ell = 0; 34 against 55 ms at n = 1024),
-    # with the same traced peak and CLI peak RSS (2-core x86-64 host)
-    return ScalarField(grid, _lg_samples(spec, grid.radial, z, grid)).normalized()
-
-
-def evaluate_mode(spec: ModeSpec, grid: TransverseGrid, z: float = 0.0) -> ScalarField:
-    if spec.family is ModeFamily.BG:
-        return evaluate_bg(spec, grid, z)
-    return evaluate_lg(spec, grid, z)
-
 
 def radial_factor(spec: ModeSpec, r: np.ndarray) -> np.ndarray:
-    """R(r) of the z = 0 mode R(r) exp(i ell phi), unnormalised, at the radii
-    r: the formula `evaluate_mode` samples on the grid, without its phase."""
-    samples = _bg_samples if spec.family is ModeFamily.BG else _lg_samples
-    return samples(spec, lambda f: f(r), 0.0, None)
+    """R(r) of the z = 0 mode R(r) exp(i ell phi), unnormalised, at the radii r.
 
-
-def binary_bessel_hologram(ell: int, k_r: float, grid: TransverseGrid) -> ScalarField:
-    """Unimodular transmission sign{J_ell(k_r r)} exp(i ell phi).
-
-    Exact zeros of J_ell resolve to +1 (a measure-zero set).
+    BG: sqrt(2/pi) J_ell(k_r r) exp(-r^2 / w0^2), in complex arithmetic over
+    the Rayleigh range z_R = pi w0^2 / lambda, J_ell(z_R k_r r / z_R)
+    exp(-2 k r^2 / (4 z_R)). LG (p = 0): (sqrt(2) r / w0)^|ell| exp(-r^2 / w0^2).
     """
+    if spec.family is ModeFamily.LG:
+        if spec.p != 0:
+            raise UnsupportedModeError(f"only p = 0 LG modes are supported, got p = {spec.p}")
+        # complex, so unit-power scaling rounds as it does for a BG factor
+        return ((np.sqrt(2.0) * r / spec.w0) ** abs(spec.ell)
+                * np.exp(-(r / spec.w0) ** 2)).astype(complex)
+    k, z_r = spec.wavenumber, spec.rayleigh_range
+    if spec.k_r >= k:
+        raise ValueError("k_r must be below the free-space wave number")
+    if spec.k_r == 0.0 and spec.ell != 0:
+        raise UnsupportedModeError("BG with k_r = 0 vanishes identically for ell != 0")
+    bessel = (special.jv(spec.ell, z_r * spec.k_r * r / complex(z_r)) if spec.k_r > 0
+              else 1.0 + 0.0j)
+    return np.sqrt(2.0 / np.pi) * bessel * np.exp(-2.0 * k * r ** 2 / (4.0 * complex(z_r)))
+
+
+def binary_bessel_hologram(k_r: float, grid: TransverseGrid) -> np.ndarray:
+    """The ell = 0 hologram's real transmission sign{J_0(k_r r)} on the grid;
+    exact zeros of J_0 resolve to +1 (a measure-zero set)."""
     if not k_r > 0:
         raise ValueError(f"hologram requires k_r > 0, got {k_r}")
-    sign = grid.radial(lambda r: np.where(special.jv(ell, k_r * r) >= 0.0, 1.0, -1.0))
-    if ell == 0:
-        return ScalarField(grid, sign)
-    return ScalarField(grid, sign * vortex_turn(grid, ell))
+    return grid.radial(lambda r: np.where(special.jv(0, k_r * r) >= 0.0, 1.0, -1.0))
 
 
 def nondiffracting_distance(spec: ModeSpec) -> float:

@@ -3,13 +3,13 @@
 Fields are stacks of samples (..., n, n) beside their TransverseGrid; the
 engine's OAM pair is one (2, n, n) array. propagate_samples is the one
 transport: an FFT of the stack, the kernel exp(-i dz sqrt(k^2 - kx^2 - ky^2))
-(forward phase exp(-i k_z z), as in the analytic modes; evanescent components
-are zeroed) and an inverse FFT. The kernel depends only on |k_t|^2, so it is
-evaluated once per distinct value and expanded to the grid in C order
-(TransverseGrid.spectral). Back-propagation is the conjugation route, not
-a negative dz. Free space and the obstacles act alike on both polarizations,
-so only scalars are transported; the band-limit guard reads Gram matrices
-taken from each segment's spectrum.
+(forward phase exp(-i k_z z); evanescent components are zeroed) and an
+inverse FFT. The kernel depends only on |k_t|^2, so it is evaluated once per
+distinct value and expanded to the grid in C order (TransverseGrid.spectral).
+Back-propagation is the conjugation route, not a negative dz. Free space and
+the obstacles act alike on both polarizations, so only scalars are
+transported; the band-limit guard reads Gram matrices taken from each
+segment's spectrum.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz
     free space (u itself at dz = 0). With a list `grams`, the stack's band
     Gram matrices over the outer band annulus and over all of k-space, read
     off its spectrum before the kernel multiply, are appended to it."""
+    if dz < 0:
+        raise ValueError("dz must be >= 0; use back_propagate_samples for the reverse direction")
     return _propagate(u, grid, wavelength, dz, grams, overwrite=False)
 
 
@@ -65,14 +67,14 @@ def back_propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: floa
                            dz: float) -> np.ndarray:
     """Reverse-direction transport via conjugation: U(-dz) = conj(U(dz) conj(.)).
     The conjugate is a fresh array, so it is transformed in place."""
+    if dz < 0:
+        raise ValueError("dz must be >= 0; use propagate_samples for the forward direction")
     out = _propagate(np.conj(u), grid, wavelength, dz, None, overwrite=True)
     return np.conj(out, out=out)
 
 
 def _propagate(u, grid, wavelength, dz, grams, overwrite):
     """propagate_samples; with `overwrite`, the transform may reuse u's memory."""
-    if dz < 0:
-        raise ValueError("dz must be >= 0; use back_propagate_samples for the reverse direction")
     if dz == 0.0:
         return u
     spec = spfft.fft2(u, overwrite_x=overwrite, workers=FFT_WORKERS)

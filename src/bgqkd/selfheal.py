@@ -2,15 +2,13 @@
 
 The fidelity reported here is the matched detection probability of the
 labelled state with the obstacle in place, normalized by the same quantity
-with the obstacle removed (the count-rate recovery a receiver at z_eval
-actually observes). It is 1 without an obstacle by construction, rises with
-the decoding distance as the mode self-reconstructs, and directly mirrors
-the normalized-counts comparison between mode families.
+with the obstacle removed (the count-rate recovery a receiver at each
+station actually observes). It is 1 without an obstacle by construction,
+rises with the decoding distance as the mode self-reconstructs, and directly
+mirrors the normalized-counts comparison between mode families.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as spfft
@@ -31,26 +29,6 @@ from .propagation import (
     propagate_samples,
     transfer_function,
 )
-
-
-@dataclass(frozen=True)
-class SelfHealingResult:
-    fidelity: float
-    transmitted_power: float
-
-
-def self_healing_fidelity(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
-                          z_eval: float, grid: TransverseGrid,
-                          detection: DetectionModel) -> SelfHealingResult:
-    """Detected-signal recovery at z_eval behind the obstruction.
-
-    fidelity = P_det(obstructed) / P_det(free) for the matched projection of
-    `label` at distance z_eval; transmitted_power is the field power
-    surviving the obstruction (unit input). The detection noise floor is not
-    applied here (pure signal ratio).
-    """
-    (_, fidelity, power, _), = selfheal_scan(source, label, obs, [z_eval], grid, detection)
-    return SelfHealingResult(fidelity=fidelity, transmitted_power=power)
 
 
 def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,

@@ -30,6 +30,11 @@ def lg_source():
     return ModeSpec(family=ModeFamily.LG, ell=1, w0=W0, wavelength=WAVELENGTH)
 
 
+def pixel_radius(grid):
+    """The radius of every sample of `grid` (m), per pixel."""
+    return np.hypot(grid.axis[None, :], grid.axis[:, None])
+
+
 def clear_ring_caches():
     channel._ring_factor.cache_clear()
     channel._ring_weights.cache_clear()

@@ -41,6 +41,8 @@ from bgqkd.propagation import (
     propagate_samples,
 )
 
+from conftest import pixel_radius
+
 _H_INPUT_V_POWER_TOL = 1e-6
 
 
@@ -105,7 +107,8 @@ def horizontally_polarized(scalar: ScalarField, wavelength: float) -> PolarizedF
 
 def heralded_input(source: ModeSpec, grid: TransverseGrid) -> PolarizedField:
     """Heralded photon state: the ell = 0 profile, horizontally polarized."""
-    return horizontally_polarized(heralded_profile(source, grid), source.wavelength)
+    return horizontally_polarized(ScalarField(grid, heralded_profile(source, grid)),
+                                  source.wavelength)
 
 
 def inner_product(a: PolarizedField, b: PolarizedField) -> complex:
@@ -261,7 +264,7 @@ def vpoint_conditioned(f: PolarizedField) -> PolarizedField:
     moment of the centre pixel survives the lattice symmetry cancellation).
     """
     grid = f.grid
-    on_axis = grid.r == 0.0
+    on_axis = pixel_radius(grid) == 0.0
     if not np.any(on_axis):
         return f
     h = np.where(on_axis, 0.0, f.h.samples)

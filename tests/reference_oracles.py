@@ -2,11 +2,17 @@
 
 Nothing here may import the package's propagation/special-function paths:
 the Rayleigh-Sommerfeld integrator is a direct quadrature of the first
-diffraction integral, and the Bessel values/roots are frozen 22-digit
-references computed once with mpmath (mp.mp.dps = 30).
+diffraction integral, the Bessel values/roots are frozen 22-digit
+references computed once with mpmath (mp.mp.dps = 30), and the BG and LG
+modes at any distance z are their closed forms evaluated on every pixel.
 """
 
+import math
+
 import numpy as np
+from scipy import special
+
+from conftest import pixel_radius
 
 # J_ell(x) references, ell in {0, 1, 2}, arguments up to 100.
 BESSEL_REFERENCE = {
@@ -70,3 +76,47 @@ def rayleigh_sommerfeld_point(u0: np.ndarray, spacing: float, wavelength: float,
 def gaussian_overlap_blocked(radius: float, waist: float) -> float:
     """Power of a unit Gaussian exp(-2 r^2 / w^2) inside a centred disk."""
     return 1.0 - np.exp(-2.0 * radius ** 2 / waist ** 2)
+
+
+def unit_power(samples: np.ndarray, grid) -> np.ndarray:
+    """`samples` scaled to unit power over the grid (midpoint rule)."""
+    return samples / np.sqrt(float(np.sum(np.abs(samples) ** 2) * grid.pixel_area))
+
+
+def bg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
+    """Unit-power Bessel-Gaussian mode at propagation distance z, per pixel:
+        J_ell(z_R k_r r / (z_R - i z)) * exp(i ell phi - i k_z z)
+            * exp((i k_r^2 z w0^2 - 2 k r^2) / (4 (z_R - i z)))
+    with z_R = pi w0^2 / lambda and k_z = sqrt(k^2 - k_r^2)."""
+    r, ell, k_r = pixel_radius(grid), spec.ell, spec.k_r
+    z_r, k = spec.rayleigh_range, spec.wavenumber
+    denom = z_r - 1j * z
+    bessel = (special.jv(ell, z_r * k_r * r / denom) if k_r > 0
+              else np.ones_like(r, dtype=complex))
+    envelope = np.exp((1j * k_r ** 2 * z * spec.w0 ** 2 - 2.0 * k * r ** 2) / (4.0 * denom))
+    phase = np.exp(1j * ell * grid.phi - 1j * math.sqrt(k * k - k_r * k_r) * z)
+    return unit_power(np.sqrt(2.0 / np.pi) * bessel * phase * envelope, grid)
+
+
+def lg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
+    """Unit-power Laguerre-Gaussian LG_0^ell mode at distance z, per pixel:
+        (w0 / w) (sqrt(2) r / w)^|ell| exp(-r^2 / w^2)
+            * exp(i (ell phi - k z - k r^2 / (2 R) + (|ell| + 1) arctan(z / z_R)))
+    with w = w0 sqrt(1 + (z / z_R)^2) and R = (z_R^2 + z^2) / z."""
+    r, ell = pixel_radius(grid), spec.ell
+    z_r, k = spec.rayleigh_range, spec.wavenumber
+    w = spec.w0 * np.sqrt(1.0 + (z / z_r) ** 2)
+    gouy = (abs(ell) + 1) * np.arctan2(z, z_r)
+    radial = (np.sqrt(2.0) * r / w) ** abs(ell) * np.exp(-(r / w) ** 2)
+    if z == 0.0:
+        curvature = 0.0
+    else:
+        radius = (z_r ** 2 + z ** 2) / z
+        curvature = k * r ** 2 / (2.0 * radius)
+    phase = np.exp(1j * (ell * grid.phi - k * z - curvature + gouy))
+    return unit_power((spec.w0 / w) * radial * phase, grid)
+
+
+def transverse_mode(spec, grid, z: float = 0.0) -> np.ndarray:
+    """`bg_mode` or `lg_mode`, by the spec's family."""
+    return (bg_mode if spec.family.name == "BG" else lg_mode)(spec, grid, z)

@@ -15,9 +15,9 @@ from bgqkd import (
     CountRates,
     ModeFamily,
     ModeSpec,
+    ScalarField,
     TransverseGrid,
     check_mub,
-    evaluate_lg,
     hd_entropy,
     key_rate,
     multiphoton_fraction,
@@ -34,7 +34,7 @@ from bgqkd.jones import ALL_LABELS
 from bgqkd.propagation import propagate_samples
 from bgqkd.security import PhotonStatistics
 
-from conftest import W0, WAVELENGTH, K_R, random_polarized
+from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
 from polarized_oracle import (
     HorizontalPolarizer,
     OpticalTrain,
@@ -47,7 +47,7 @@ from polarized_oracle import (
     propagate,
     state_rows,
 )
-from reference_oracles import rayleigh_sommerfeld_point
+from reference_oracles import rayleigh_sommerfeld_point, transverse_mode
 
 
 def report(criterion, ok, detail=""):
@@ -134,14 +134,13 @@ def test_criterion_4_propagation_engine():
     grid = TransverseGrid(n=512, extent=10e-3)
     w0 = 0.4e-3
     z_r = math.pi * w0 ** 2 / WAVELENGTH
-    f = horizontally_polarized(
-        evaluate_lg(ModeSpec(family=ModeFamily.LG, ell=0, w0=w0,
-                             wavelength=WAVELENGTH), grid), WAVELENGTH)
+    f = horizontally_polarized(ScalarField(grid, transverse_mode(
+        ModeSpec(family=ModeFamily.LG, ell=0, w0=w0, wavelength=WAVELENGTH), grid)), WAVELENGTH)
     width_ok = True
     for factor in (0.5, 1.0, 2.0):
         out = propagate(f, factor * z_r)
         intensity = out.intensity()
-        w_meas = math.sqrt(2.0 * float(np.sum(intensity * grid.r ** 2)
+        w_meas = math.sqrt(2.0 * float(np.sum(intensity * pixel_radius(grid) ** 2)
                                        / np.sum(intensity)))
         expected = w0 * math.sqrt(1 + factor ** 2)
         width_ok &= abs(w_meas - expected) / expected <= 0.01
@@ -154,13 +153,13 @@ def test_criterion_4_propagation_engine():
 
     # independent direct-integration oracle at n = 128
     g128 = TransverseGrid(n=128, extent=8e-3)
-    u = evaluate_lg(ModeSpec(family=ModeFamily.LG, ell=0, w0=0.8e-3,
-                             wavelength=WAVELENGTH), g128)
+    u = transverse_mode(ModeSpec(family=ModeFamily.LG, ell=0, w0=0.8e-3,
+                                 wavelength=WAVELENGTH), g128)
     rs_ok = True
     for z in (0.4, 0.6, 0.8):
-        numeric = propagate_samples(u.samples, g128, WAVELENGTH, z)
+        numeric = propagate_samples(u, g128, WAVELENGTH, z)
         got = abs(numeric[64, 64]) ** 2
-        ref = abs(rayleigh_sommerfeld_point(u.samples, g128.spacing, WAVELENGTH,
+        ref = abs(rayleigh_sommerfeld_point(u, g128.spacing, WAVELENGTH,
                                             0.0, 0.0, z)) ** 2
         rs_ok &= abs(got - ref) / ref <= 0.02
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """The package namespace is the API that README.md documents, and no more;
-the CLI loads every module the benchmark's tracer wraps, and the package
-never reaches into the tests."""
+every public function serves the package or that API; the CLI loads every
+module the benchmark's tracer wraps, and the package never reaches into the
+tests."""
 
 import ast
 import re
@@ -35,6 +36,21 @@ def test_readme_import_block_is_the_public_namespace():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == documented
     assert bgqkd.__version__
+
+
+def test_every_public_function_is_used_or_documented():
+    # a public module-level function that no code in the package refers to
+    # and the README's import block does not name serves only the tests
+    package = Path(bgqkd.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name | ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    documented = {alias.name for node in ast.parse(readme_import()).body for alias in node.names}
+    unused = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in used | documented]
+    assert unused == []
 
 
 def test_readme_config_block_documents_the_schema():

@@ -23,11 +23,11 @@ from bgqkd import channel
 from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, basis_slice, detection_states
 from bgqkd.fields import ScalarField
 from bgqkd.jones import ALL_LABELS, MubLabel
-from bgqkd.modes import binary_bessel_hologram, evaluate_bg, evaluate_mode, radial_factor
+from bgqkd.modes import binary_bessel_hologram, radial_factor
 from bgqkd.propagation import (back_propagate_samples, obstacle_mask, propagate_samples,
                                transfer_function)
 
-from conftest import W0, WAVELENGTH, K_R, clear_ring_caches, spin_orbit_states
+from conftest import W0, WAVELENGTH, K_R, clear_ring_caches, pixel_radius, spin_orbit_states
 from diagnostics import dominant_oam_fraction
 from polarized_oracle import (
     BandLimitWarning,
@@ -39,6 +39,7 @@ from polarized_oracle import (
     prepare_state,
     transmit_to_station,
 )
+from reference_oracles import transverse_mode
 
 L = MubLabel.from_string
 
@@ -53,9 +54,8 @@ def bg_mode(ell, k_r=K_R, w0=W0):
 def grid_sum_overlap(signal, idler, pump_waist, grid):
     """The SPDC amplitude as a sum over every pixel of the unit-power modes
     and a per-pixel unit-power pump."""
-    m_s = evaluate_mode(signal, grid).samples
-    m_i = evaluate_mode(idler, grid).samples
-    pump = np.exp(-(grid.r / pump_waist) ** 2)
+    m_s, m_i = transverse_mode(signal, grid), transverse_mode(idler, grid)
+    pump = np.exp(-(pixel_radius(grid) / pump_waist) ** 2)
     pump = pump / np.sqrt(np.sum(np.abs(pump) ** 2) * grid.pixel_area)
     return complex(np.sum(np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
 
@@ -210,8 +210,8 @@ class TestHeraldedInput:
 
     def test_profile_matches_bg_mode(self, grid256, bg_source):
         f = heralded_input(bg_source, grid256)
-        ref = evaluate_bg(bg_mode(0), grid256)
-        assert np.max(np.abs(f.h.samples - ref.samples)) < 1e-12 * np.abs(ref.samples).max()
+        ref = transverse_mode(bg_mode(0), grid256)
+        assert np.max(np.abs(f.h.samples - ref)) < 1e-12 * np.abs(ref).max()
 
 
 class TestMeasureProjection:
@@ -335,8 +335,8 @@ class TestScatteringMatrix:
 def _oracle_detection_states(source, grid, channel, det):
     leg = channel.decoding_distance
     if det.kind is DetectionKind.CASCADE:
-        g = np.exp(-(grid.r / det.smf_waist) ** 2)
-        g = g * binary_bessel_hologram(0, source.k_r, grid).samples
+        g = np.exp(-(pixel_radius(grid) / det.smf_waist) ** 2)
+        g = g * binary_bessel_hologram(source.k_r, grid)
         g = back_propagate_samples(ScalarField(grid, g).normalized().samples, grid,
                                    source.wavelength, leg)
         base = horizontally_polarized(ScalarField(grid, g), source.wavelength)

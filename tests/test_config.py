@@ -4,13 +4,7 @@ import pytest
 import yaml
 
 from bgqkd import ConfigError
-from bgqkd.config import (
-    load_preset,
-    parse_config,
-    parse_length,
-    parse_wavenumber,
-    preset_names,
-)
+from bgqkd.config import load_preset, parse_config, preset_names
 from conftest import field_path, schema_leaves
 
 
@@ -63,33 +57,44 @@ selfheal: {obstacle: {radius: 0.5mm, center: [0, 0], z: 0.0}, z_stations: [0.1]}
 NUMERIC = [path for path, key in schema_leaves() if key.kind != "text"]
 
 
+def parsed(section, key, value, **source):
+    """`section.key` of the minimal document parsed with `key` set to value
+    (and the `source` entries given)."""
+    doc = minimal_doc()
+    doc["source"].update(source)
+    doc.setdefault(section, {})[key] = value
+    return getattr(getattr(parse_config(doc), section), key)
+
+
 class TestUnitParsing:
     @pytest.mark.parametrize("text,expected", [
         ("600um", 600e-6), ("600 um", 600e-6), ("0.3m", 0.3), ("810nm", 810e-9),
         ("1cm", 1e-2), ("1.253mm", 1.253e-3), ("2µm", 2e-6),
     ])
     def test_length_suffixes(self, text, expected):
-        assert parse_length(text, "x") == pytest.approx(expected, rel=1e-12)
+        assert parsed("spdc", "pump_waist", text) == pytest.approx(expected, rel=1e-12)
 
     def test_plain_numbers_are_si(self):
-        assert parse_length(0.02, "x") == 0.02
-        assert parse_length(3, "x") == 3.0
+        assert parsed("spdc", "pump_waist", 0.02) == 0.02
+        assert parsed("spdc", "pump_waist", 3) == 3.0
 
     def test_bad_unit_names_field(self):
         with pytest.raises(ConfigError) as err:
-            parse_length("810qm", "source.wavelength")
+            parsed("source", "wavelength", "810qm")
         assert err.value.path == "source.wavelength"
 
     def test_booleans_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_length(True, "x")
+        with pytest.raises(ConfigError) as err:
+            parsed("spdc", "pump_waist", True)
+        assert err.value.path == "spdc.pump_waist"
 
     def test_wavenumber(self):
-        assert parse_wavenumber("18 rad/mm", "k") == pytest.approx(18e3)
-        assert parse_wavenumber("18000 rad/m", "k") == pytest.approx(18e3)
-        assert parse_wavenumber(18e3, "k") == 18e3
-        with pytest.raises(ConfigError):
-            parse_wavenumber("18 deg/mm", "k")
+        for value in ("18 rad/mm", "18000 rad/m"):
+            assert parsed("source", "k_r", value, family="BG") == pytest.approx(18e3)
+        assert parsed("source", "k_r", 18e3, family="BG") == 18e3
+        with pytest.raises(ConfigError) as err:
+            parsed("source", "k_r", "18 deg/mm", family="BG")
+        assert err.value.path == "source.k_r"
 
 
 class TestSchema:
@@ -218,6 +223,12 @@ class TestPresets:
         for name in names:
             cfg = load_preset(name)
             assert cfg.grid.n >= 64
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_pump_waist_is_the_source_waist(self, name):
+        # the presets leave spdc.pump_waist to its default, the source w0
+        cfg = load_preset(name)
+        assert cfg.spdc.pump_waist == cfg.source.w0
 
     def test_lookup_case_insensitive(self):
         cfg = load_preset("Paper-R2-LG")

@@ -6,13 +6,11 @@ from bgqkd import (
     ModeSpec,
     ScalarField,
     TransverseGrid,
-    evaluate_bg,
-    evaluate_lg,
     mub_state_vector,
 )
 from bgqkd.jones import MubLabel
 
-from conftest import W0, WAVELENGTH, K_R, random_polarized
+from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
 from diagnostics import circular, linear
 from polarized_oracle import (
     GridMismatchError,
@@ -22,11 +20,12 @@ from polarized_oracle import (
     inner_product,
     prepare_state,
 )
+from reference_oracles import transverse_mode
 
 
 def bg_scalar(grid, ell, k_r=K_R):
     spec = ModeSpec(family=ModeFamily.BG, ell=ell, w0=W0, wavelength=WAVELENGTH, k_r=k_r)
-    return evaluate_bg(spec, grid)
+    return ScalarField(grid, transverse_mode(spec, grid))
 
 
 class TestGrid:
@@ -45,10 +44,10 @@ class TestGrid:
         assert g.axis[32] == 0.0
         assert g.axis[0] == pytest.approx(-3.2e-3)
 
-    def test_radial_reproduces_r(self):
+    def test_radial_reproduces_pixel_radius(self):
         for n in (64, 128, 256):
             g = TransverseGrid(n=n, extent=7.3e-3)
-            assert np.array_equal(g.radial(lambda r: r), g.r)
+            assert np.array_equal(g.radial(lambda r: r), pixel_radius(g))
 
     def test_spectral_reproduces_per_pixel_k_squared(self):
         for n, extent in ((64, 25.6e-6), (128, 7.3e-3), (512, 10e-3)):
@@ -80,7 +79,7 @@ class TestGrid:
     def test_ring_weights_are_grid_sums(self):
         for n in (64, 128):
             g = TransverseGrid(n=n, extent=7.3e-3)
-            radii, ring = np.unique(g.r, return_inverse=True)
+            radii, ring = np.unique(pixel_radius(g), return_inverse=True)
             assert np.array_equal(g.radii, radii)
             counts = g.ring_weights(0)
             assert counts.sum() == n * n
@@ -154,12 +153,9 @@ class TestInnerProduct:
             g = TransverseGrid(n=n, extent=10e-3)
             a = horizontally_polarized(bg_scalar(g, 0), WAVELENGTH)
             b = horizontally_polarized(bg_scalar(g, 0, k_r=0.9 * K_R), WAVELENGTH)
-            lg1 = horizontally_polarized(evaluate_lg(
-                ModeSpec(family=ModeFamily.LG, ell=0, w0=W0, wavelength=WAVELENGTH), g),
-                WAVELENGTH)
-            lg2 = horizontally_polarized(evaluate_lg(
-                ModeSpec(family=ModeFamily.LG, ell=0, w0=1.5 * W0, wavelength=WAVELENGTH), g),
-                WAVELENGTH)
+            lg1, lg2 = (horizontally_polarized(ScalarField(g, transverse_mode(
+                ModeSpec(family=ModeFamily.LG, ell=0, w0=w0, wavelength=WAVELENGTH), g)),
+                WAVELENGTH) for w0 in (W0, 1.5 * W0))
             pairs.append((inner_product(a, b), inner_product(lg1, lg2)))
         for coarse, fine in zip(*pairs):
             assert abs(coarse) > 0.1

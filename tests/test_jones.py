@@ -6,7 +6,6 @@ from bgqkd import (
     ModeSpec,
     ScalarField,
     check_mub,
-    evaluate_lg,
     mub_state_vector,
 )
 from bgqkd.jones import ALL_LABELS, MubLabel, spin_orbit_pair
@@ -37,6 +36,7 @@ from polarized_oracle import (
     qwp_matrix,
     state_rows,
 )
+from reference_oracles import transverse_mode
 
 L = MubLabel.from_string
 
@@ -46,8 +46,8 @@ def h_field(scalar):
 
 
 def gaussian(grid, w0=1.253e-3):
-    return evaluate_lg(
-        ModeSpec(family=ModeFamily.LG, ell=0, w0=w0, wavelength=WAVELENGTH), grid)
+    spec = ModeSpec(family=ModeFamily.LG, ell=0, w0=w0, wavelength=WAVELENGTH)
+    return ScalarField(grid, transverse_mode(spec, grid))
 
 
 class TestMatrices:

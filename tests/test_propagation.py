@@ -8,16 +8,16 @@ from bgqkd import (
     ObstacleSpec,
     ScalarField,
     TransverseGrid,
-    evaluate_bg,
-    evaluate_lg,
     nondiffracting_distance,
 )
+from bgqkd.channel import heralded_profile
 from bgqkd.propagation import (
+    back_propagate_samples,
     propagate_samples,
     transfer_function,
 )
 
-from conftest import W0, WAVELENGTH, K_R, random_polarized
+from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
 from polarized_oracle import (
     BandLimitWarning,
     PolarizedField,
@@ -29,18 +29,24 @@ from polarized_oracle import (
     propagate,
     transmit_to_station,
 )
-from reference_oracles import gaussian_overlap_blocked, rayleigh_sommerfeld_point
+from reference_oracles import (
+    bg_mode,
+    gaussian_overlap_blocked,
+    lg_mode,
+    rayleigh_sommerfeld_point,
+    transverse_mode,
+)
 
 
 def gaussian_field(grid, w0):
     spec = ModeSpec(family=ModeFamily.LG, ell=0, w0=w0, wavelength=WAVELENGTH)
-    return horizontally_polarized(evaluate_lg(spec, grid), WAVELENGTH)
+    return horizontally_polarized(ScalarField(grid, transverse_mode(spec, grid)), WAVELENGTH)
 
 
 def beam_width(f):
     """1/e^2 radius from the second moment of intensity (Gaussian beams)."""
     intensity = f.intensity()
-    r2 = np.sum(intensity * f.grid.r ** 2) / np.sum(intensity)
+    r2 = np.sum(intensity * pixel_radius(f.grid) ** 2) / np.sum(intensity)
     return np.sqrt(2.0 * r2)
 
 
@@ -96,24 +102,36 @@ class TestPropagate:
     def test_bg_nondiffracting_profile(self):
         # numerically propagated BG at half the non-diffracting range stays
         # correlated with the z = 0 ring profile inside r < 1 mm; there and
-        # at the farthest self-heal station (0.517 m) it matches the analytic
-        # mode evaluated at that distance
+        # at the farthest self-heal station (0.517 m) it matches the oracle's
+        # closed-form mode at that distance, a formula the package does not hold
         grid = TransverseGrid(n=512, extent=10e-3)
         spec = ModeSpec(family=ModeFamily.BG, ell=0, w0=W0, wavelength=WAVELENGTH, k_r=K_R)
         z_half = 0.5 * nondiffracting_distance(spec)
-        start = evaluate_bg(spec, grid, z=0.0)
-        numerics = {z: propagate_samples(start.samples, grid, WAVELENGTH, z)
-                    for z in (z_half, 0.517)}
-        sel = grid.r < 1e-3
-        i0 = np.abs(start.samples[sel]) ** 2
+        start = heralded_profile(spec, grid)
+        numerics = {z: propagate_samples(start, grid, WAVELENGTH, z) for z in (z_half, 0.517)}
+        sel = pixel_radius(grid) < 1e-3
+        i0 = np.abs(start[sel]) ** 2
         iz = np.abs(numerics[z_half][sel]) ** 2
         corr = np.corrcoef(i0, iz)[0, 1]
         assert corr > 0.99
         for z, numeric in numerics.items():
-            analytic = evaluate_bg(spec, grid, z=z)
-            overlap = abs(np.sum(np.conj(analytic.samples) * numeric)
+            analytic = bg_mode(spec, grid, z)
+            overlap = abs(np.sum(np.conj(analytic) * numeric)
                           * grid.pixel_area) ** 2
             assert overlap > 0.999, z
+
+    def test_lg_matches_closed_form_mode(self, grid256):
+        # the oracle's LG_0^ell at z = 0, carried by the engine to one and two
+        # Rayleigh ranges, overlaps the closed form there (waist, curvature
+        # and Gouy phase), a formula the package does not hold
+        for ell in (0, 1, 2):
+            spec = ModeSpec(family=ModeFamily.LG, ell=ell, w0=0.4e-3, wavelength=WAVELENGTH)
+            start = lg_mode(spec, grid256)
+            for z in (spec.rayleigh_range, 2.0 * spec.rayleigh_range):
+                numeric = propagate_samples(start, grid256, WAVELENGTH, z)
+                overlap = abs(np.vdot(lg_mode(spec, grid256, z), numeric)
+                              * grid256.pixel_area) ** 2
+                assert overlap > 0.999, (ell, z)
 
     def test_band_limit_warning(self, grid256):
         rng = np.random.default_rng(35)
@@ -153,7 +171,7 @@ class TestObstacle:
         f = gaussian_field(grid256, 0.6e-3)
         obs = ObstacleSpec(radius=400e-6)
         out = apply_obstacle(f, obs)
-        mask = grid256.r < obs.radius
+        mask = pixel_radius(grid256) < obs.radius
         inside = float(np.sum(f.intensity()[mask]) * grid256.pixel_area)
         assert f.power() - out.power() == pytest.approx(inside, abs=1e-12)
 
@@ -248,8 +266,8 @@ class TestRayleighSommerfeldOracle:
         lam, k_r, w0, r_obs = 40e-6, 3e3, 2e-3, 0.5e-3
         grid = TransverseGrid(n=128, extent=16e-3)
         spec = ModeSpec(family=ModeFamily.BG, ell=0, w0=w0, wavelength=lam, k_r=k_r)
-        u = evaluate_bg(spec, grid)
-        blocked = ScalarField(grid, u.samples * (grid.r >= r_obs))
+        u = transverse_mode(spec, grid)
+        blocked = ScalarField(grid, u * (pixel_radius(grid) >= r_obs))
         z_min = 2 * np.pi * r_obs / (k_r * lam)
         center = grid.n // 2
 
@@ -271,3 +289,13 @@ class TestGuards:
         assert boundary_power_fraction(f) > 1e-6
         narrow = gaussian_field(grid256, 0.6e-3)
         assert boundary_power_fraction(narrow) < 1e-12
+
+
+@pytest.mark.parametrize("transport,remedy", [
+    (propagate_samples, "back_propagate_samples"),
+    (back_propagate_samples, "propagate_samples"),
+])
+def test_negative_distance_names_the_other_direction(transport, remedy):
+    grid = TransverseGrid(n=64, extent=10e-3)
+    with pytest.raises(ValueError, match=rf"; use {remedy} for the"):
+        transport(np.ones((64, 64), dtype=complex), grid, WAVELENGTH, -0.1)

@@ -10,7 +10,6 @@ from bgqkd import (
     DetectionModel,
     ObstacleSpec,
     TransverseGrid,
-    self_healing_fidelity,
     selfheal_scan,
     shadow_length,
 )
@@ -50,39 +49,45 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     return rows, free
 
 
+def one_station(source, obs, z, grid):
+    """(fidelity, transmitted power) of psi00 at the one station z, cascade detection."""
+    (_, fidelity, power, _), = selfheal_scan(source, L("psi00"), obs, [z], grid, CASCADE)
+    return fidelity, power
+
+
 def test_no_obstacle_unit_fidelity(grid256, bg_source):
-    res = self_healing_fidelity(bg_source, L("psi00"), None, 0.3, grid256, CASCADE)
-    assert res.fidelity == pytest.approx(1.0, abs=1e-12)
-    assert res.transmitted_power == pytest.approx(1.0, abs=1e-9)
+    fidelity, power = one_station(bg_source, None, 0.3, grid256)
+    assert fidelity == pytest.approx(1.0, abs=1e-12)
+    assert power == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fidelity_rises_with_healing_distance(grid512, bg_source):
     obs = ObstacleSpec(radius=600e-6, z=0.0)
     z_min = shadow_length(obs.radius, bg_source)
-    near = self_healing_fidelity(bg_source, L("psi00"), obs, 0.2 * z_min, grid512, CASCADE)
-    far = self_healing_fidelity(bg_source, L("psi00"), obs, 2.0 * z_min, grid512, CASCADE)
-    assert far.fidelity > near.fidelity
-    assert near.transmitted_power == pytest.approx(far.transmitted_power, rel=1e-9)
+    near = one_station(bg_source, obs, 0.2 * z_min, grid512)
+    far = one_station(bg_source, obs, 2.0 * z_min, grid512)
+    assert far[0] > near[0]
+    assert near[1] == pytest.approx(far[1], rel=1e-9)
 
 
 def test_bg_outheals_lg_at_full_reconstruction(grid512, bg_source, lg_source):
     obs = ObstacleSpec(radius=600e-6, z=0.0)
     z_eval = 2.0 * shadow_length(obs.radius, bg_source)  # 0.517 m
-    bg_res = self_healing_fidelity(bg_source, L("psi00"), obs, z_eval, grid512, CASCADE)
-    lg_res = self_healing_fidelity(lg_source, L("psi00"), obs, z_eval, grid512, CASCADE)
-    assert bg_res.fidelity >= 1.5 * lg_res.fidelity
+    bg_fidelity, _ = one_station(bg_source, obs, z_eval, grid512)
+    lg_fidelity, _ = one_station(lg_source, obs, z_eval, grid512)
+    assert bg_fidelity >= 1.5 * lg_fidelity
 
 
 def test_transmitted_power_is_masked_power(grid256, bg_source):
     obs = ObstacleSpec(radius=600e-6, z=0.0)
-    res = self_healing_fidelity(bg_source, L("psi00"), obs, 0.1, grid256, CASCADE)
-    assert 0.2 < res.transmitted_power < 0.5  # BG rings: ~68% blocked at the prep plane
+    _, power = one_station(bg_source, obs, 0.1, grid256)
+    assert 0.2 < power < 0.5  # BG rings: ~68% blocked at the prep plane
 
 
 def test_z_before_obstacle_rejected(grid256, bg_source):
     obs = ObstacleSpec(radius=600e-6, z=0.1)
     with pytest.raises(ValueError):
-        self_healing_fidelity(bg_source, L("psi00"), obs, 0.05, grid256, CASCADE)
+        one_station(bg_source, obs, 0.05, grid256)
 
 
 def test_scan_monotone_on_axis_recovery(grid512, bg_source):
