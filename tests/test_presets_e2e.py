@@ -1,22 +1,45 @@
 """End-to-end runs of every committed paper-* preset through the CLI.
 
 These exercise the full default-grid pipeline and the reference claims tied
-to each preset's output files.
+to each preset's output files, and check every run's figures against the
+digits ledger (tests/ledger.json, written by tests/write_ledger.py).
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from bgqkd.cli import main
 from bgqkd.config import preset_names
+from write_ledger import LEDGER, PRESET_RUNS, ledger_entry
+
+LEDGER_RTOL = 1e-10
 
 
-def run(args):
-    rc = main(args)
-    assert rc == 0
-    return rc
+def run(preset, out):
+    assert main([PRESET_RUNS[preset], "--preset", preset, "--out-dir", str(out)]) == 0
+    assert_matches_ledger(ledger_entry(out), json.loads(LEDGER.read_text())[preset], preset)
+
+
+def assert_matches_ledger(actual, expected, where):
+    """Floats agree to LEDGER_RTOL (NaN matches NaN), everything else exactly."""
+    if isinstance(expected, float) and isinstance(actual, float):
+        assert (math.isclose(actual, expected, rel_tol=LEDGER_RTOL, abs_tol=0.0)
+                or math.isnan(actual) and math.isnan(expected)), \
+            f"{where}: {actual!r} against the ledger's {expected!r}"
+    elif isinstance(expected, dict) and isinstance(actual, dict):
+        assert sorted(actual) == sorted(expected), f"{where}: keys differ from the ledger's"
+        for key in expected:
+            assert_matches_ledger(actual[key], expected[key], f"{where}/{key}")
+    elif isinstance(expected, list) and isinstance(actual, list):
+        assert len(actual) == len(expected), f"{where}: length differs from the ledger's"
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches_ledger(a, e, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, \
+            f"{where}: {actual!r} against the ledger's {expected!r}"
 
 
 def test_every_paper_preset_is_exercised():
@@ -27,6 +50,7 @@ def test_every_paper_preset_is_exercised():
         "paper-selfheal-bg", "paper-selfheal-lg", "paper-table3",
     }
     assert set(preset_names()) == covered
+    assert set(PRESET_RUNS) == set(json.loads(LEDGER.read_text())) == covered
 
 
 def load_matrix(out_dir, scenario, fam):
@@ -36,7 +60,7 @@ def load_matrix(out_dir, scenario, fam):
 def test_free_space_presets(tmp_path):
     for preset, fam in (("paper-free-space", "bg"), ("paper-free-space-lg", "lg")):
         out = tmp_path / preset
-        run(["scattering", "--preset", preset, "--out-dir", str(out)])
+        run(preset, out)
         data = load_matrix(out, "free-space", fam)
         rn = np.array(data["row_normalized"])
         # matched blocks ~ identity, cross blocks ~ 0.25 (noise floor shifts
@@ -48,7 +72,7 @@ def test_free_space_presets(tmp_path):
 def test_r1_presets(tmp_path):
     for preset, fam in (("paper-r1", "bg"), ("paper-r1-lg", "lg")):
         out = tmp_path / preset
-        run(["scattering", "--preset", preset, "--out-dir", str(out)])
+        run(preset, out)
         data = load_matrix(out, "r1-600um", fam)
         diag = np.diag(np.array(data["row_normalized"]))
         assert diag.mean() > 0.9  # both families retain information at R1
@@ -58,7 +82,7 @@ def test_r2_presets(tmp_path):
     diags = {}
     for preset, fam in (("paper-r2", "bg"), ("paper-r2-lg", "lg")):
         out = tmp_path / preset
-        run(["scattering", "--preset", preset, "--out-dir", str(out)])
+        run(preset, out)
         data = load_matrix(out, "r2-800um", fam)
         diags[fam] = float(np.mean(np.diag(np.array(data["row_normalized"]))))
     assert diags["lg"] < 0.5  # severe crosstalk for the Gaussian family
@@ -69,7 +93,7 @@ def test_family_security_presets(tmp_path):
     reports = {}
     for preset in ("paper-bg", "paper-lg"):
         out = tmp_path / preset
-        run(["security", "--preset", preset, "--out-dir", str(out)])
+        run(preset, out)
         for rep in json.loads((out / "security_reports.json").read_text()):
             reports[(rep["family"], rep["scenario"])] = rep
     # normalized-counts ordering: free >= R1 >= R2 for the BG family
@@ -88,7 +112,7 @@ def test_family_security_presets(tmp_path):
 
 def test_selfheal_presets(tmp_path):
     out_bg = tmp_path / "sh-bg"
-    run(["selfheal-scan", "--preset", "paper-selfheal-bg", "--out-dir", str(out_bg)])
+    run("paper-selfheal-bg", out_bg)
     lines = (out_bg / "selfheal_scan.csv").read_text().strip().splitlines()[1:]
     rows = [ln.split(",") for ln in lines]
     bg = [(float(r[1]), float(r[2]), float(r[3]), float(r[4]))
@@ -104,13 +128,13 @@ def test_selfheal_presets(tmp_path):
     assert axial[-1] >= 0.5
 
     out_lg = tmp_path / "sh-lg"
-    run(["selfheal-scan", "--preset", "paper-selfheal-lg", "--out-dir", str(out_lg)])
+    run("paper-selfheal-lg", out_lg)
     assert (out_lg / "selfheal_scan.csv").is_file()
 
 
 def test_table3_preset(tmp_path):
     out = tmp_path / "t3"
-    run(["security", "--preset", "paper-table3", "--out-dir", str(out)])
+    run("paper-table3", out)
     reports = json.loads((out / "security_reports.json").read_text())
     by_key = {(r["family"], r["scenario"]): r for r in reports}
     expected_info = {

@@ -1,0 +1,94 @@
+"""The digits ledger: the figures of every preset run that
+tests/test_presets_e2e.py makes, stored in tests/ledger.json.
+
+    PYTHONPATH=src python tests/write_ledger.py
+
+runs each preset once through the CLI into a temporary directory and writes
+the ledger. The e2e tests compare each of their runs against it (floats to a
+relative 1e-10, integers, strings and None exactly), so a change that moves a
+preset's output beyond rounding fails them. Regenerate the ledger only for a
+change that is meant to move the presets' digits, and say so where it lands.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+LEDGER = Path(__file__).with_name("ledger.json")
+
+# preset -> the CLI command the e2e tests run it with
+PRESET_RUNS = {
+    "paper-free-space": "scattering",
+    "paper-free-space-lg": "scattering",
+    "paper-r1": "scattering",
+    "paper-r1-lg": "scattering",
+    "paper-r2": "scattering",
+    "paper-r2-lg": "scattering",
+    "paper-bg": "security",
+    "paper-lg": "security",
+    "paper-table3": "security",
+    "paper-selfheal-bg": "selfheal-scan",
+    "paper-selfheal-lg": "selfheal-scan",
+}
+
+
+def ledger_entry(out_dir: Path) -> dict:
+    """The ledger's figures from one preset run's output directory: per
+    scenario, the matrix's transmission vector, matched diagonal and guard
+    notes, or the report's QBER, NC, both key rates, I_AB and notes with the
+    simulated counts; and every column of the self-heal scan."""
+    entry = {}
+    for path in sorted(out_dir.glob("*_matrix.json")):
+        m = json.loads(path.read_text())
+        entry[path.name.removesuffix("_matrix.json")] = {
+            "transmission": m["transmission"],
+            "matched_diagonal": [row[i] for i, row in enumerate(m["row_normalized"])],
+            "notes": m["warnings"],
+        }
+    reports = out_dir / "security_reports.json"
+    if reports.is_file():
+        for r in json.loads(reports.read_text()):
+            key = f"{r['scenario']}_{r['family'].lower()}"
+            entry[key] = {
+                "qber": r["qber"],
+                "normalized_counts": r["normalized_counts"],
+                "key_rate_as_printed": r["key_rate"]["per_signal_as_printed"],
+                "key_rate_table_consistent": r["key_rate"]["per_signal_table_consistent"],
+                "mutual_information_bits": r["mutual_information_bits"],
+                "notes": r["notes"],
+            }
+            counts = out_dir / f"{key}_counts.csv"
+            if counts.is_file():  # direct entries simulate none
+                entry[key]["counts"] = [[int(v) for v in line.split(",")[1:]]
+                                        for line in counts.read_text().splitlines()[1:]]
+    scan = out_dir / "selfheal_scan.csv"
+    if scan.is_file():
+        header, *lines = scan.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        entry["selfheal_scan"] = {
+            name: [row[j] if name == "family" else float(row[j]) for row in rows]
+            for j, name in enumerate(header.split(","))
+        }
+    return entry
+
+
+def main() -> int:
+    from bgqkd.cli import main as cli
+
+    ledger = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for preset, command in PRESET_RUNS.items():
+            out = Path(tmp) / preset
+            if cli([command, "--preset", preset, "--out-dir", str(out)]) != 0:
+                print(f"{preset}: the {command} run failed", file=sys.stderr)
+                return 1
+            ledger[preset] = ledger_entry(out)
+    LEDGER.write_text(json.dumps(ledger, sort_keys=True, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
