@@ -84,8 +84,13 @@ def _run_scenarios(cfg: RunConfig, threads: int) -> list[ScatteringMatrix]:
     return [one(s) for s in cfg.scenarios]
 
 
-def _guard_violations(matrices) -> list[str]:
-    return [w for m in matrices for w in m.warnings]
+def _guard_exit(cfg: RunConfig, matrices) -> int:
+    """Print the matrices' guard notes to stderr; EXIT_GUARD if there are
+    any and run.guard is strict, else EXIT_OK."""
+    violations = [w for m in matrices for w in m.warnings]
+    for w in violations:
+        print(f"guard: {w}", file=sys.stderr)
+    return EXIT_GUARD if violations and cfg.run.guard == "strict" else EXIT_OK
 
 
 def cmd_scattering(args) -> int:
@@ -109,12 +114,7 @@ def cmd_scattering(args) -> int:
             (s.channel, cfg.run.pgm_stations or (s.channel.length,),
              {i: f"{s.name}_{fam}_{label}" for i, label in enumerate(LABEL_STRINGS)})
             for s in cfg.scenarios])
-    violations = _guard_violations(matrices)
-    for w in violations:
-        print(f"guard: {w}", file=sys.stderr)
-    if violations and cfg.run.guard == "strict":
-        return EXIT_GUARD
-    return EXIT_OK
+    return _guard_exit(cfg, matrices)
 
 
 def _write_snapshots(cfg: RunConfig, out: Path, runs) -> None:
@@ -137,7 +137,7 @@ def cmd_security(args) -> int:
     cfg = _load(args)
     out = _out_dir(args)
     reports = []
-    guard_exit = False
+    status = EXIT_OK
     if cfg.security_direct:
         d = cfg.security.dimension
         for entry in cfg.security_direct:
@@ -171,12 +171,11 @@ def cmd_security(args) -> int:
             reports.append(rep.to_json_dict())
             if "csv" in cfg.run.outputs:
                 (out / f"{m.scenario}_{m.family.lower()}_counts.csv").write_text(counts.to_csv())
-        if _guard_violations(matrices) and cfg.run.guard == "strict":
-            guard_exit = True
+        status = _guard_exit(cfg, matrices)
     _write_json(out / "security_reports.json", reports)
     (out / "security_summary.txt").write_text(_summary_table(reports))
     print(_summary_table(reports))
-    return EXIT_GUARD if guard_exit else EXIT_OK
+    return status
 
 
 def _summary_table(reports: list[dict]) -> str:

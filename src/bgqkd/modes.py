@@ -94,7 +94,7 @@ def binary_bessel_hologram(k_r: float, grid: TransverseGrid) -> np.ndarray:
     exact zeros of J_0 resolve to +1 (a measure-zero set)."""
     if not k_r > 0:
         raise ValueError(f"hologram requires k_r > 0, got {k_r}")
-    return grid.radial(lambda r: np.where(special.jv(0, k_r * r) >= 0.0, 1.0, -1.0))
+    return grid.radial(lambda r: np.where(special.j0(k_r * r) >= 0.0, 1.0, -1.0))
 
 
 def nondiffracting_distance(spec: ModeSpec) -> float:

@@ -108,10 +108,16 @@ class ObstacleSpec:
 
 
 def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:
+    """1 where hypot(x - cx, y - cy) >= R, else 0. The hypot runs only over
+    the box of rows and columns within R of the centre: outside it
+    hypot >= max(|x - cx|, |y - cy|) >= R, so the mask is 1 there."""
     # config validation enforces that every obstacle fits inside the grid;
     # the mask itself is defined for any radius (an oversized disk blocks all)
     x, y = grid.axis - obs.center[0], grid.axis - obs.center[1]
-    return (np.hypot(x[None, :], y[:, None]) >= obs.radius).astype(float)
+    cols, rows = np.abs(x) < obs.radius, np.abs(y) < obs.radius
+    mask = np.ones((grid.n, grid.n))
+    mask[np.ix_(rows, cols)] = np.hypot(x[cols][None, :], y[rows][:, None]) >= obs.radius
+    return mask
 
 
 @dataclass(frozen=True)

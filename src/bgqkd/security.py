@@ -221,6 +221,9 @@ def security_report(matrix: ScatteringMatrix, *,
     i_ab = mutual_information(qber.e, d)
     rate = key_rate(qber.e, delta, d=d, f_ec=f_ec, q_mu=q_mu, variant=variant)
     notes = list(matrix.warnings)
+    if qber.excluded_rows:
+        notes.append("rows with no matched-basis signal excluded from QBER: "
+                     + ", ".join(qber.excluded_rows))
     if counts is not None and qber.sigma is None:
         notes.append("no sifted counts; QBER uncertainty unavailable")
     nc = None

@@ -22,6 +22,19 @@ TINY = {
     ],
 }
 
+# a coarse grid makes the ringy BG states trip the band-limit guard
+STRICT_COARSE = {
+    "schema_version": 1,
+    "grid": {"n": 128, "extent": "10mm"},
+    "source": {"family": "BG", "ell": 1, "k_r": "18 rad/mm",
+               "w0": "1.253mm", "wavelength": "810nm"},
+    "detection": {"mode": "cascade", "smf_waist": "0.45mm"},
+    "run": {"seed": 3, "guard": "strict"},
+    "scenarios": [
+        {"name": "free-space",
+         "channel": {"length": "0.05m", "station_z": "0.01m"}},
+    ],
+}
 
 # values that reached a traceback or ran on instead of ending in exit 2:
 # (command, section patched into TINY, field path the error must name)
@@ -198,23 +211,11 @@ class TestScattering:
         # one cascade detection plane per scenario, and two planes per segment
         assert fft_planes["fft2"] == 3 + 2 * 8
 
-    def test_strict_guard_exit_3(self, tmp_path):
-        # a coarse grid makes the ringy BG states trip the band-limit guard
-        doc = {
-            "schema_version": 1,
-            "grid": {"n": 128, "extent": "10mm"},
-            "source": {"family": "BG", "ell": 1, "k_r": "18 rad/mm",
-                       "w0": "1.253mm", "wavelength": "810nm"},
-            "detection": {"mode": "cascade", "smf_waist": "0.45mm"},
-            "run": {"seed": 3, "guard": "strict"},
-            "scenarios": [
-                {"name": "free-space",
-                 "channel": {"length": "0.05m", "station_z": "0.01m"}},
-            ],
-        }
-        rc = main(["scattering", "--config", write_config(tmp_path, doc),
+    def test_strict_guard_exit_3(self, tmp_path, capsys):
+        rc = main(["scattering", "--config", write_config(tmp_path, STRICT_COARSE),
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 3
+        assert "guard: " in capsys.readouterr().err
 
     def test_guard_notes_equal_for_any_thread_count(self, tmp_path):
         # the guard notes are computed, not captured from the process-wide
@@ -242,6 +243,15 @@ class TestScattering:
 
 
 class TestSecurity:
+    def test_strict_guard_exit_3_names_the_violations(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["security", "--config", write_config(tmp_path, STRICT_COARSE),
+                   "--out-dir", str(out)])
+        assert rc == 3
+        guard = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("guard: ")]
+        notes = json.loads((out / "security_reports.json").read_text())[0]["notes"]
+        assert guard and guard == [f"guard: {n}" for n in notes]
+
     def test_simulated_reports(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["security", "--config", write_config(tmp_path, TINY),

@@ -5,10 +5,11 @@ from bgqkd import (
     ModeFamily,
     ModeSpec,
     ScalarField,
+    TransverseGrid,
     check_mub,
     mub_state_vector,
 )
-from bgqkd.jones import ALL_LABELS, MubLabel, spin_orbit_pair
+from bgqkd.jones import ALL_LABELS, MubLabel, spin_orbit_pair, vortex_turn
 
 from conftest import WAVELENGTH, random_polarized, spin_orbit_states
 from diagnostics import (
@@ -204,6 +205,30 @@ class TestPrepareState:
         for idx in ("00", "01", "10", "11"):
             out = prepare_state(L(f"phi{idx}"), base)
             assert polarization_variance(out) < 1e-6
+
+
+class TestVortexTurn:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_matches_azimuth_exponential(self, n, ell):
+        grid = TransverseGrid(n=n, extent=10e-3)
+        turn = vortex_turn(grid, ell)
+        phi = np.arctan2(grid.axis[:, None], grid.axis[None, :])
+        # the bound is 0 for ell = 0: the plane is exactly 1 everywhere
+        assert np.max(np.abs(turn - np.exp(1j * ell * phi))) <= 4 * ell * self.EPS
+        assert np.max(np.abs(np.abs(turn) - 1.0)) <= 4 * max(ell, 1) * self.EPS
+        assert turn[n // 2, n // 2] == 1.0  # arctan2(0, 0) = 0
+
+    def test_ell_zero_is_exactly_one(self, grid256):
+        assert np.all(vortex_turn(grid256, 0) == 1.0)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_fills_given_plane(self, grid256, ell):
+        out = np.full((256, 256), np.nan, dtype=complex)
+        assert vortex_turn(grid256, ell, out=out) is out
+        assert np.array_equal(out, vortex_turn(grid256, ell))
 
 
 class TestMubVectors:

@@ -175,6 +175,15 @@ class TestHologram:
         expected = np.where(special.jv(0, K_R * pixel_radius(grid256)) >= 0.0, 1.0, -1.0)
         assert np.array_equal(binary_bessel_hologram(K_R, grid256), expected)
 
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+    def test_matches_jv_sign_on_grid_radii(self, n):
+        # the hologram takes the sign of j0; AMOS jv(0, .) gives the same sign
+        grid = TransverseGrid(n=n, extent=10e-3)
+        for k_r in (1e3, K_R, 41.5e3, 60e3):
+            expected = np.where(special.jv(0, k_r * grid.radii) >= 0.0, 1.0, -1.0)
+            assert np.array_equal(binary_bessel_hologram(k_r, grid),
+                                  grid.radial(lambda r: expected))
+
 
 class TestDistances:
     def test_nondiffracting_reference_value(self):

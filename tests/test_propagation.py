@@ -13,6 +13,7 @@ from bgqkd import (
 from bgqkd.channel import heralded_profile
 from bgqkd.propagation import (
     back_propagate_samples,
+    obstacle_mask,
     propagate_samples,
     transfer_function,
 )
@@ -199,6 +200,25 @@ class TestObstacle:
         x, y = np.meshgrid(grid256.axis, grid256.axis, indexing="xy")
         blocked = np.hypot(x - 1e-3, y) < 300e-6
         assert np.all(out.h.samples[blocked] == 0)
+
+
+@pytest.mark.parametrize("radius, center", [
+    (800e-6, (0.0, 0.0)),
+    (300e-6, (1e-3, -0.7e-3)),
+    (1e-3, (-4e-3, 2e-3)),  # tangent to the grid's left edge, x = -5 mm
+    (1e-3, (4.6e-3, 4.6e-3)),  # over the corner
+    (20 * 10e-3 / 256, (0.0, 0.0)),  # samples exactly on the rim
+    (10e-3 / 256 / 4, (0.0, 0.0)),  # sub-pixel, on the centre sample
+    (10e-3 / 256 / 4, (10e-3 / 512, 10e-3 / 512)),  # sub-pixel, between samples
+    (8e-3, (0.0, 0.0)),  # beyond the grid's corners
+], ids=["centred", "off-centre", "edge", "corner", "rim", "sub-pixel", "between",
+        "oversized"])
+def test_obstacle_mask_equals_full_grid_hypot(grid256, radius, center):
+    obs = ObstacleSpec(radius=radius, center=center)
+    x, y = grid256.axis - center[0], grid256.axis - center[1]
+    expected = (np.hypot(x[None, :], y[:, None]) >= radius).astype(float)
+    mask = obstacle_mask(grid256, obs)
+    assert mask.dtype == expected.dtype and np.array_equal(mask, expected)
 
 
 class TestChannelSpec:

@@ -193,6 +193,19 @@ class TestSecurityReport:
         assert rep.normalized_counts is None
         assert any("reference" in n for n in rep.notes)
 
+    def test_excluded_rows_noted(self):
+        raw = ideal_raw()
+        raw[2, :] = 0.0
+        raw[5, :] = 0.0
+        with pytest.warns(UserWarning, match="excluded"):
+            rep = security_report(synthetic_matrix(raw), delta=2e-3)
+        assert ("rows with no matched-basis signal excluded from QBER: psi10, phi01"
+                in rep.notes)
+
+    def test_no_excluded_rows_no_note(self):
+        rep = security_report(synthetic_matrix(ideal_raw()), delta=2e-3)
+        assert not any("excluded" in n for n in rep.notes)
+
     def test_nc_ratio(self):
         free = synthetic_matrix(ideal_raw(diag=0.8))
         obstructed = synthetic_matrix(ideal_raw(diag=0.2))
