@@ -17,7 +17,6 @@ from .modes import (
 from .jones import MubCheckResult, MubLabel, check_mub, mub_state_vector
 from .propagation import ChannelSpec, ObstacleSpec
 from .channel import (
-    CountRates,
     CountsTable,
     DetectionKind,
     DetectionModel,
@@ -28,7 +27,6 @@ from .channel import (
 )
 from .security import (
     KeyRateResult,
-    PhotonStatistics,
     QberResult,
     SecurityReport,
     hd_entropy,

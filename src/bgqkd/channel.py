@@ -46,7 +46,6 @@ from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
     ChannelSpec,
     ObstacleSpec,
-    back_propagate_samples,
     band_limit_message,
     band_tail_fraction,
     obstacle_mask,
@@ -174,15 +173,16 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: 
     Projecting the station-plane field on detection state j (built from the
     pair like the prepared states, with the source's |ell|) equals running
     the physical receiver: adjoint train, decoding propagation, then the
-    ideal modal projector (g_+- = BP(u_+-)) or the hologram and fiber
-    (g_+- = exp(+-i ell phi) BP(hologram * fiber)).
+    ideal modal projector (g_+- = P(-L) u_+-) or the hologram and fiber
+    (g_+- = exp(+-i ell phi) P(-L)(hologram * fiber)), where P(-L) is
+    transport back over the decoding leg L.
     """
     if detection.kind is DetectionKind.CASCADE:
-        g = back_propagate_samples(cascade_detection_scalar(source, grid, detection), grid,
-                                   source.wavelength, decoding_distance)
+        g = propagate_samples(cascade_detection_scalar(source, grid, detection), grid,
+                              source.wavelength, -decoding_distance)
         return spin_orbit_pair(g, grid, abs(source.ell) or 1)
-    return back_propagate_samples(source_pair(source, grid), grid, source.wavelength,
-                                  decoding_distance)
+    return propagate_samples(source_pair(source, grid), grid, source.wavelength,
+                             -decoding_distance)
 
 
 def spin_orbit_amplitudes(dets: np.ndarray, pair: np.ndarray, grid: TransverseGrid,
@@ -379,35 +379,12 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
 # finite statistics
 
 @dataclass(frozen=True)
-class CountRates:
-    """Source and sifting rates for the counting model."""
-
-    pairs_per_second: float
-    integration_time: float
-    basis_probability: float = 0.5  # probability of choosing the vector basis
-
-    def __post_init__(self):
-        for name in ("pairs_per_second", "integration_time"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0 < self.basis_probability < 1:
-            raise ValueError("basis_probability must be in (0, 1)")
-
-    @property
-    def total_events(self) -> float:
-        return self.pairs_per_second * self.integration_time
-
-
-@dataclass(frozen=True)
 class CountsTable:
     """Poisson-sampled event counts per (prepared, measured) cell."""
 
     labels: tuple[str, ...]
     counts: np.ndarray
     expected: np.ndarray
-    seed: int
-    total_events: float
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _read_only(self.counts, np.int64))
@@ -430,37 +407,24 @@ class CountsTable:
         sigma = float(np.sqrt(np.sum(variances)) / len(fracs))
         return e, sigma
 
-    def summary(self) -> dict:
-        return {
-            "mean_counts_per_cell": float(self.counts.mean()),
-            "stderr_counts_per_cell": float(self.counts.std(ddof=1) / np.sqrt(self.counts.size)),
-            "total_counts": int(self.counts.sum()),
-        }
-
     def to_csv(self) -> str:
         return _matrix_csv(self.labels, self.counts, "d")
 
 
-def simulate_counts(matrix: ScatteringMatrix, rates: CountRates, seed: int) -> CountsTable:
+def simulate_counts(matrix: ScatteringMatrix, events: float, seed: int) -> CountsTable:
     """Draw independent Poisson counts for each of the 64 cells.
 
-    Cell (i, j) has mean N * P(prepare i) * P(project j) * raw[i, j] with
-    uniform state choice inside each basis. Per-cell generators are spawned
-    from one seed, so results are identical regardless of evaluation order.
+    Cell (i, j) has mean events * P(prepare i) * P(project j) * raw[i, j]
+    = events / 64 * raw[i, j]: each side picks one of the two bases and one
+    of its four states uniformly. Per-cell generators are spawned from one
+    seed, so results are identical regardless of evaluation order.
     """
-    n_events = rates.total_events
-    p_basis = np.array([rates.basis_probability] * 4 + [1.0 - rates.basis_probability] * 4)
-    p_choice = p_basis / 4.0
-    mean = n_events * np.outer(p_choice, p_choice) * matrix.raw
+    if not (np.isfinite(events) and events >= 0):
+        raise ValueError(f"events must be finite and >= 0, got {events}")
+    mean = events / 64 * matrix.raw
     streams = np.random.SeedSequence(seed).spawn(64)
     counts = np.zeros((8, 8), dtype=np.int64)
     for idx, ss in enumerate(streams):
         i, j = divmod(idx, 8)
         counts[i, j] = np.random.default_rng(ss).poisson(mean[i, j])
-    return CountsTable(
-        labels=matrix.labels,
-        counts=counts,
-        expected=mean,
-        seed=seed,
-        total_events=n_events,
-    )
+    return CountsTable(labels=matrix.labels, counts=counts, expected=mean)

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .channel import (
     LABEL_STRINGS,
-    CountRates,
     ScatteringMatrix,
     scattering_matrix,
     simulate_counts,
@@ -38,9 +37,9 @@ from .modes import (ModeFamily, ModeSpec, full_reconstruction_distance,
                     nondiffracting_distance, shadow_length)
 from .propagation import ChannelSpec
 from .security import (
-    PhotonStatistics,
     SecurityReport,
     key_rate,
+    multiphoton_fraction,
     mutual_information,
     security_report,
 )
@@ -135,6 +134,9 @@ def _write_snapshots(cfg: RunConfig, out: Path, runs) -> None:
 
 def cmd_security(args) -> int:
     cfg = _load(args)
+    if cfg.security_direct and cfg.scenarios:
+        raise ConfigError("security.direct", "security runs either the scenarios or "
+                          "the direct entries; this config has both")
     out = _out_dir(args)
     reports = []
     status = EXIT_OK
@@ -156,18 +158,17 @@ def cmd_security(args) -> int:
         matrices = _run_scenarios(cfg, args.threads)
         reference = next(
             (m for s, m in zip(cfg.scenarios, matrices) if not s.channel.obstacles), None)
+        spdc = cfg.spdc
+        if spdc.delta is not None:
+            delta, mu = spdc.delta, None
+        else:
+            delta, mu = multiphoton_fraction(spdc.mu, spdc.q_mu), spdc.mu
         for idx, m in enumerate(matrices):
-            counts = simulate_counts(
-                m, CountRates(pairs_per_second=cfg.run.events, integration_time=1.0),
-                seed=cfg.run.seed + idx)
-            kwargs = dict(reference=reference, counts=counts,
-                          d=cfg.security.dimension, f_ec=cfg.security.f_ec,
-                          variant=cfg.security.variant, scenario=m.scenario)
-            if cfg.spdc.delta is not None:
-                rep = security_report(m, delta=cfg.spdc.delta, q_mu=cfg.spdc.q_mu, **kwargs)
-            else:
-                stats = PhotonStatistics.poissonian(cfg.spdc.mu, cfg.spdc.q_mu)
-                rep = security_report(m, stats=stats, **kwargs)
+            counts = simulate_counts(m, cfg.run.events, seed=cfg.run.seed + idx)
+            rep = security_report(m, delta=delta, q_mu=spdc.q_mu, mu=mu, reference=reference,
+                                  counts=counts, d=cfg.security.dimension,
+                                  f_ec=cfg.security.f_ec, variant=cfg.security.variant,
+                                  scenario=m.scenario)
             reports.append(rep.to_json_dict())
             if "csv" in cfg.run.outputs:
                 (out / f"{m.scenario}_{m.family.lower()}_counts.csv").write_text(counts.to_csv())

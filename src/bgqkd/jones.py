@@ -156,10 +156,6 @@ class MubCheckResult:
     mutually_unbiased: bool
     failure: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
 
 def check_mub(set_a, set_b, *, states_a=None, states_b=None, tol: float = 1e-3) -> MubCheckResult:
     """Overlap-squared matrix |<a_i|b_j>|^2 and whether all entries are 1/4.

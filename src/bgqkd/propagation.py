@@ -6,10 +6,10 @@ transport: an FFT of the stack, the kernel exp(-i dz sqrt(k^2 - kx^2 - ky^2))
 (forward phase exp(-i k_z z); evanescent components are zeroed) and an
 inverse FFT. The kernel depends only on |k_t|^2, so it is evaluated once per
 distinct value and expanded to the grid in C order (TransverseGrid.spectral).
-Back-propagation is the conjugation route, not a negative dz. Free space and
-the obstacles act alike on both polarizations, so only scalars are
-transported; the band-limit guard reads Gram matrices taken from each
-segment's spectrum.
+A negative dz carries a field backwards: its kernel is the conjugate of the
+forward one, the adjoint of forward transport. Free space and the obstacles
+act alike on both polarizations, so only scalars are transported; the
+band-limit guard reads Gram matrices taken from each segment's spectrum.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def band_limit_message(tail: float) -> str | None:
 def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
     """The free-space kernel K = exp(-i dz k_z), zero on evanescent components,
     on the FFT-ordered frequency grid: propagate_samples multiplies a field's
-    spectrum by it. K(-k) = K(k), so back-propagation is its adjoint."""
+    spectrum by it. K(-k) = K(k), and the kernel of -dz is conj(K) pixel for
+    pixel, so transport over -dz is the adjoint of transport over dz."""
     k = 2.0 * np.pi / wavelength
     return grid.spectral(lambda k2: np.exp(-1j * dz * np.sqrt(np.maximum(k * k - k2, 0.0)))
                          * (k2 <= k * k))
@@ -54,30 +55,14 @@ def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.
 
 def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz: float,
                       grams: list | None = None) -> np.ndarray:
-    """Advance a stack of scalar fields u (..., n, n) by dz >= 0 metres of
-    free space (u itself at dz = 0). With a list `grams`, the stack's band
-    Gram matrices over the outer band annulus and over all of k-space, read
-    off its spectrum before the kernel multiply, are appended to it."""
-    if dz < 0:
-        raise ValueError("dz must be >= 0; use back_propagate_samples for the reverse direction")
-    return _propagate(u, grid, wavelength, dz, grams, overwrite=False)
-
-
-def back_propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float,
-                           dz: float) -> np.ndarray:
-    """Reverse-direction transport via conjugation: U(-dz) = conj(U(dz) conj(.)).
-    The conjugate is a fresh array, so it is transformed in place."""
-    if dz < 0:
-        raise ValueError("dz must be >= 0; use propagate_samples for the forward direction")
-    out = _propagate(np.conj(u), grid, wavelength, dz, None, overwrite=True)
-    return np.conj(out, out=out)
-
-
-def _propagate(u, grid, wavelength, dz, grams, overwrite):
-    """propagate_samples; with `overwrite`, the transform may reuse u's memory."""
+    """Advance a stack of scalar fields u (..., n, n) by dz metres of free
+    space, backwards for dz < 0 (u itself at dz = 0). With a list `grams`,
+    the stack's band Gram matrices over the outer band annulus and over all
+    of k-space, read off its spectrum before the kernel multiply, are
+    appended to it."""
     if dz == 0.0:
         return u
-    spec = spfft.fft2(u, overwrite_x=overwrite, workers=FFT_WORKERS)
+    spec = spfft.fft2(u, workers=FFT_WORKERS)
     if grams is not None:
         flat = spec.reshape(-1, grid.n * grid.n)
         cut = ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2

@@ -19,37 +19,15 @@ import numpy as np
 from .channel import CountsTable, ScatteringMatrix, basis_slice
 
 
-@dataclass(frozen=True)
-class PhotonStatistics:
-    """Source photon-number statistics entering the GLLP bound.
-
-    mu    : mean photon number per pulse
-    q_mu  : yield per signal state (probability of a detection)
-    p0/p1 : vacuum and single-photon emission probabilities
-    """
-
-    mu: float
-    q_mu: float
-    p0: float
-    p1: float
-
-    def __post_init__(self):
-        if not 0 < self.q_mu <= 1:
-            raise ValueError(f"q_mu must be in (0, 1], got {self.q_mu}")
-        if self.p0 < 0 or self.p1 < 0 or self.p0 + self.p1 > 1 + 1e-12:
-            raise ValueError("p0, p1 must be non-negative with p0 + p1 <= 1")
-        if self.mu < 0:
-            raise ValueError("mu must be non-negative")
-
-    @classmethod
-    def poissonian(cls, mu: float, q_mu: float) -> "PhotonStatistics":
-        """Poissonian source: p0 = exp(-mu), p1 = mu exp(-mu)."""
-        return cls(mu=mu, q_mu=q_mu, p0=math.exp(-mu), p1=mu * math.exp(-mu))
-
-
-def multiphoton_fraction(stats: PhotonStatistics) -> float:
-    """Delta = (1 - p0 - p1) / q_mu, clamped to [0, 1]."""
-    delta = (1.0 - stats.p0 - stats.p1) / stats.q_mu
+def multiphoton_fraction(mu: float, q_mu: float) -> float:
+    """Delta = (1 - p0 - p1) / q_mu for a Poissonian source of mean photon
+    number mu per pulse (p0 = exp(-mu), p1 = mu exp(-mu)) and yield q_mu per
+    signal state, clamped to [0, 1]."""
+    if not 0 < q_mu <= 1:
+        raise ValueError(f"q_mu must be in (0, 1], got {q_mu}")
+    if mu < 0:
+        raise ValueError("mu must be non-negative")
+    delta = (1.0 - math.exp(-mu) - mu * math.exp(-mu)) / q_mu
     return min(max(delta, 0.0), 1.0)
 
 
@@ -72,13 +50,8 @@ def hd_entropy(e: float, d: int) -> float:
 
 
 def mutual_information(e: float, d: int) -> float:
-    """I_AB = log2(d) + (1-e) log2(1-e) + e log2(e / (d-1)), bits per photon."""
-    direct = math.log2(d)
-    if e < 1.0:
-        direct += (1.0 - e) * math.log2(1.0 - e)
-    if e > 0.0:
-        direct += e * math.log2(e / (d - 1))
-    return direct
+    """I_AB = log2(d) - H_d(e), bits per photon."""
+    return math.log2(d) - hd_entropy(e, d)
 
 
 @dataclass(frozen=True)
@@ -196,9 +169,9 @@ class SecurityReport:
 
 
 def security_report(matrix: ScatteringMatrix, *,
-                    stats: Optional[PhotonStatistics] = None,
-                    delta: Optional[float] = None,
-                    q_mu: Optional[float] = None,
+                    delta: float,
+                    q_mu: float = 1.0,
+                    mu: Optional[float] = None,
                     reference: Optional[ScatteringMatrix] = None,
                     counts: Optional[CountsTable] = None,
                     d: int = 4, f_ec: float = 1.2,
@@ -206,17 +179,11 @@ def security_report(matrix: ScatteringMatrix, *,
                     scenario: str = "") -> SecurityReport:
     """Assemble QBER, I_AB, Delta, key rate and normalized counts.
 
-    Delta comes either from source statistics or as a direct entry (exactly
-    one of stats/delta; q_mu may accompany a direct delta). Normalized counts
+    Delta is the multi-photon fraction (see multiphoton_fraction); mu, the
+    mean photon number it came from, is only reported. Normalized counts
     compare the psi00 -> psi00 raw detection probability against the
     free-space reference matrix; without a reference the field is absent.
     """
-    if (stats is None) == (delta is None):
-        raise ValueError("provide exactly one of stats or delta")
-    if delta is None:
-        delta = multiphoton_fraction(stats)
-    if q_mu is None:
-        q_mu = stats.q_mu if stats is not None else 1.0
     qber = qber_from_matrix(matrix, counts)
     i_ab = mutual_information(qber.e, d)
     rate = key_rate(qber.e, delta, d=d, f_ec=f_ec, q_mu=q_mu, variant=variant)
@@ -246,7 +213,7 @@ def security_report(matrix: ScatteringMatrix, *,
         key_rate=rate,
         normalized_counts=nc,
         f_ec=f_ec,
-        mu=(stats.mu if stats is not None else None),
+        mu=mu,
         q_mu=q_mu,
         notes=tuple(notes),
     )

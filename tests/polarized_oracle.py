@@ -34,7 +34,6 @@ from bgqkd.modes import ModeSpec
 from bgqkd.propagation import (
     ChannelSpec,
     ObstacleSpec,
-    back_propagate_samples,
     band_limit_message,
     band_tail_fraction,
     obstacle_mask,
@@ -326,9 +325,17 @@ def propagate(f: PolarizedField, dz: float) -> PolarizedField:
     return transmit_to_station(f, ChannelSpec(length=dz, station_z=dz))
 
 
+def conjugate_back_propagate(u: np.ndarray, grid: TransverseGrid, wavelength: float,
+                             dz: float) -> np.ndarray:
+    """Carry the stack u back by dz >= 0 metres the conjugation route,
+    conj(P(dz) conj(u)), with only forward transport: the kernel is even in
+    k, so this is the adjoint of P(dz), as propagate_samples(u, -dz) is."""
+    return np.conj(propagate_samples(np.conj(u), grid, wavelength, dz))
+
+
 def back_propagate(f: PolarizedField, dz: float) -> PolarizedField:
-    h, v = back_propagate_samples(np.stack([f.h.samples, f.v.samples]), f.grid,
-                                  f.wavelength, dz)
+    h, v = conjugate_back_propagate(np.stack([f.h.samples, f.v.samples]), f.grid,
+                                    f.wavelength, dz)
     return polarized_from_arrays(f.grid, h, v, f.wavelength)
 
 

@@ -1,7 +1,7 @@
 """The package namespace is the API that README.md documents, and no more;
-every public function serves the package or that API; the CLI loads every
-module the benchmark's tracer wraps, and the package never reaches into the
-tests."""
+every public function, method and property serves the package or that API;
+the CLI loads every module the benchmark's tracer wraps, and the package
+never reaches into the tests."""
 
 import ast
 import re
@@ -50,6 +50,24 @@ def test_every_public_function_is_used_or_documented():
     unused = [f"{stem}.{node.name}" for stem, tree in trees.items() for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
               and node.name not in used | documented]
+    assert unused == []
+
+
+def test_every_public_method_and_property_is_used_or_documented():
+    # likewise for the methods and properties of the package's classes: a
+    # name that no code in the package refers to and no README python block
+    # names serves only the tests
+    package = Path(bgqkd.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.S | re.M)
+    assert blocks, "README.md has no python block"
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in [*trees.values(), *map(ast.parse, blocks)] for node in ast.walk(tree)
+            if isinstance(node, ast.Name | ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unused = [f"{stem}.{cls.name}.{node.name}" for stem, tree in trees.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+              and node.name not in used]
     assert unused == []
 
 

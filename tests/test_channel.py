@@ -7,7 +7,6 @@ import pytest
 
 from bgqkd import (
     ChannelSpec,
-    CountRates,
     DetectionKind,
     DetectionModel,
     ModeFamily,
@@ -24,8 +23,7 @@ from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, basis_slice, detect
 from bgqkd.fields import ScalarField
 from bgqkd.jones import ALL_LABELS, MubLabel
 from bgqkd.modes import binary_bessel_hologram, radial_factor
-from bgqkd.propagation import (back_propagate_samples, obstacle_mask, propagate_samples,
-                               transfer_function)
+from bgqkd.propagation import obstacle_mask, propagate_samples, transfer_function
 
 from conftest import W0, WAVELENGTH, K_R, clear_ring_caches, pixel_radius, spin_orbit_states
 from diagnostics import dominant_oam_fraction
@@ -33,6 +31,7 @@ from polarized_oracle import (
     BandLimitWarning,
     back_propagate,
     boundary_power_fraction,
+    conjugate_back_propagate,
     heralded_input,
     horizontally_polarized,
     inner_product,
@@ -337,8 +336,8 @@ def _oracle_detection_states(source, grid, channel, det):
     if det.kind is DetectionKind.CASCADE:
         g = np.exp(-(pixel_radius(grid) / det.smf_waist) ** 2)
         g = g * binary_bessel_hologram(source.k_r, grid)
-        g = back_propagate_samples(ScalarField(grid, g).normalized().samples, grid,
-                                   source.wavelength, leg)
+        g = conjugate_back_propagate(ScalarField(grid, g).normalized().samples, grid,
+                                     source.wavelength, leg)
         base = horizontally_polarized(ScalarField(grid, g), source.wavelength)
         return [prepare_state(label, base) for label in ALL_LABELS]
     base = heralded_input(source, grid)
@@ -457,12 +456,14 @@ class TestSharedLegs:
                                                               cold_leg_cache, workers):
         # pool threads that miss the cold cache together wait for the first
         # one's leg instead of carrying it again (more workers than cores and
-        # frequent thread switches make the race likely)
+        # frequent thread switches make the race likely); the detection pairs
+        # are carried back (dz < 0) through the same transport and not counted
         planes = []
 
-        def counted(u, *args, **kwargs):
-            planes.append(len(u))
-            return propagate_samples(u, *args, **kwargs)
+        def counted(u, grid, wavelength, dz, *args, **kwargs):
+            if dz > 0:
+                planes.append(len(u))
+            return propagate_samples(u, grid, wavelength, dz, *args, **kwargs)
         monkeypatch.setattr(channel, "propagate_samples", counted)
         serial = self.run(IDEAL)
         assert sum(planes) == 2
@@ -505,36 +506,36 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="smf_waist"):
             DetectionModel(kind, smf_waist=value)
 
-    def test_pairs_per_second(self, value):
-        with pytest.raises(ValueError, match="pairs_per_second"):
-            CountRates(pairs_per_second=value, integration_time=1.0)
-
-    def test_integration_time(self, value):
-        with pytest.raises(ValueError, match="integration_time"):
-            CountRates(pairs_per_second=1e6, integration_time=value)
-
-    def test_basis_probability(self, value):
-        with pytest.raises(ValueError, match="basis_probability"):
-            CountRates(pairs_per_second=1e6, integration_time=1.0, basis_probability=value)
+    def test_pairs_per_second(self, value, noisy_free_matrix):
+        # run.events: the heralded pairs of a one-second integration
+        with pytest.raises(ValueError, match="events must be finite and >= 0"):
+            simulate_counts(noisy_free_matrix, value, seed=0)
 
 
 class TestSimulateCounts:
     def test_deterministic_given_seed(self, noisy_free_matrix):
-        rates = CountRates(pairs_per_second=1e6, integration_time=1.0)
-        a = simulate_counts(noisy_free_matrix, rates, seed=7)
-        b = simulate_counts(noisy_free_matrix, rates, seed=7)
+        a = simulate_counts(noisy_free_matrix, 1e6, seed=7)
+        b = simulate_counts(noisy_free_matrix, 1e6, seed=7)
         assert np.array_equal(a.counts, b.counts)
-        c = simulate_counts(noisy_free_matrix, rates, seed=8)
+        c = simulate_counts(noisy_free_matrix, 1e6, seed=8)
         assert not np.array_equal(a.counts, c.counts)
 
     def test_zero_time_zero_counts(self, noisy_free_matrix):
-        rates = CountRates(pairs_per_second=1e6, integration_time=0.0)
-        t = simulate_counts(noisy_free_matrix, rates, seed=1)
+        t = simulate_counts(noisy_free_matrix, 0.0, seed=1)
         assert t.counts.sum() == 0
 
+    @pytest.mark.parametrize("events", [-1.0, -1e-300])
+    def test_negative_events_rejected(self, noisy_free_matrix, events):
+        with pytest.raises(ValueError, match="events must be finite and >= 0"):
+            simulate_counts(noisy_free_matrix, events, seed=1)
+
+    def test_mean_is_events_over_64_times_raw(self, noisy_free_matrix):
+        # each side picks a basis (1/2) and a state in it (1/4) uniformly
+        t = simulate_counts(noisy_free_matrix, 3e5, seed=2)
+        assert np.array_equal(t.expected, 3e5 * (0.125 * 0.125) * noisy_free_matrix.raw)
+
     def test_large_sample_frequencies(self, noisy_free_matrix):
-        rates = CountRates(pairs_per_second=1e7, integration_time=1.0)
-        t = simulate_counts(noisy_free_matrix, rates, seed=3)
+        t = simulate_counts(noisy_free_matrix, 1e7, seed=3)
         sigma = np.sqrt(np.maximum(t.expected, 1.0))
         assert np.all(np.abs(t.counts - t.expected) <= 5 * sigma)
         # most cells within 3 sigma (law of large numbers, fixed seed)
@@ -544,8 +545,7 @@ class TestSimulateCounts:
     def test_empirical_qber_matches_matrix(self, noisy_free_matrix):
         from bgqkd import qber_from_matrix
 
-        rates = CountRates(pairs_per_second=1e6, integration_time=1.0)
-        t = simulate_counts(noisy_free_matrix, rates, seed=11)
+        t = simulate_counts(noisy_free_matrix, 1e6, seed=11)
         e_hat, sigma = t.empirical_qber()
         e = qber_from_matrix(noisy_free_matrix).e
         assert abs(e_hat - e) <= 3 * sigma

@@ -46,6 +46,8 @@ REJECTED = [
     pytest.param("security", "security: {direct: [{name: a, qber: 0.05, family: XX}]}",
                  "security.direct[0].family", id="direct-family-unknown"),
     pytest.param("security", "security: {direct: 5}", "security.direct", id="direct-not-a-list"),
+    pytest.param("security", "security: {direct: [{name: a, qber: 0.05}]}", "security.direct",
+                 id="direct-beside-scenarios"),
     pytest.param("scattering", "run: {pgm_stations: 0.3}", "run.pgm_stations",
                  id="pgm-stations-not-a-list"),
     pytest.param("scattering", "run: {outputs: [pgm], pgm_stations: [-0.1]}",
@@ -161,6 +163,14 @@ class TestConfigErrors:
 
 
 class TestScattering:
+    def test_runs_beside_direct_security_entries(self, tmp_path):
+        doc = dict(TINY, security={"direct": [{"name": "a", "qber": 0.05}]})
+        out = tmp_path / "out"
+        rc = main(["scattering", "--config", write_config(tmp_path, doc), "--out-dir", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.glob("*_matrix.json")) == [
+            "blocked_lg_matrix.json", "free-space_lg_matrix.json"]
+
     def test_writes_matrices(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["scattering", "--config", write_config(tmp_path, TINY),

@@ -12,7 +12,6 @@ from bgqkd import (
 )
 from bgqkd.channel import heralded_profile
 from bgqkd.propagation import (
-    back_propagate_samples,
     obstacle_mask,
     propagate_samples,
     transfer_function,
@@ -25,6 +24,7 @@ from polarized_oracle import (
     apply_obstacle,
     back_propagate,
     boundary_power_fraction,
+    conjugate_back_propagate,
     horizontally_polarized,
     inner_product,
     propagate,
@@ -263,6 +263,7 @@ def test_transfer_function_equals_per_pixel_kernel(n, extent):
         kernel = transfer_function(grid, WAVELENGTH, dz)
         assert kernel.tobytes() == expected.tobytes()
         assert kernel.flags.c_contiguous
+        assert np.array_equal(transfer_function(grid, WAVELENGTH, -dz), kernel.conj())
 
 
 class TestRayleighSommerfeldOracle:
@@ -311,11 +312,23 @@ class TestGuards:
         assert boundary_power_fraction(narrow) < 1e-12
 
 
-@pytest.mark.parametrize("transport,remedy", [
-    (propagate_samples, "back_propagate_samples"),
-    (back_propagate_samples, "propagate_samples"),
-])
-def test_negative_distance_names_the_other_direction(transport, remedy):
-    grid = TransverseGrid(n=64, extent=10e-3)
-    with pytest.raises(ValueError, match=rf"; use {remedy} for the"):
-        transport(np.ones((64, 64), dtype=complex), grid, WAVELENGTH, -0.1)
+@pytest.mark.parametrize("n,extent", [(64, 25.6e-6), (256, 10e-3)])
+def test_negative_distance_is_the_conjugation_route(n, extent):
+    # the kernel of -dz is the conjugate of the kernel of dz and K(-k) = K(k),
+    # so P(-dz) u = conj(P(dz) conj(u)) up to rounding (n = 64 at dx = 0.4 um
+    # has evanescent corners)
+    grid = TransverseGrid(n=n, extent=extent)
+    f = random_polarized(grid, seed=41)
+    u = np.stack([f.h.samples, f.v.samples])
+    for dz in (1e-5, 0.3):
+        got = propagate_samples(u, grid, WAVELENGTH, -dz)
+        ref = conjugate_back_propagate(u, grid, WAVELENGTH, dz)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_negative_distance_undoes_forward_transport(grid256):
+    u = gaussian_field(grid256, 0.6e-3).h.samples
+    for dz in (0.02, 0.3):
+        back = propagate_samples(propagate_samples(u, grid256, WAVELENGTH, dz),
+                                 grid256, WAVELENGTH, -dz)
+        assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))

@@ -5,7 +5,6 @@ import pytest
 
 from bgqkd import (
     KeyRateResult,
-    PhotonStatistics,
     ScatteringMatrix,
     hd_entropy,
     key_rate,
@@ -78,26 +77,27 @@ class TestMutualInformation:
     def test_identity_with_entropy(self):
         for d in (2, 4, 8):
             for e in [*np.linspace(0.0, 0.99, 97), 1.0]:
-                lhs = mutual_information(e, d)
-                rhs = math.log2(d) - hd_entropy(e, d)
-                assert abs(lhs - rhs) < 1e-12
+                # I_AB = log2 d + (1-e) log2(1-e) + e log2(e/(d-1)), written out
+                rhs = math.log2(d)
+                if e < 1.0:
+                    rhs += (1.0 - e) * math.log2(1.0 - e)
+                if e > 0.0:
+                    rhs += e * math.log2(e / (d - 1))
+                assert abs(mutual_information(e, d) - rhs) < 1e-12
 
 
 class TestMultiphotonFraction:
     def test_zero_for_sub_two_photon_source(self):
-        stats = PhotonStatistics(mu=0.1, q_mu=1e-4, p0=0.75, p1=0.25)
-        assert multiphoton_fraction(stats) == 0.0
+        assert multiphoton_fraction(0.0, 1e-4) == 0.0
 
     def test_poissonian_reference(self):
-        stats = PhotonStatistics.poissonian(mu=1e-3, q_mu=1e-4)
-        assert multiphoton_fraction(stats) == pytest.approx(5.0e-3, rel=1e-3)
+        assert multiphoton_fraction(1e-3, 1e-4) == pytest.approx(5.0e-3, rel=1e-3)
 
     def test_small_mu_asymptotics(self):
         # 1 - exp(-mu)(1+mu) = (mu^2/2)(1 - 2 mu/3 + ...): the quadratic
         # approximation has leading relative error 2 mu / 3
         for mu in (1e-4, 1e-3, 1e-2):
-            stats = PhotonStatistics.poissonian(mu=mu, q_mu=1.0)
-            exact = multiphoton_fraction(stats)
+            exact = multiphoton_fraction(mu, 1.0)
             approx = mu ** 2 / 2
             rel = abs(exact - approx) / exact
             assert rel < 0.7 * mu + 1e-6
@@ -105,8 +105,11 @@ class TestMultiphotonFraction:
                 assert rel < 1e-3
 
     def test_rejects_bad_yield(self):
-        with pytest.raises(ValueError):
-            PhotonStatistics(mu=1e-3, q_mu=0.0, p0=0.9, p1=0.05)
+        for q_mu in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="q_mu"):
+                multiphoton_fraction(1e-3, q_mu)
+        with pytest.raises(ValueError, match="mu must be non-negative"):
+            multiphoton_fraction(-1e-3, 1e-4)
 
 
 class TestKeyRate:
@@ -213,20 +216,21 @@ class TestSecurityReport:
         assert rep.normalized_counts == pytest.approx(0.25)
 
     def test_stats_and_delta_exclusive(self):
+        # delta is the one multi-photon input; there is no statistics route
         m = synthetic_matrix(ideal_raw())
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="delta"):
             security_report(m)
-        with pytest.raises(ValueError):
-            security_report(m, delta=1e-3,
-                            stats=PhotonStatistics.poissonian(1e-3, 1e-4))
+        with pytest.raises(TypeError, match="stats"):
+            security_report(m, delta=1e-3, stats=None)
 
     def test_json_round_trip_fields(self):
         m = synthetic_matrix(ideal_raw())
-        rep = security_report(m, stats=PhotonStatistics.poissonian(1e-3, 1e-4),
-                              scenario="x")
+        rep = security_report(m, delta=multiphoton_fraction(1e-3, 1e-4), q_mu=1e-4,
+                              mu=1e-3, scenario="x")
         d = rep.to_json_dict()
         for key in ("qber", "mutual_information_bits", "delta", "key_rate",
                     "normalized_counts", "f_ec", "mu", "q_mu", "dimension"):
             assert key in d
+        assert (d["mu"], d["q_mu"]) == (1e-3, 1e-4)
         assert d["key_rate"]["variant"] == "table_consistent"
         assert isinstance(rep.key_rate, KeyRateResult)

@@ -15,7 +15,9 @@ from bgqkd import (
 )
 from bgqkd.channel import detection_states, source_pair, spin_orbit_amplitudes, state_powers
 from bgqkd.jones import ALL_LABELS, MubLabel
-from bgqkd.propagation import back_propagate_samples, obstacle_mask, propagate_samples
+from bgqkd.propagation import obstacle_mask, propagate_samples
+
+from polarized_oracle import conjugate_back_propagate
 
 L = MubLabel.from_string
 CASCADE = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=0.0)
@@ -39,7 +41,7 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     turn = np.exp(1j * ell * grid.phi)
     rows = []
     for z in z_stations:
-        w = back_propagate_samples(axis, grid, source.wavelength, z - station)
+        w = conjugate_back_propagate(axis, grid, source.wavelength, z - station)
         demod = np.stack([w * turn, w * turn.conj()])
         dets = detection_states(source, grid, z - station, detection)
         (p_obs, a_obs), (p_free, a_free) = (

@@ -6,8 +6,8 @@ engine needs. A scan contracts the matched state's weights before its
 transform, so its station-plane spectra are 2 (cascade) or 6 (ideal) planes;
 each station adds its kernel and the detection spectra carried back by it.
 A scattering matrix holds the shared leg and the masked pair beside one
-detection pair being built, whose back-propagation transforms its own
-conjugate in place. The grid itself keeps no n x n plane.
+detection pair being built, carried back over the decoding leg as a transport
+over -L into a fresh spectrum. The grid itself keeps no n x n plane.
 """
 
 import tracemalloc
