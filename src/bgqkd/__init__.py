@@ -14,7 +14,7 @@ from .modes import (
     nondiffracting_distance,
     shadow_length,
 )
-from .jones import MubCheckResult, MubLabel, check_mub, mub_state_vector
+from .jones import MubCheckResult, check_mub, mub_state_vector
 from .propagation import ChannelSpec, ObstacleSpec
 from .channel import (
     CountsTable,

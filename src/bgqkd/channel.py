@@ -41,7 +41,7 @@ import numpy as np
 
 from .analysis import interior_window
 from .fields import TransverseGrid
-from .jones import ALL_LABELS, SPIN_ORBIT, spin_orbit_pair
+from .jones import LABELS, SPIN_ORBIT, spin_orbit_pair
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
     ChannelSpec,
@@ -262,15 +262,14 @@ def station_pair(source: ModeSpec, grid: TransverseGrid,
 # ---------------------------------------------------------------------------
 # scattering matrix
 
-LABEL_STRINGS: tuple[str, ...] = tuple(str(l) for l in ALL_LABELS)
-
 # H-component weights of each state on the pair: <H|R> = <H|L> = 1/sqrt(2)
 _H_WEIGHTS = (SPIN_ORBIT[:, :2] + SPIN_ORBIT[:, 2:]) / np.sqrt(2.0)
 
 
-def basis_slice(i: int) -> slice:
-    """The columns of state i's own basis in an 8 x 8 matrix over LABEL_STRINGS."""
-    return slice(0, 4) if i < 4 else slice(4, 8)
+def matched_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's sum over the columns of its own basis in an 8 x 8 table
+    over LABELS: psi rows over columns 0-3, phi rows over columns 4-7."""
+    return np.concatenate([table[:4, :4].sum(axis=1), table[4:, 4:].sum(axis=1)])
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -279,23 +278,22 @@ def _read_only(values, dtype) -> np.ndarray:
     return out
 
 
-def _matrix_csv(labels: tuple[str, ...], rows, spec: str) -> str:
-    lines = ["prepared\\measured," + ",".join(labels)]
+def _matrix_csv(rows, spec: str) -> str:
+    lines = ["prepared\\measured," + ",".join(LABELS)]
     lines += [label + "," + ",".join(format(v, spec) for v in row)
-              for label, row in zip(labels, rows)]
+              for label, row in zip(LABELS, rows)]
     return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """8x8 detection probabilities over {psi00..psi11, phi00..phi11}.
+    """8x8 detection probabilities, rows and columns in the order of LABELS.
 
     raw[i, j] is the probability of detecting prepared state i in projection
     j (noise floor included); transmission[i] is the power reaching the
     detection plane for prepared state i (unit input).
     """
 
-    labels: tuple[str, ...]
     raw: np.ndarray
     transmission: np.ndarray
     noise_floor: float = 0.0
@@ -308,20 +306,17 @@ class ScatteringMatrix:
         object.__setattr__(self, "transmission", _read_only(self.transmission, float))
 
     def row_normalized(self) -> np.ndarray:
-        """Rows scaled by the matched-basis sum (detection-conditional)."""
-        out = np.zeros_like(self.raw)
-        for i in range(8):
-            s = self.raw[i, basis_slice(i)].sum()
-            if s > 0:
-                out[i] = self.raw[i] / s
-        return out
+        """Rows scaled by the matched-basis sum (detection-conditional); a row
+        whose sum vanishes is zero."""
+        sums = matched_sums(self.raw)[:, None]
+        return np.divide(self.raw, sums, out=np.zeros_like(self.raw), where=sums > 0)
 
     def matched_diagonal(self) -> np.ndarray:
         return np.diag(self.row_normalized())
 
     def to_json_dict(self) -> dict:
         return {
-            "labels": list(self.labels),
+            "labels": list(LABELS),
             "raw": self.raw.tolist(),
             "row_normalized": self.row_normalized().tolist(),
             "transmission": self.transmission.tolist(),
@@ -332,10 +327,10 @@ class ScatteringMatrix:
         }
 
     def to_csv(self) -> str:
-        return _matrix_csv(self.labels, self.raw, ".10g")
+        return _matrix_csv(self.raw, ".10g")
 
     def normalized_csv(self) -> str:
-        return _matrix_csv(self.labels, self.row_normalized(), ".10g")
+        return _matrix_csv(self.row_normalized(), ".10g")
 
 
 def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
@@ -357,7 +352,7 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
     power = state_powers(pair, grid)
     interior = state_powers(pair, grid, interior_window(grid.n))
     notes: list[str] = []
-    for i, label in enumerate(LABEL_STRINGS):
+    for i, label in enumerate(LABELS):
         for g in band:
             if msg := band_limit_message(band_tail_fraction(g, _H_WEIGHTS[i])):
                 notes.append(f"{label}: {msg}")
@@ -365,7 +360,6 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
         if edge > BOUNDARY_POWER_TOL:
             notes.append(f"{label}: boundary power fraction {edge:.2e}")
     return ScatteringMatrix(
-        labels=LABEL_STRINGS,
         raw=raw,
         transmission=power,
         noise_floor=detection.noise_floor,
@@ -380,35 +374,30 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Poisson-sampled event counts per (prepared, measured) cell."""
+    """Poisson-sampled event counts per (prepared, measured) cell, rows and
+    columns in the order of LABELS."""
 
-    labels: tuple[str, ...]
     counts: np.ndarray
-    expected: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _read_only(self.counts, np.int64))
-        object.__setattr__(self, "expected", _read_only(self.expected, float))
 
     def empirical_qber(self) -> tuple[float, float]:
-        """Sifted-error estimate and its standard error from matched blocks."""
-        fracs = []
-        variances = []
-        for i in range(8):
-            row_total = self.counts[i, basis_slice(i)].sum()
-            if row_total == 0:
-                continue
-            p = self.counts[i, i] / row_total
-            fracs.append(p)
-            variances.append(max(p * (1.0 - p), 1.0 / row_total) / row_total)
-        if not fracs:
+        """Sifted-error estimate and its standard error from the matched rows
+        that drew a count."""
+        totals = matched_sums(self.counts)
+        drew = totals > 0
+        if not drew.any():
             raise ValueError("no sifted events in any matched row")
+        totals = totals[drew]
+        fracs = np.diag(self.counts)[drew] / totals
+        variances = np.maximum(fracs * (1.0 - fracs), 1.0 / totals) / totals
         e = 1.0 - float(np.mean(fracs))
         sigma = float(np.sqrt(np.sum(variances)) / len(fracs))
         return e, sigma
 
     def to_csv(self) -> str:
-        return _matrix_csv(self.labels, self.counts, "d")
+        return _matrix_csv(self.counts, "d")
 
 
 def simulate_counts(matrix: ScatteringMatrix, events: float, seed: int) -> CountsTable:
@@ -427,4 +416,4 @@ def simulate_counts(matrix: ScatteringMatrix, events: float, seed: int) -> Count
     for idx, ss in enumerate(streams):
         i, j = divmod(idx, 8)
         counts[i, j] = np.random.default_rng(ss).poisson(mean[i, j])
-    return CountsTable(labels=matrix.labels, counts=counts, expected=mean)
+    return CountsTable(counts)

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .channel import (
-    LABEL_STRINGS,
     ScatteringMatrix,
     scattering_matrix,
     simulate_counts,
@@ -32,7 +31,7 @@ from .channel import (
 from .config import RunConfig, load_config, load_preset, preset_names
 from .errors import ConfigError
 from .io import write_pgm
-from .jones import ALL_LABELS, wave_plates
+from .jones import LABELS, wave_plates
 from .modes import (ModeFamily, ModeSpec, full_reconstruction_distance,
                     nondiffracting_distance, shadow_length)
 from .propagation import ChannelSpec
@@ -111,7 +110,7 @@ def cmd_scattering(args) -> int:
     if "pgm" in cfg.run.outputs:
         _write_snapshots(cfg, out, [
             (s.channel, cfg.run.pgm_stations or (s.channel.length,),
-             {i: f"{s.name}_{fam}_{label}" for i, label in enumerate(LABEL_STRINGS)})
+             {i: f"{s.name}_{fam}_{label}" for i, label in enumerate(LABELS)})
             for s in cfg.scenarios])
     return _guard_exit(cfg, matrices)
 
@@ -137,6 +136,8 @@ def cmd_security(args) -> int:
     if cfg.security_direct and cfg.scenarios:
         raise ConfigError("security.direct", "security runs either the scenarios or "
                           "the direct entries; this config has both")
+    if not cfg.security_direct and not cfg.scenarios:
+        raise ConfigError("scenarios", "security needs scenarios or direct entries")
     out = _out_dir(args)
     reports = []
     status = EXIT_OK
@@ -153,8 +154,6 @@ def cmd_security(args) -> int:
                 notes=("direct entry (no field simulation)",),
             ).to_json_dict())
     else:
-        if not cfg.scenarios:
-            raise ConfigError("scenarios", "security needs scenarios or direct entries")
         matrices = _run_scenarios(cfg, args.threads)
         reference = next(
             (m for s, m in zip(cfg.scenarios, matrices) if not s.channel.obstacles), None)
@@ -167,8 +166,7 @@ def cmd_security(args) -> int:
             counts = simulate_counts(m, cfg.run.events, seed=cfg.run.seed + idx)
             rep = security_report(m, delta=delta, q_mu=spdc.q_mu, mu=mu, reference=reference,
                                   counts=counts, d=cfg.security.dimension,
-                                  f_ec=cfg.security.f_ec, variant=cfg.security.variant,
-                                  scenario=m.scenario)
+                                  f_ec=cfg.security.f_ec, variant=cfg.security.variant)
             reports.append(rep.to_json_dict())
             if "csv" in cfg.run.outputs:
                 (out / f"{m.scenario}_{m.family.lower()}_counts.csv").write_text(counts.to_csv())
@@ -226,7 +224,7 @@ def cmd_selfheal_scan(args) -> int:
         channel = ChannelSpec(length=max(sh.z_stations), obstacles=(sh.obstacle,),
                               station_z=max(sh.z_stations))
         _write_snapshots(cfg, out, [(channel, sh.z_stations,
-                                     {LABEL_STRINGS.index(str(sh.label)): f"selfheal_{fam}"})])
+                                     {LABELS.index(sh.label): f"selfheal_{fam}"})])
     return EXIT_OK
 
 
@@ -271,7 +269,7 @@ def cmd_info(args) -> int:
             print(f"selfheal station z={z:.4f} m: edge phase per pixel "
                   f"k R dx / z = {phase:.3f} rad")
     q = (abs(src.ell) or 1) / 2
-    for label in ALL_LABELS:
+    for label in LABELS:
         kind, before, after = wave_plates(label)
         plates = [f"{kind} {math.degrees(before):.1f} deg", f"q-plate q={q:g}"]
         if after is not None:

@@ -17,10 +17,10 @@ from typing import Any, Optional
 
 import yaml
 
-from .channel import LABEL_STRINGS, DetectionKind, DetectionModel
+from .channel import DetectionKind, DetectionModel
 from .errors import ConfigError
 from .fields import TransverseGrid
-from .jones import MubLabel
+from .jones import LABELS
 from .modes import ModeFamily, ModeSpec
 from .propagation import ChannelSpec, ObstacleSpec
 
@@ -195,7 +195,7 @@ SCHEMA = {
         "guard": Key("text", "warn", choices=("warn", "strict")),
     }),
     "selfheal": Key("mapping", None, item={
-        "label": Key("text", "psi00", choices=LABEL_STRINGS),
+        "label": Key("text", "psi00", choices=LABELS),
         "obstacle": Key("mapping", item=_OBSTACLE),
         "z_stations": Key("list", bounds="[1, inf)", item=_Z),
     }),
@@ -234,7 +234,7 @@ class ScenarioDef:
 
 @dataclass(frozen=True)
 class SelfhealSettings:
-    label: MubLabel
+    label: str
     obstacle: ObstacleSpec
     z_stations: tuple[float, ...]
 
@@ -319,7 +319,7 @@ def parse_config(doc: Any, *, source_name: str = "config") -> RunConfig:
             if z < obstacle.z:
                 raise ConfigError(f"selfheal.z_stations[{i}]",
                                   f"station {z} lies before the obstacle at {obstacle.z}")
-        selfheal = SelfhealSettings(label=MubLabel.from_string(selfheal["label"]),
+        selfheal = SelfhealSettings(label=selfheal["label"],
                                     obstacle=obstacle, z_stations=selfheal["z_stations"])
     return RunConfig(
         grid=grid, source=source, spdc=SpdcSettings(**spdc), detection=detection,

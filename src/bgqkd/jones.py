@@ -1,14 +1,14 @@
-"""The paper's spin-orbit recipe: the eight state labels, the wave plates
-around the q = ell/2 plate that prepare each from an H-polarized photon, their
-four-dimensional spin-orbit vectors, the OAM pair the engine carries (one
-(2, n, n) array) and its vortex turn, and the mutual-unbiasedness check. The
-per-pixel Jones trains that realize the recipe on grid fields are the tests'
-reference (tests/polarized_oracle.py).
+"""The paper's spin-orbit recipe: the eight state labels (LABELS, plain
+strings psi00..phi11 whose order is the row order of SPIN_ORBIT and of every
+8 x 8 table), the wave plates around the q = ell/2 plate that prepare each
+from an H-polarized photon, their four-dimensional spin-orbit vectors, the
+OAM pair the engine carries (one (2, n, n) array) and its vortex turn, and
+the mutual-unbiasedness check. The per-pixel Jones trains that realize the
+recipe on grid fields are the tests' reference (tests/polarized_oracle.py).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,75 +17,51 @@ from .fields import TransverseGrid
 
 
 # ---------------------------------------------------------------------------
-# state labels and wave-plate settings
+# the eight states
 
-class MubBasis(enum.Enum):
-    VECTOR = "psi"
-    SCALAR = "phi"
+_QUARTER, _HALFPI = np.pi / 4, np.pi / 2
+_S = 1.0 / np.sqrt(2.0)
+_DP = (1.0 + 1j) / 2.0  # <R|D> ; <L|A>
+_DM = (1.0 - 1j) / 2.0  # <L|D> ; <R|A>
 
-
-@dataclass(frozen=True)
-class MubLabel:
-    basis: MubBasis
-    index: str  # "00", "01", "10", "11"
-
-    def __post_init__(self):
-        if self.index not in ("00", "01", "10", "11"):
-            raise ValueError(f"index must be one of 00/01/10/11, got {self.index!r}")
-
-    def __str__(self) -> str:
-        return f"{self.basis.value}{self.index}"
-
-    @classmethod
-    def from_string(cls, s: str) -> "MubLabel":
-        s = s.strip().lower()
-        for basis in MubBasis:
-            if s.startswith(basis.value):
-                return cls(basis, s[len(basis.value):])
-        raise ValueError(f"unknown state label {s!r} (expected psi00..phi11)")
-
-
-ALL_LABELS: tuple[MubLabel, ...] = tuple(
-    MubLabel(b, idx) for b in (MubBasis.VECTOR, MubBasis.SCALAR)
-    for idx in ("00", "01", "10", "11")
-)
-
-_QUARTER = np.pi / 4
-_HALFPI = np.pi / 2
-
-# Wave-plate angles realizing each state from a horizontally polarized input.
-# Vector states use half-wave plates around the q-plate (second plate omitted
-# where no polarization flip is needed); scalar states use quarter-wave plates.
-# The scalar rows are keyed by the state they actually generate: the
-# (-pi/4, 0) pair yields the diagonal +ell state and (pi/4, pi/2) the
-# diagonal -ell state, etc.
-_VECTOR_ANGLES = {
-    "00": (0.0, None),
-    "01": (_QUARTER, None),
-    "10": (0.0, 0.0),
-    "11": (_QUARTER, 0.0),
-}
-_SCALAR_ANGLES = {
-    "00": (_QUARTER, _HALFPI),   # |D, -ell>
-    "01": (-_QUARTER, 0.0),      # |D, +ell>
-    "10": (_QUARTER, 0.0),       # |A, -ell>
-    "11": (-_QUARTER, _HALFPI),  # |A, +ell>
+# Each state's spin-orbit 4-vector and the angles of the wave plates before
+# and after the q-plate that realize it from a horizontally polarized input.
+# Vector states use half-wave plates (the second omitted where no
+# polarization flip is needed); scalar states use quarter-wave plates. The
+# scalar rows are keyed by the state they actually generate: the (-pi/4, 0)
+# pair yields the diagonal +ell state and (pi/4, pi/2) the diagonal -ell
+# state, etc.
+_STATES = {
+    "psi00": ((_S, 0, 0, _S), 0.0, None),
+    "psi01": ((_S, 0, 0, -_S), _QUARTER, None),
+    "psi10": ((0, _S, _S, 0), 0.0, 0.0),
+    "psi11": ((0, -_S, _S, 0), _QUARTER, 0.0),
+    "phi00": ((0, _DP, 0, _DM), _QUARTER, _HALFPI),    # |D, -ell>
+    "phi01": ((_DP, 0, _DM, 0), -_QUARTER, 0.0),       # |D, +ell>
+    "phi10": ((0, _DM, 0, _DP), _QUARTER, 0.0),        # |A, -ell>
+    "phi11": ((_DM, 0, _DP, 0), -_QUARTER, _HALFPI),   # |A, +ell>
 }
 
+# The labels, vector basis (psi) then scalar basis (phi): a label's index is
+# its row in SPIN_ORBIT and in every 8 x 8 table.
+LABELS: tuple[str, ...] = tuple(_STATES)
 
-def wave_plates(label: MubLabel) -> tuple[str, float, float | None]:
+
+def _state(label: str) -> tuple:
+    if label not in _STATES:
+        raise ValueError(f"unknown state label {label!r} (expected one of {', '.join(LABELS)})")
+    return _STATES[label]
+
+
+def wave_plates(label: str) -> tuple[str, float, float | None]:
     """The wave plates around the q-plate that prepare the labelled state:
     their kind ("HWP" or "QWP") and their angles (rad) before and after the
     q-plate, the second None where no plate follows it."""
-    if label.basis is MubBasis.VECTOR:
-        return ("HWP", *_VECTOR_ANGLES[label.index])
-    return ("QWP", *_SCALAR_ANGLES[label.index])
+    _, before, after = _state(label)
+    return ("HWP" if label.startswith("psi") else "QWP", before, after)
 
 
-# ---------------------------------------------------------------------------
-# analytic four-dimensional model
-
-def mub_state_vector(label: MubLabel) -> np.ndarray:
+def mub_state_vector(label: str) -> np.ndarray:
     """Unit 4-vector in the ordered basis {|R,+l>, |R,-l>, |L,+l>, |L,-l>}.
 
     Diagonal/anti-diagonal polarization follows |D> = (|H>+|V>)/sqrt(2),
@@ -93,23 +69,10 @@ def mub_state_vector(label: MubLabel) -> np.ndarray:
     |R> = (1,-i)/sqrt(2); state phases are fixed by those conventions (all
     physical comparisons go through |<a|b>|^2).
     """
-    s = 1.0 / np.sqrt(2.0)
-    dp = (1.0 + 1j) / 2.0  # <R|D> ; <L|A>
-    dm = (1.0 - 1j) / 2.0  # <L|D> ; <R|A>
-    table = {
-        ("psi", "00"): np.array([s, 0, 0, s]),
-        ("psi", "01"): np.array([s, 0, 0, -s]),
-        ("psi", "10"): np.array([0, s, s, 0]),
-        ("psi", "11"): np.array([0, -s, s, 0]),
-        ("phi", "00"): np.array([0, dp, 0, dm]),
-        ("phi", "01"): np.array([dp, 0, dm, 0]),
-        ("phi", "10"): np.array([0, dm, 0, dp]),
-        ("phi", "11"): np.array([dm, 0, dp, 0]),
-    }
-    return table[(label.basis.value, label.index)].astype(complex)
+    return np.array(_state(label)[0], dtype=complex)
 
 
-SPIN_ORBIT: np.ndarray = np.stack([mub_state_vector(l) for l in ALL_LABELS])
+SPIN_ORBIT: np.ndarray = np.stack([mub_state_vector(l) for l in LABELS])
 SPIN_ORBIT.setflags(write=False)
 
 
@@ -132,10 +95,10 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     removed, as one (2, n, n) array on `grid`.
 
     Every prepared state is a spin-orbit superposition of the pair: the
-    wave-plate train of labels[i] run on H (x) profile equals, up to a global
+    wave-plate train of LABELS[i] run on H (x) profile equals, up to a global
     phase, sum_k SPIN_ORBIT[i, k] |p_k> (x) pair[k % 2] with
     (p_k) = (R, R, L, L), the rows of SPIN_ORBIT being mub_state_vector of
-    ALL_LABELS.
+    LABELS.
     """
     u = np.array(profile, dtype=complex)
     u[grid.n // 2, grid.n // 2] = 0.0  # the one sample at r = 0

@@ -35,7 +35,6 @@ class ModeSpec:
     ell    : topological charge (integer)
     k_r    : radial wave number, rad/m (BG only; 0 degenerates to a pure
              Gaussian envelope)
-    p      : radial index (LG only; this package supports p = 0)
     w0     : Gaussian waist, m
     wavelength : m
     """
@@ -45,7 +44,6 @@ class ModeSpec:
     w0: float
     wavelength: float
     k_r: float = 0.0
-    p: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.w0) and self.w0 > 0):
@@ -74,8 +72,6 @@ def radial_factor(spec: ModeSpec, r: np.ndarray) -> np.ndarray:
     exp(-2 k r^2 / (4 z_R)). LG (p = 0): (sqrt(2) r / w0)^|ell| exp(-r^2 / w0^2).
     """
     if spec.family is ModeFamily.LG:
-        if spec.p != 0:
-            raise UnsupportedModeError(f"only p = 0 LG modes are supported, got p = {spec.p}")
         # complex, so unit-power scaling rounds as it does for a BG factor
         return ((np.sqrt(2.0) * r / spec.w0) ** abs(spec.ell)
                 * np.exp(-(r / spec.w0) ** 2)).astype(complex)

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import CountsTable, ScatteringMatrix, basis_slice
+from .channel import CountsTable, ScatteringMatrix, matched_sums
+from .jones import LABELS
 
 
 def multiphoton_fraction(mu: float, q_mu: float) -> float:
@@ -116,22 +117,17 @@ def qber_from_matrix(m: ScatteringMatrix, counts: Optional[CountsTable] = None) 
     statistical uncertainty is propagated from it; it stays None when no
     matched row drew a count.
     """
-    fracs = []
-    excluded = []
-    for i in range(8):
-        s = m.raw[i, basis_slice(i)].sum()
-        if s <= 0:
-            excluded.append(m.labels[i])
-            continue
-        fracs.append(m.raw[i, i] / s)
+    sums = matched_sums(m.raw)
+    kept = sums > 0
+    excluded = [label for label, k in zip(LABELS, kept) if not k]
     if excluded:
         warnings.warn(
             f"rows with no matched-basis signal excluded from QBER: {excluded}",
             stacklevel=2,
         )
-    if not fracs:
+    if not kept.any():
         raise ValueError("no sifted signal in any row; QBER undefined")
-    e = 1.0 - float(np.average(fracs))
+    e = 1.0 - float(np.average(np.diag(m.raw)[kept] / sums[kept]))
     sigma = None
     if counts is not None:
         try:
@@ -175,8 +171,7 @@ def security_report(matrix: ScatteringMatrix, *,
                     reference: Optional[ScatteringMatrix] = None,
                     counts: Optional[CountsTable] = None,
                     d: int = 4, f_ec: float = 1.2,
-                    variant: str = "table_consistent",
-                    scenario: str = "") -> SecurityReport:
+                    variant: str = "table_consistent") -> SecurityReport:
     """Assemble QBER, I_AB, Delta, key rate and normalized counts.
 
     Delta is the multi-photon fraction (see multiphoton_fraction); mu, the
@@ -203,7 +198,7 @@ def security_report(matrix: ScatteringMatrix, *,
     else:
         notes.append("no free-space reference supplied; NC not computed")
     return SecurityReport(
-        scenario=scenario or matrix.scenario,
+        scenario=matrix.scenario,
         family=matrix.family,
         dimension=d,
         qber=qber.e,

@@ -20,7 +20,7 @@ from .channel import (
     source_pair,
 )
 from .fields import TransverseGrid
-from .jones import ALL_LABELS, SPIN_ORBIT, MubLabel, vortex_turn
+from .jones import mub_state_vector, vortex_turn
 from .modes import ModeSpec
 from .propagation import (
     FFT_WORKERS,
@@ -31,7 +31,7 @@ from .propagation import (
 )
 
 
-def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
+def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
                   z_stations: list[float], grid: TransverseGrid,
                   detection: DetectionModel):
     """Per-distance healing table: (z, fidelity, transmitted_power, on-axis ratio).
@@ -48,13 +48,13 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     propagation, so the overlap of a detection-plane scalar a, carried back
     over L, with a station-plane field b is the spectral sum
     <BP_L a|b> = dA / N^2 sum_k conj(a^) K_L b^, K_L = transfer_function(L).
-    The matched amplitude is linear in the station pair, so state j's weights
-    are contracted before the transform: 2 station-plane spectra (6 for ideal
-    detection) are taken once per scan, and a station costs one K_L and a few
-    such sums.
+    The matched amplitude is linear in the station pair, so the labelled
+    state j's weights are contracted before the transform: 2 station-plane
+    spectra (6 for ideal detection) are taken once per scan, and a station
+    costs one K_L and a few such sums.
     """
     ell = abs(source.ell) or 1
-    j = ALL_LABELS.index(label)
+    a = mub_state_vector(label).reshape(2, 2)  # a[p, s]: polarization p, OAM sign s
     station = obs.z if obs is not None else 0.0
     for z in z_stations:
         if z < station:
@@ -70,13 +70,12 @@ def selfheal_scan(source: ModeSpec, label: MubLabel, obs: ObstacleSpec | None,
     del pair
     mask = 1.0 if obs is None else obstacle_mask(grid, obs)
 
-    # <d_j|f_j> = sum_{s,s'} M[s, s'] <g_s|u_s'> with M = a^H a, a[p, s] =
-    # SPIN_ORBIT[j, (p, s)]: ideal detection projects g_s on Y_s = sum_s'
-    # M[s, s'] u_s', the cascade's turned scalar and the demodulated axial
-    # sample project on X = sum_s conj(t_s) Y_s, t_+- = exp(+-i ell phi).
+    # <d_j|f_j> = sum_{s,s'} M[s, s'] <g_s|u_s'> with M = a^H a: ideal
+    # detection projects g_s on Y_s = sum_s' M[s, s'] u_s', the cascade's
+    # turned scalar and the demodulated axial sample project on
+    # X = sum_s conj(t_s) Y_s, t_+- = exp(+-i ell phi).
     # Rows per field, free then blocked (free times the mask): Y_+, Y_-, X
     # (ideal) or X (cascade, built from Y in both fields' rows).
-    a = SPIN_ORBIT[j].reshape(2, 2)
     k = 1 if cascade else 3
     targets = np.empty((2 * k, n, n), dtype=complex)
     np.matmul(a.conj().T @ a, free.reshape(2, -1), out=targets[:2].reshape(2, -1))

@@ -29,7 +29,7 @@ from bgqkd.analysis import interior_window
 from bgqkd.channel import heralded_profile
 from bgqkd.errors import BgqkdError
 from bgqkd.fields import ScalarField, TransverseGrid
-from bgqkd.jones import MubLabel, wave_plates
+from bgqkd.jones import wave_plates
 from bgqkd.modes import ModeSpec
 from bgqkd.propagation import (
     ChannelSpec,
@@ -240,7 +240,7 @@ class OpticalTrain:
         return OpticalTrain(tuple(e.adjoint() for e in reversed(self.elements)))
 
 
-def preparation_train(label: MubLabel, ell: int = 1) -> OpticalTrain:
+def preparation_train(label: str, ell: int = 1) -> OpticalTrain:
     """Polarizer + wave-plate + q-plate train generating the labelled state,
     with the package's wave-plate settings (`wave_plates`).
 
@@ -271,7 +271,7 @@ def vpoint_conditioned(f: PolarizedField) -> PolarizedField:
     return polarized_from_arrays(grid, h, v, f.wavelength)
 
 
-def prepare_state(label: MubLabel, input_field: PolarizedField, ell: int = 1) -> PolarizedField:
+def prepare_state(label: str, input_field: PolarizedField, ell: int = 1) -> PolarizedField:
     """Run the labelled preparation train on an H-polarized input, normalized.
 
     The input must be H-polarized (V power below 1e-6 of the total); its

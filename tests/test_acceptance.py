@@ -29,7 +29,7 @@ from bgqkd import (
     spdc_overlap,
 )
 from bgqkd.config import load_preset
-from bgqkd.jones import ALL_LABELS
+from bgqkd.jones import LABELS
 from bgqkd.propagation import propagate_samples
 
 from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
@@ -74,9 +74,9 @@ def test_criterion_1_mub_property():
     grid = TransverseGrid(n=1024, extent=10e-3)
     src = ModeSpec(family=ModeFamily.BG, ell=1, w0=W0, wavelength=WAVELENGTH, k_r=K_R)
     base = heralded_input(src, grid)
-    psi = [prepare_state(l, base) for l in ALL_LABELS[:4]]
-    phi = [prepare_state(l, base) for l in ALL_LABELS[4:]]
-    cross = check_mub(ALL_LABELS[:4], ALL_LABELS[4:], states_a=state_rows(psi),
+    psi = [prepare_state(l, base) for l in LABELS[:4]]
+    phi = [prepare_state(l, base) for l in LABELS[4:]]
+    cross = check_mub(LABELS[:4], LABELS[4:], states_a=state_rows(psi),
                       states_b=state_rows(phi))
     cross_dev = float(np.max(np.abs(cross.overlaps - 0.25)))
     within_dev = 0.0
@@ -242,7 +242,7 @@ def test_criterion_8_property_suites():
     grid = TransverseGrid(n=256, extent=10e-3)
     f = random_polarized(grid, seed=77)
     unitary_ok = True
-    for label in ALL_LABELS:
+    for label in LABELS:
         unitary_part = OpticalTrain(tuple(
             e for e in preparation_train(label).elements
             if not isinstance(e, HorizontalPolarizer)))

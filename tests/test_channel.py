@@ -7,11 +7,13 @@ import pytest
 
 from bgqkd import (
     ChannelSpec,
+    CountsTable,
     DetectionKind,
     DetectionModel,
     ModeFamily,
     ModeSpec,
     ObstacleSpec,
+    ScatteringMatrix,
     TransverseGrid,
     UnsupportedModeError,
     scattering_matrix,
@@ -19,9 +21,9 @@ from bgqkd import (
     spdc_overlap,
 )
 from bgqkd import channel
-from bgqkd.channel import BOUNDARY_POWER_TOL, LABEL_STRINGS, basis_slice, detection_states
+from bgqkd.channel import BOUNDARY_POWER_TOL, detection_states, matched_sums
 from bgqkd.fields import ScalarField
-from bgqkd.jones import ALL_LABELS, MubLabel
+from bgqkd.jones import LABELS
 from bgqkd.modes import binary_bessel_hologram, radial_factor
 from bgqkd.propagation import obstacle_mask, propagate_samples, transfer_function
 
@@ -40,7 +42,6 @@ from polarized_oracle import (
 )
 from reference_oracles import transverse_mode
 
-L = MubLabel.from_string
 
 CASCADE = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=0.0)
 IDEAL = DetectionModel(DetectionKind.IDEAL, noise_floor=0.0)
@@ -216,21 +217,57 @@ class TestHeraldedInput:
 class TestMeasureProjection:
     def test_matched_unpropagated_is_unity(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        for label in ALL_LABELS:
+        for label in LABELS:
             f = prepare_state(label, base)
             amp = inner_product(prepare_state(label, base), f)
             assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_within_basis(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        f = prepare_state(L("psi00"), base)
-        assert abs(inner_product(prepare_state(L("psi01"), base), f)) < 1e-6
+        f = prepare_state("psi00", base)
+        assert abs(inner_product(prepare_state("psi01", base), f)) < 1e-6
 
     def test_cross_basis_quarter(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        f = prepare_state(L("psi00"), base)
-        amp = inner_product(prepare_state(L("phi00"), base), f)
+        f = prepare_state("psi00", base)
+        amp = inner_product(prepare_state("phi00", base), f)
         assert abs(amp) ** 2 == pytest.approx(0.25, abs=1e-3)
+
+
+def empty_matched_row_table():
+    """Distinct entries 1..64, with the psi10 row (index 2) empty over its
+    own basis, columns 0-3, but not over the other."""
+    table = np.arange(1.0, 65.0).reshape(8, 8)
+    table[2, :4] = 0.0
+    return table
+
+
+class TestMatchedRows:
+    def test_matched_sums_written_out(self):
+        t = np.arange(1.0, 65.0).reshape(8, 8)
+        psi = [t[i, 0] + t[i, 1] + t[i, 2] + t[i, 3] for i in range(4)]
+        phi = [t[i, 4] + t[i, 5] + t[i, 6] + t[i, 7] for i in range(4, 8)]
+        assert np.array_equal(matched_sums(t), psi + phi)
+
+    def test_row_normalized_zeroes_empty_matched_row(self):
+        raw = empty_matched_row_table()
+        rn = ScatteringMatrix(raw=raw, transmission=np.ones(8)).row_normalized()
+        assert np.array_equal(rn[2], np.zeros(8))
+        for i in (0, 1, 3):
+            assert np.allclose(rn[i], raw[i] / raw[i, :4].sum(), rtol=1e-15, atol=0)
+        for i in range(4, 8):
+            assert np.allclose(rn[i], raw[i] / raw[i, 4:].sum(), rtol=1e-15, atol=0)
+
+    def test_empirical_qber_drops_empty_matched_row(self):
+        counts = empty_matched_row_table().astype(np.int64)
+        kept = [(counts[i, i], counts[i, :4].sum()) for i in (0, 1, 3)]
+        kept += [(counts[i, i], counts[i, 4:].sum()) for i in range(4, 8)]
+        fracs = [hit / total for hit, total in kept]
+        variance = sum(max(p * (1 - p), 1 / total) / total
+                       for p, (_, total) in zip(fracs, kept))
+        e, sigma = CountsTable(counts).empirical_qber()
+        assert e == pytest.approx(1 - sum(fracs) / 7, rel=1e-14)
+        assert sigma == pytest.approx(np.sqrt(variance) / 7, rel=1e-14)
 
 
 def free_channel(length=0.32, station=0.02):
@@ -277,9 +314,7 @@ class TestScatteringMatrix:
             chan = ChannelSpec(length=0.32, station_z=0.02, obstacles=(
                 ObstacleSpec(radius=600e-6, center=center, z=0.02),))
             m = scattering_matrix(chan, bg_source, CASCADE, grid256, scenario="r1")
-            for i in range(8):
-                basis_sum = m.raw[i, basis_slice(i)].sum()
-                assert basis_sum <= m.transmission[i] + 1e-9
+            assert np.all(matched_sums(m.raw) <= m.transmission + 1e-9)
 
     def test_exchange_symmetry(self, grid256):
         # scattering_matrix takes the charge as |ell|, so a flipped source
@@ -292,9 +327,9 @@ class TestScatteringMatrix:
         perm = [2, 3, 0, 1, 5, 4, 7, 6]
         assert np.allclose(m_neg.raw, m_pos.raw[np.ix_(perm, perm)], atol=1e-6)
         base = heralded_input(bg_mode(+1), grid256)
-        for i, label in enumerate(ALL_LABELS):
+        for i, label in enumerate(LABELS):
             flipped = prepare_state(label, base, ell=-1)
-            partner = prepare_state(ALL_LABELS[perm[i]], base, ell=+1)
+            partner = prepare_state(LABELS[perm[i]], base, ell=+1)
             assert abs(inner_product(flipped, partner)) ** 2 == pytest.approx(
                 1.0, abs=1e-9), label
 
@@ -322,10 +357,13 @@ class TestScatteringMatrix:
 
     def test_serialization_round_trip(self, free_matrix):
         d = free_matrix.to_json_dict()
-        assert d["labels"] == list(LABEL_STRINGS)
+        assert d["labels"] == list(LABELS)
         assert len(d["raw"]) == 8
         csv = free_matrix.to_csv()
         assert csv.count("\n") == 9
+        for lines in (csv.splitlines(), free_matrix.normalized_csv().splitlines()):
+            assert lines[0].split(",") == ["prepared\\measured", *LABELS]
+            assert [line.split(",")[0] for line in lines[1:]] == list(LABELS)
 
 
 # Jones-train oracle: every state built by its wave-plate train and carried
@@ -339,16 +377,16 @@ def _oracle_detection_states(source, grid, channel, det):
         g = conjugate_back_propagate(ScalarField(grid, g).normalized().samples, grid,
                                      source.wavelength, leg)
         base = horizontally_polarized(ScalarField(grid, g), source.wavelength)
-        return [prepare_state(label, base) for label in ALL_LABELS]
+        return [prepare_state(label, base) for label in LABELS]
     base = heralded_input(source, grid)
-    return [back_propagate(prepare_state(label, base), leg) for label in ALL_LABELS]
+    return [back_propagate(prepare_state(label, base), leg) for label in LABELS]
 
 
 def _oracle_matrix(source, grid, channel, det):
     dets = _oracle_detection_states(source, grid, channel, det)
     base = heralded_input(source, grid)
     raw, transmission, notes = np.zeros((8, 8)), np.zeros(8), []
-    for i, label in enumerate(ALL_LABELS):
+    for i, label in enumerate(LABELS):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", BandLimitWarning)
             f = transmit_to_station(prepare_state(label, base), channel)
@@ -530,16 +568,21 @@ class TestSimulateCounts:
             simulate_counts(noisy_free_matrix, events, seed=1)
 
     def test_mean_is_events_over_64_times_raw(self, noisy_free_matrix):
-        # each side picks a basis (1/2) and a state in it (1/4) uniformly
+        # each side picks a basis (1/2) and a state in it (1/4) uniformly;
+        # cell (i, j) is drawn from the seed's spawned stream 8 i + j
         t = simulate_counts(noisy_free_matrix, 3e5, seed=2)
-        assert np.array_equal(t.expected, 3e5 * (0.125 * 0.125) * noisy_free_matrix.raw)
+        mean = 3e5 * (0.125 * 0.125) * noisy_free_matrix.raw
+        streams = np.random.SeedSequence(2).spawn(64)
+        draws = [np.random.default_rng(ss).poisson(m) for ss, m in zip(streams, mean.ravel())]
+        assert np.array_equal(t.counts, np.reshape(draws, (8, 8)))
 
     def test_large_sample_frequencies(self, noisy_free_matrix):
         t = simulate_counts(noisy_free_matrix, 1e7, seed=3)
-        sigma = np.sqrt(np.maximum(t.expected, 1.0))
-        assert np.all(np.abs(t.counts - t.expected) <= 5 * sigma)
+        mean = 1e7 / 64 * noisy_free_matrix.raw
+        sigma = np.sqrt(np.maximum(mean, 1.0))
+        assert np.all(np.abs(t.counts - mean) <= 5 * sigma)
         # most cells within 3 sigma (law of large numbers, fixed seed)
-        frac = np.mean(np.abs(t.counts - t.expected) <= 3 * sigma)
+        frac = np.mean(np.abs(t.counts - mean) <= 3 * sigma)
         assert frac > 0.95
 
     def test_empirical_qber_matches_matrix(self, noisy_free_matrix):

@@ -36,7 +36,8 @@ STRICT_COARSE = {
     ],
 }
 
-# values that reached a traceback or ran on instead of ending in exit 2:
+# values that reached a traceback or ran on instead of ending in exit 2, each
+# refused before the output directory is made:
 # (command, section patched into TINY, field path the error must name)
 REJECTED = [
     pytest.param("security", "security: {direct: [{name: a, qber: 0.05, delta: 2}]}",
@@ -48,6 +49,7 @@ REJECTED = [
     pytest.param("security", "security: {direct: 5}", "security.direct", id="direct-not-a-list"),
     pytest.param("security", "security: {direct: [{name: a, qber: 0.05}]}", "security.direct",
                  id="direct-beside-scenarios"),
+    pytest.param("security", "scenarios: []", "scenarios", id="neither-scenarios-nor-direct"),
     pytest.param("scattering", "run: {pgm_stations: 0.3}", "run.pgm_stations",
                  id="pgm-stations-not-a-list"),
     pytest.param("scattering", "run: {outputs: [pgm], pgm_stations: [-0.1]}",
@@ -148,6 +150,7 @@ class TestConfigErrors:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert f"config error at {path}:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_rejected(self, capsys, threads):

@@ -182,6 +182,26 @@ class TestSchema:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
+    @pytest.mark.parametrize("label", ["psi02", "xyz00"])
+    def test_selfheal_unknown_label_rejected(self, label):
+        doc = minimal_doc(selfheal={
+            "label": label,
+            "obstacle": {"radius": "0.5mm", "z": "0.02m"},
+            "z_stations": ["0.05m"],
+        })
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.path == "selfheal.label"
+        assert label in err.value.message
+
+    def test_selfheal_label_case_made_canonical(self):
+        doc = minimal_doc(selfheal={
+            "label": " PHI11 ",
+            "obstacle": {"radius": "0.5mm", "z": "0.02m"},
+            "z_stations": ["0.05m"],
+        })
+        assert parse_config(doc).selfheal.label == "phi11"
+
     @pytest.mark.parametrize("path,patch", NON_FINITE, ids=[p for p, _ in NON_FINITE])
     def test_non_finite_values_rejected(self, path, patch):
         doc = minimal_doc(**yaml.safe_load(patch))

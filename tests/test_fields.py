@@ -8,7 +8,6 @@ from bgqkd import (
     TransverseGrid,
     mub_state_vector,
 )
-from bgqkd.jones import MubLabel
 
 from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
 from diagnostics import circular, linear
@@ -105,10 +104,10 @@ class TestInnerProduct:
     def test_cross_basis_overlap_quarter(self, grid256, bg_source):
         # |<psi00|phi00>|^2 = 0.25: the analytic four-dimensional value
         base = heralded_input(bg_source, grid256)
-        psi00 = prepare_state(MubLabel.from_string("psi00"), base)
-        phi00 = prepare_state(MubLabel.from_string("phi00"), base)
-        expected = abs(np.vdot(mub_state_vector(MubLabel.from_string("psi00")),
-                               mub_state_vector(MubLabel.from_string("phi00")))) ** 2
+        psi00 = prepare_state("psi00", base)
+        phi00 = prepare_state("phi00", base)
+        expected = abs(np.vdot(mub_state_vector("psi00"),
+                               mub_state_vector("phi00"))) ** 2
         assert expected == pytest.approx(0.25, abs=1e-12)
         assert abs(inner_product(psi00, phi00)) ** 2 == pytest.approx(0.25, abs=1e-3)
 

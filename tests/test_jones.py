@@ -9,7 +9,7 @@ from bgqkd import (
     check_mub,
     mub_state_vector,
 )
-from bgqkd.jones import ALL_LABELS, MubLabel, spin_orbit_pair, vortex_turn
+from bgqkd.jones import LABELS, SPIN_ORBIT, spin_orbit_pair, vortex_turn, wave_plates
 
 from conftest import WAVELENGTH, random_polarized, spin_orbit_states
 from diagnostics import (
@@ -39,7 +39,6 @@ from polarized_oracle import (
 )
 from reference_oracles import transverse_mode
 
-L = MubLabel.from_string
 
 
 def h_field(scalar):
@@ -97,7 +96,7 @@ class TestMatrices:
     def test_train_power_preservation(self, grid256):
         # wave-plate/q-plate trains are unitary to 1e-12 (polarizer excluded)
         f = random_polarized(grid256, seed=23)
-        for label in ALL_LABELS:
+        for label in LABELS:
             train = preparation_train(label)
             unitary_part = OpticalTrain(tuple(
                 e for e in train.elements if not isinstance(e, HorizontalPolarizer)))
@@ -108,7 +107,7 @@ class TestMatrices:
         from polarized_oracle import vpoint_conditioned
 
         base = vpoint_conditioned(heralded_input(bg_source, grid256)).normalized()
-        for label in ALL_LABELS:
+        for label in LABELS:
             train = preparation_train(label)
             fwd = train.apply(base)
             back = train.adjoint().apply(fwd)
@@ -147,11 +146,11 @@ class TestPrepareState:
         return PolarizedField(ScalarField(grid, h), ScalarField(grid, v),
                               WAVELENGTH).normalized()
 
-    @pytest.mark.parametrize("label", [str(l) for l in ALL_LABELS])
+    @pytest.mark.parametrize("label", LABELS)
     def test_matches_analytic_synthesis(self, label, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        prepared = prepare_state(L(label), base)
-        target = self.synthesize(L(label), base.h, grid256)
+        prepared = prepare_state(label, base)
+        target = self.synthesize(label, base.h, grid256)
         fidelity = abs(inner_product(target, prepared)) ** 2
         assert fidelity > 0.999
 
@@ -161,7 +160,7 @@ class TestPrepareState:
         # pixel by pixel (relative to the peak amplitude), up to one global phase
         base = heralded_input(bg_source, grid256)
         states = spin_orbit_states(spin_orbit_pair(base.h.samples, grid256, ell), grid256)
-        for label, target in zip(ALL_LABELS, states):
+        for label, target in zip(LABELS, states):
             prepared = prepare_state(label, base, ell)
             phase = inner_product(target, prepared)
             assert abs(phase) == pytest.approx(1.0, abs=1e-12)
@@ -171,7 +170,7 @@ class TestPrepareState:
 
     def test_phi00_uniform_polarization_oam_minus(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        out = prepare_state(L("phi00"), base)
+        out = prepare_state("phi00", base)
         assert polarization_variance(out) < 1e-6
         # diagonal polarization carrying OAM -1 in both components
         l, r = circular(out)
@@ -184,7 +183,7 @@ class TestPrepareState:
         from polarized_oracle import vpoint_conditioned
 
         base = vpoint_conditioned(heralded_input(bg_source, grid256))
-        for label in ALL_LABELS:
+        for label in LABELS:
             out = preparation_train(label).apply(base)
             assert out.power() == pytest.approx(base.power(), rel=1e-9)
 
@@ -192,18 +191,18 @@ class TestPrepareState:
         u = gaussian(grid256)
         f = PolarizedField(u, u, WAVELENGTH)
         with pytest.raises(PreconditionError):
-            prepare_state(L("psi00"), f)
+            prepare_state("psi00", f)
 
     def test_vector_states_have_varying_polarization(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
         for idx in ("00", "01", "10", "11"):
-            out = prepare_state(L(f"psi{idx}"), base)
+            out = prepare_state(f"psi{idx}", base)
             assert polarization_variance(out) > 0.1
 
     def test_scalar_states_uniform(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
         for idx in ("00", "01", "10", "11"):
-            out = prepare_state(L(f"phi{idx}"), base)
+            out = prepare_state(f"phi{idx}", base)
             assert polarization_variance(out) < 1e-6
 
 
@@ -233,50 +232,62 @@ class TestVortexTurn:
 
 class TestMubVectors:
     def test_psi01_components(self):
-        vec = mub_state_vector(L("psi01"))
+        vec = mub_state_vector("psi01")
         expected = np.array([1, 0, 0, -1]) / np.sqrt(2)
         assert np.allclose(vec, expected)
 
     def test_phi01_magnitudes(self):
         # |D,+ell>: equal weight on |R,+> and |L,+>; the relative phase is
         # fixed by the circular-basis convention, not by the D definition
-        vec = mub_state_vector(L("phi01"))
+        vec = mub_state_vector("phi01")
         assert np.allclose(np.abs(vec), [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0])
 
     def test_all_unit_norm(self):
-        for label in ALL_LABELS:
+        for label in LABELS:
             assert np.linalg.norm(mub_state_vector(label)) == pytest.approx(1.0)
+
+    def test_spin_orbit_rows_follow_labels(self):
+        assert LABELS == ("psi00", "psi01", "psi10", "psi11",
+                          "phi00", "phi01", "phi10", "phi11")
+        for i, label in enumerate(LABELS):
+            assert np.array_equal(SPIN_ORBIT[i], mub_state_vector(label))
+
+    @pytest.mark.parametrize("label", ["psi02", "xyz00"])
+    def test_unknown_label_refused(self, label):
+        for fn in (wave_plates, mub_state_vector):
+            with pytest.raises(ValueError, match=label):
+                fn(label)
 
 
 class TestCheckMub:
     def test_analytic_cross_basis(self):
-        res = check_mub(ALL_LABELS[:4], ALL_LABELS[4:])
+        res = check_mub(LABELS[:4], LABELS[4:])
         assert res.failure is None and res.mutually_unbiased
         assert np.allclose(res.overlaps, 0.25, atol=1e-12)
 
     def test_same_basis_identity(self):
-        res = check_mub(ALL_LABELS[:4], ALL_LABELS[:4])
+        res = check_mub(LABELS[:4], LABELS[:4])
         assert res.failure is None
         assert not res.mutually_unbiased
         assert np.allclose(res.overlaps, np.eye(4), atol=1e-12)
 
     def test_row_sums_complete(self):
-        res = check_mub(ALL_LABELS[:4], ALL_LABELS[4:])
+        res = check_mub(LABELS[:4], LABELS[4:])
         assert np.allclose(res.overlaps.sum(axis=1), 1.0, atol=1e-12)
 
     def test_grid_states_match_analytic(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        psi = [prepare_state(l, base) for l in ALL_LABELS[:4]]
-        phi = [prepare_state(l, base) for l in ALL_LABELS[4:]]
-        res = check_mub(ALL_LABELS[:4], ALL_LABELS[4:], states_a=state_rows(psi),
+        psi = [prepare_state(l, base) for l in LABELS[:4]]
+        phi = [prepare_state(l, base) for l in LABELS[4:]]
+        res = check_mub(LABELS[:4], LABELS[4:], states_a=state_rows(psi),
                         states_b=state_rows(phi))
         assert res.failure is None and res.mutually_unbiased
         assert np.max(np.abs(res.overlaps - 0.25)) < 1e-3
 
     def test_all_64_pairs_match_analytic(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        states = [prepare_state(l, base) for l in ALL_LABELS]
-        vecs = [mub_state_vector(l) for l in ALL_LABELS]
+        states = [prepare_state(l, base) for l in LABELS]
+        vecs = [mub_state_vector(l) for l in LABELS]
         for i in range(8):
             for j in range(8):
                 grid_val = abs(inner_product(states[i], states[j])) ** 2
@@ -285,10 +296,10 @@ class TestCheckMub:
 
     def test_non_orthonormal_reported_not_raised(self, grid256, bg_source):
         base = heralded_input(bg_source, grid256)
-        s = prepare_state(L("psi00"), base)
-        res = check_mub(ALL_LABELS[:4], ALL_LABELS[4:],
+        s = prepare_state("psi00", base)
+        res = check_mub(LABELS[:4], LABELS[4:],
                         states_a=state_rows([s, s, s, s]),
-                        states_b=state_rows([prepare_state(l, base) for l in ALL_LABELS[4:]]))
+                        states_b=state_rows([prepare_state(l, base) for l in LABELS[4:]]))
         assert "not orthonormal" in res.failure
 
 
@@ -299,7 +310,7 @@ class TestLobeRotation:
         base = heralded_input(bg_source, grid256)
         two_deg = np.deg2rad(2.0)
         for name, sign in (("psi00", +1), ("psi01", +1), ("psi10", -1), ("psi11", -1)):
-            out = prepare_state(L(name), base)
+            out = prepare_state(name, base)
             for theta0 in (0.1, 0.6):
                 delta = 0.35
                 a0 = projected_lobe_axis(out, theta0)

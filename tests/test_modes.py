@@ -28,8 +28,8 @@ def bg_spec(ell=0, k_r=K_R, w0=W0):
     return ModeSpec(family=ModeFamily.BG, ell=ell, w0=w0, wavelength=WAVELENGTH, k_r=k_r)
 
 
-def lg_spec(ell=0, w0=W0, p=0):
-    return ModeSpec(family=ModeFamily.LG, ell=ell, w0=w0, wavelength=WAVELENGTH, p=p)
+def lg_spec(ell=0, w0=W0):
+    return ModeSpec(family=ModeFamily.LG, ell=ell, w0=w0, wavelength=WAVELENGTH)
 
 
 def axis_cut(spec, grid):
@@ -136,10 +136,6 @@ class TestLgProfile:
         cut = axis_cut(lg_spec(1), grid)
         r_peak = grid.axis[grid.n // 2 + int(np.argmax(cut))]
         assert abs(r_peak - W0 / math.sqrt(2)) <= grid.spacing
-
-    def test_p_nonzero_rejected(self):
-        with pytest.raises(UnsupportedModeError):
-            radial_factor(lg_spec(0, p=1), np.array([0.0, 1e-3]))
 
     def test_unit_power(self, grid256):
         f = ScalarField(grid256, heralded_profile(lg_spec(1), grid256))

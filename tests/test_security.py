@@ -13,13 +13,11 @@ from bgqkd import (
     qber_from_matrix,
     security_report,
 )
-from bgqkd.channel import LABEL_STRINGS
 
 
 def synthetic_matrix(raw, noise=0.0, scenario="synthetic"):
     raw = np.asarray(raw, dtype=float)
     return ScatteringMatrix(
-        labels=LABEL_STRINGS,
         raw=raw,
         transmission=np.ones(8),
         noise_floor=noise,
@@ -176,6 +174,17 @@ class TestQberFromMatrix:
         assert res.excluded_rows == ("psi10",)
         assert res.e == pytest.approx(0.0, abs=1e-12)
 
+    def test_empty_matched_row_dropped(self):
+        # psi10 (row 2) holds cross-basis signal only: no sifted events
+        raw = np.arange(1.0, 65.0).reshape(8, 8)
+        raw[2, :4] = 0.0
+        with pytest.warns(UserWarning, match="psi10"):
+            res = qber_from_matrix(synthetic_matrix(raw))
+        assert res.excluded_rows == ("psi10",)
+        fracs = [raw[i, i] / raw[i, :4].sum() for i in (0, 1, 3)]
+        fracs += [raw[i, i] / raw[i, 4:].sum() for i in range(4, 8)]
+        assert res.e == pytest.approx(1 - sum(fracs) / 7, rel=1e-14)
+
     def test_all_blocked_raises(self):
         with pytest.warns(UserWarning):
             with pytest.raises(ValueError):
@@ -184,8 +193,8 @@ class TestQberFromMatrix:
 
 class TestSecurityReport:
     def test_reference_gives_unit_nc(self):
-        m = synthetic_matrix(ideal_raw(diag=0.9))
-        rep = security_report(m, delta=2e-3, reference=m, scenario="free")
+        m = synthetic_matrix(ideal_raw(diag=0.9), scenario="free")
+        rep = security_report(m, delta=2e-3, reference=m)
         assert rep.normalized_counts == pytest.approx(1.0)
         assert rep.qber == pytest.approx(0.0, abs=1e-12)
         assert rep.mutual_information_bits == pytest.approx(2.0)
@@ -224,13 +233,14 @@ class TestSecurityReport:
             security_report(m, delta=1e-3, stats=None)
 
     def test_json_round_trip_fields(self):
-        m = synthetic_matrix(ideal_raw())
+        m = synthetic_matrix(ideal_raw(), scenario="x")
         rep = security_report(m, delta=multiphoton_fraction(1e-3, 1e-4), q_mu=1e-4,
-                              mu=1e-3, scenario="x")
+                              mu=1e-3)
         d = rep.to_json_dict()
         for key in ("qber", "mutual_information_bits", "delta", "key_rate",
                     "normalized_counts", "f_ec", "mu", "q_mu", "dimension"):
             assert key in d
         assert (d["mu"], d["q_mu"]) == (1e-3, 1e-4)
         assert d["key_rate"]["variant"] == "table_consistent"
+        assert d["scenario"] == "x"
         assert isinstance(rep.key_rate, KeyRateResult)

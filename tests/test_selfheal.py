@@ -14,12 +14,11 @@ from bgqkd import (
     shadow_length,
 )
 from bgqkd.channel import detection_states, source_pair, spin_orbit_amplitudes, state_powers
-from bgqkd.jones import ALL_LABELS, MubLabel
+from bgqkd.jones import LABELS
 from bgqkd.propagation import obstacle_mask, propagate_samples
 
 from polarized_oracle import conjugate_back_propagate
 
-L = MubLabel.from_string
 CASCADE = DetectionModel(DetectionKind.CASCADE, smf_waist=0.45e-3, noise_floor=0.0)
 IDEAL = DetectionModel(DetectionKind.IDEAL)
 
@@ -29,7 +28,7 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     states and the axial sample are back-propagated over the leg and
     projected on the station-plane pair."""
     ell = abs(source.ell) or 1
-    j = ALL_LABELS.index(label)
+    j = LABELS.index(label)
     station = obs.z if obs is not None else 0.0
     free = propagate_samples(source_pair(source, grid), grid, source.wavelength, station)
     blocked = free
@@ -53,8 +52,14 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
 
 def one_station(source, obs, z, grid):
     """(fidelity, transmitted power) of psi00 at the one station z, cascade detection."""
-    (_, fidelity, power, _), = selfheal_scan(source, L("psi00"), obs, [z], grid, CASCADE)
+    (_, fidelity, power, _), = selfheal_scan(source, "psi00", obs, [z], grid, CASCADE)
     return fidelity, power
+
+
+@pytest.mark.parametrize("label", ["psi02", "xyz00"])
+def test_unknown_label_refused(grid256, bg_source, label):
+    with pytest.raises(ValueError, match=label):
+        selfheal_scan(bg_source, label, None, [0.3], grid256, CASCADE)
 
 
 def test_no_obstacle_unit_fidelity(grid256, bg_source):
@@ -98,7 +103,7 @@ def test_scan_monotone_on_axis_recovery(grid512, bg_source):
     obs = ObstacleSpec(radius=600e-6, z=0.0)
     z_min = shadow_length(obs.radius, bg_source)
     stations = [f * z_min for f in (0.2, 0.5, 1.0, 1.5, 2.0)]
-    rows = selfheal_scan(bg_source, L("psi00"), obs, stations, grid512, CASCADE)
+    rows = selfheal_scan(bg_source, "psi00", obs, stations, grid512, CASCADE)
     on_axis = [r[3] for r in rows]
     assert all(b > a for a, b in zip(on_axis, on_axis[1:]))
     assert on_axis[-1] >= 0.5
@@ -116,13 +121,13 @@ def test_scan_monotone_on_axis_recovery(grid512, bg_source):
 ], ids=["centred-z0", "off-centre-z0.1", "no-obstacle"])
 # every label: phi00 and phi10 weigh only u_-, phi01 and phi11 only u_+, and
 # psi01 and psi11 carry a sign on one of their two components
-@pytest.mark.parametrize("label", [str(label) for label in ALL_LABELS])
+@pytest.mark.parametrize("label", LABELS)
 def test_scan_matches_direct_space_receiver(bg_source, detection, obs, extent, label):
     grid = TransverseGrid(n=256, extent=extent)
     station = obs.z if obs is not None else 0.0
     stations = [station, station + 0.05, station + 0.3]
-    expected, free = direct_space_scan(bg_source, L(label), obs, stations, grid, detection)
-    got, expected = np.array(selfheal_scan(bg_source, L(label), obs, stations, grid, detection)), \
+    expected, free = direct_space_scan(bg_source, label, obs, stations, grid, detection)
+    got, expected = np.array(selfheal_scan(bg_source, label, obs, stations, grid, detection)), \
         np.array(expected)
     np.testing.assert_allclose(got[:, :3], expected[:, :3], rtol=1e-10, atol=0.0)
     # the on-axis ratio is undefined at the zero leg (see test_zero_leg_on_axis_is_nan)
@@ -145,8 +150,8 @@ def test_zero_leg_on_axis_is_nan(lg_source, detection, obs):
     source = dataclasses.replace(lg_source, ell=2)
     grid = TransverseGrid(n=128, extent=10e-3)
     stations = [obs.z, obs.z + 0.2]
-    got = selfheal_scan(source, L("psi00"), obs, stations, grid, detection)
-    expected, _ = direct_space_scan(source, L("psi00"), obs, stations, grid, detection)
+    got = selfheal_scan(source, "psi00", obs, stations, grid, detection)
+    expected, _ = direct_space_scan(source, "psi00", obs, stations, grid, detection)
     assert np.isnan(got[0][3]) and np.isfinite(got[1][3])
     np.testing.assert_allclose(np.array(got)[:, :3], np.array(expected)[:, :3],
                                rtol=1e-10, atol=0.0)
@@ -185,7 +190,7 @@ def test_scan_cost_does_not_grow_with_stations(monkeypatch, grid256, bg_source):
             ffts = [_count_calls(m, fft, name, planes) for name in ("fft2", "ifft2")]
             holograms = _count_calls(m, bgqkd.modes, "binary_bessel_hologram")
             for detection in (CASCADE, IDEAL):
-                selfheal_scan(bg_source, L("psi00"), obs, stations, grid256, detection)
+                selfheal_scan(bg_source, "psi00", obs, stations, grid256, detection)
             costs.append((sum(f[0] for f in ffts), holograms[0]))
     assert costs[0] == costs[1]
     assert costs[0][1] == 1  # the cascade's hologram, once
@@ -198,5 +203,5 @@ def test_scan_forward_transform_planes(fft_planes, grid256, bg_source, detection
     # station (2) and the station planes, contracted on the matched state
     # before the transform (1 per field cascade, 3 ideal)
     obs = ObstacleSpec(radius=600e-6, z=0.05)
-    selfheal_scan(bg_source, L("phi11"), obs, [0.1, 0.2, 0.3], grid256, detection)
+    selfheal_scan(bg_source, "phi11", obs, [0.1, 0.2, 0.3], grid256, detection)
     assert fft_planes["fft2"] == planes

@@ -17,7 +17,7 @@ import pytest
 
 from bgqkd import ObstacleSpec, TransverseGrid, channel, selfheal_scan
 from bgqkd.channel import DetectionKind, DetectionModel, scattering_matrix
-from bgqkd.jones import ALL_LABELS
+from bgqkd.jones import LABELS
 from bgqkd.propagation import ChannelSpec
 
 N = 256
@@ -47,7 +47,7 @@ def traced_peak_planes(run) -> float:
 def scan_peak(src, grid, detection) -> float:
     obs = ObstacleSpec(radius=600e-6, z=0.0)
     return traced_peak_planes(
-        lambda: selfheal_scan(src, ALL_LABELS[0], obs, STATIONS, grid, detection))
+        lambda: selfheal_scan(src, LABELS[0], obs, STATIONS, grid, detection))
 
 
 def masked_matrix_peak(src, grid, detection) -> float:
@@ -84,7 +84,7 @@ def test_grid_keeps_no_plane_after_a_run(grid, bg_source):
     link = ChannelSpec(length=0.32, obstacles=(ObstacleSpec(radius=600e-6, z=0.02),),
                        station_z=0.02)
     scattering_matrix(link, bg_source, CASCADE, grid)
-    selfheal_scan(bg_source, ALL_LABELS[0], ObstacleSpec(radius=600e-6, z=0.0), STATIONS[:2],
+    selfheal_scan(bg_source, LABELS[0], ObstacleSpec(radius=600e-6, z=0.0), STATIONS[:2],
                   grid, CASCADE)
     grid.ring_weights(1)
     for name, value in vars(grid).items():
