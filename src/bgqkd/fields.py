@@ -55,17 +55,18 @@ class TransverseGrid:
         return np.arctan2(self.axis[:, None], self.axis[None, :])
 
     @cached_property
-    def _radial_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _radial_index(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         # The axis values at offsets -m and +m from the centre are exact
         # negatives, so |axis[j]| = q[|j - n/2|] with q[m] = |axis[n/2 - m]|,
         # m = 0..n/2. The (n/2+1)^2 quadrant hypot(q, q) therefore holds
         # every radius, each from the same hypot as a per-pixel
-        # hypot(axis[None, :], axis[:, None]).
+        # hypot(axis[None, :], axis[:, None]). Rows j < n/2 are quadrant rows
+        # n/2 - j, rows j >= n/2 are j - n/2, and likewise for columns.
         h = self.n // 2
         q = np.abs(self.axis[:h + 1])[::-1]
         radii, inverse = np.unique(np.hypot(q[None, :], q[:, None]), return_inverse=True)
-        fold = np.abs(np.arange(self.n) - h)
-        return radii, inverse.reshape(h + 1, h + 1), fold
+        pieces = ((slice(0, h), slice(h, 0, -1)), (slice(h, self.n), slice(0, h)))
+        return radii, inverse.reshape(h + 1, h + 1), pieces
 
     def radial(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(r) on the grid, with f called once on the 1-D array of distinct radii.
@@ -73,9 +74,8 @@ class TransverseGrid:
         f must act elementwise; the result equals f of the per-pixel radius
         hypot(axis[None, :], axis[:, None]) bit for bit.
         """
-        radii, inverse, fold = self._radial_index
-        # take fills the grid in C order; [fold][:, fold] would be Fortran-ordered
-        return f(radii)[inverse].take(fold, 0).take(fold, 1)
+        radii, inverse, pieces = self._radial_index
+        return self._unfold(f(radii)[inverse], pieces)
 
     @property
     def radii(self) -> np.ndarray:
@@ -85,33 +85,70 @@ class TransverseGrid:
     def ring_weights(self, m: int) -> np.ndarray:
         """Sum of exp(-i m phi) over the pixels at each of `radii`; for m = 0,
         the number of pixels there (as floats)."""
-        radii, inverse, fold = self._radial_index
+        radii, inverse, pieces = self._radial_index
         if m == 0:
-            # a quadrant cell stands for every pixel whose two folds land on it
-            per_fold = np.bincount(fold)
+            # a quadrant cell stands for every pixel whose row and column land on it
+            per_fold = np.zeros(self.n // 2 + 1)
+            for _, source in pieces:
+                per_fold[source] += 1
             return np.bincount(inverse.ravel(), np.outer(per_fold, per_fold).ravel(),
                                radii.size)
-        index = inverse.take(fold, 0).take(fold, 1).ravel()
+        index = self._unfold(inverse, pieces).ravel()
         w = np.exp(-1j * m * self.phi).ravel()
         return (np.bincount(index, w.real, radii.size)
                 + 1j * np.bincount(index, w.imag, radii.size))
 
     @cached_property
-    def _spectral_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _spectral_index(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         # fftfreq's entries at j and n - j are exact negatives, so |k_t|^2 on
-        # the grid is its (n/2+1)^2 quadrant over k[0..n/2] at min(j, n - j)
+        # the grid is its (n/2+1)^2 quadrant over k[0..n/2] at min(j, n - j):
+        # rows 0..n/2 are quadrant rows 0..n/2, rows n/2+1..n-1 are n/2-1..1
         h = self.n // 2
         k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)[:h + 1]
         k2, inverse = np.unique(k[None, :] ** 2 + k[:, None] ** 2, return_inverse=True)
-        fold = np.minimum(np.arange(self.n), self.n - np.arange(self.n))
-        return k2, inverse.reshape(h + 1, h + 1), fold
+        pieces = ((slice(0, h + 1), slice(0, h + 1)), (slice(h + 1, self.n), slice(h - 1, 0, -1)))
+        return k2, inverse.reshape(h + 1, h + 1), pieces
+
+    def _unfold(self, quadrant: np.ndarray, pieces) -> np.ndarray:
+        """The n x n grid from its quadrant, filled in C order by four slice
+        copies; pieces pair each destination slice of an axis with the
+        quadrant slice it copies."""
+        out = np.empty((self.n, self.n), quadrant.dtype)
+        for rows, source_rows in pieces:
+            for cols, source_cols in pieces:
+                out[rows, cols] = quadrant[source_rows, source_cols]
+        return out
 
     def spectral(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(|k_t|^2) on the FFT-ordered frequency grid (rad^2/m^2), with f
         called once on the 1-D array of distinct values; f must act
         elementwise, and the result equals f(kx**2 + ky**2) bit for bit."""
-        k2, inverse, fold = self._spectral_index
-        return f(k2)[inverse].take(fold, 0).take(fold, 1)
+        k2, inverse, pieces = self._spectral_index
+        return self._unfold(f(k2)[inverse], pieces)
+
+    def spectral_sums(self, a: np.ndarray) -> np.ndarray:
+        """The adjoint of `spectral`: the sums of an FFT-ordered stack a
+        (..., n, n) over each of `distinct_k_squared`, shape (..., count).
+        sum(a * spectral(f)) equals spectral_sums(a) @ f(distinct_k_squared)
+        up to rounding. Rows n - m fold onto rows m, then columns, and the
+        quadrant is summed per value."""
+        k2, inverse, pieces = self._spectral_index
+        h, lead = self.n // 2, a.shape[:-2]
+        rows = np.zeros(lead + (h + 1, self.n), a.dtype)
+        for dest, source in pieces:
+            rows[..., source, :] += a[..., dest, :]
+        quadrant = np.zeros(lead + (h + 1, h + 1), a.dtype)
+        for dest, source in pieces:
+            quadrant[..., source] += rows[..., dest]
+        del rows
+        count = int(np.prod(lead))
+        index = (inverse.ravel() + k2.size * np.arange(count)[:, None]).ravel()
+
+        def ring_sums(w):
+            return np.bincount(index, w.ravel(), count * k2.size).reshape(lead + k2.shape)
+        if np.iscomplexobj(quadrant):
+            return ring_sums(quadrant.real) + 1j * ring_sums(quadrant.imag)
+        return ring_sums(quadrant)
 
     @property
     def distinct_k_squared(self) -> np.ndarray:

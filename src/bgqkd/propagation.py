@@ -43,14 +43,20 @@ def band_limit_message(tail: float) -> str | None:
     return None
 
 
-def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
-    """The free-space kernel K = exp(-i dz k_z), zero on evanescent components,
-    on the FFT-ordered frequency grid: propagate_samples multiplies a field's
-    spectrum by it. K(-k) = K(k), and the kernel of -dz is conj(K) pixel for
-    pixel, so transport over -dz is the adjoint of transport over dz."""
+def free_space_kernel(k2: np.ndarray, wavelength: float, dz: float) -> np.ndarray:
+    """The free-space kernel exp(-i dz k_z), k_z = sqrt(k^2 - |k_t|^2), at the
+    transverse wave numbers squared k2 (rad^2/m^2), elementwise; zero on
+    evanescent components."""
     k = 2.0 * np.pi / wavelength
-    return grid.spectral(lambda k2: np.exp(-1j * dz * np.sqrt(np.maximum(k * k - k2, 0.0)))
-                         * (k2 <= k * k))
+    return np.exp(-1j * dz * np.sqrt(np.maximum(k * k - k2, 0.0))) * (k2 <= k * k)
+
+
+def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
+    """The free-space kernel K on the FFT-ordered frequency grid:
+    propagate_samples multiplies a field's spectrum by it. K(-k) = K(k), and
+    the kernel of -dz is conj(K) pixel for pixel, so transport over -dz is the
+    adjoint of transport over dz."""
+    return grid.spectral(lambda k2: free_space_kernel(k2, wavelength, dz))
 
 
 def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz: float,

@@ -25,9 +25,9 @@ from .modes import ModeSpec
 from .propagation import (
     FFT_WORKERS,
     ObstacleSpec,
+    free_space_kernel,
     obstacle_mask,
     propagate_samples,
-    transfer_function,
 )
 
 
@@ -50,8 +50,12 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     <BP_L a|b> = dA / N^2 sum_k conj(a^) K_L b^, K_L = transfer_function(L).
     The matched amplitude is linear in the station pair, so the labelled
     state j's weights are contracted before the transform: 2 station-plane
-    spectra (6 for ideal detection) are taken once per scan, and a station
-    costs one K_L and a few such sums.
+    spectra (6 for ideal detection) are taken once per scan. K_L depends on k
+    only through |k_t|^2, so each sum the scan reads is sum_k A(k) K_L(|k_t|^2)
+    with A independent of L: A is summed over each distinct |k_t|^2 once per
+    scan (TransverseGrid.spectral_sums), and a station costs the kernel on
+    those values (free_space_kernel) and three short dot products, with no
+    n x n work.
     """
     ell = abs(source.ell) or 1
     a = mub_state_vector(label).reshape(2, 2)  # a[p, s]: polarization p, OAM sign s
@@ -64,7 +68,7 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     pair = source_pair(source, grid)
     # conj spectra of the detection-plane scalars; the ideal projector is the source pair
     probes = cascade_detection_scalar(source, grid, detection)[None] if cascade else pair.copy()
-    probes = spfft.fft2(probes, overwrite_x=True, workers=FFT_WORKERS).reshape(len(probes), -1)
+    probes = spfft.fft2(probes, overwrite_x=True, workers=FFT_WORKERS)
     np.conj(probes, out=probes)
     free = propagate_samples(pair, grid, source.wavelength, station)
     del pair
@@ -90,29 +94,39 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     np.multiply(targets[:k], mask, out=targets[k:])
     del mask
     centres = targets[k - 1::k, n // 2, n // 2].copy()  # before the transform overwrites them
-    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(2, k, -1)
+    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(2, k, n, n)
     # The adjoint train ends on the H polarizer, so the demodulated axial
     # amplitude after the leg is the projection on state j built from the
     # back-propagated axial sample (no vpoint null: every pixel is
-    # demodulated). That sample's spectrum is the checkerboard (-1)^(kx + ky).
-    sign = (-1.0) ** np.arange(n)
-    axis = np.outer(sign, sign).ravel()
+    # demodulated). That sample's spectrum is the checkerboard
+    # (-1)^(jx + jy) = (-1)^(jx^2 + jy^2), with jx^2 + jy^2 = |k_t|^2 / dk^2,
+    # so it is one sign per distinct |k_t|^2.
+    k2 = grid.distinct_k_squared
+    sign = (-1.0) ** np.rint(k2 / (2.0 * np.pi / grid.extent) ** 2)
+    # Every station reads s @ K_L for these sums over the distinct |k_t|^2:
+    # the axial samples', the cascade's centre correction and the matched
+    # amplitudes, sum_s conj(d^_s) Y^_s (ideal) or conj(d^) X^ (cascade),
+    # whose products are formed in place in the station spectra.
+    s_ax = grid.spectral_sums(targets[:, -1]) * sign
+    s_c = grid.spectral_sums(probes[0]) * sign if cascade else None
+    targets[:, :len(probes)] *= probes
+    del probes
+    if not cascade:
+        targets[:, 0] += targets[:, 1]
+    s_amp = grid.spectral_sums(targets[:, 0])
+    del targets
     scale = area / n ** 2  # <a|b> = scale * sum_k conj(a^) b^
 
     rows = []
     for z in z_stations:
         leg = z - station
-        kernel = transfer_function(grid, source.wavelength, leg).ravel()
-        axial = targets[:, -1] @ (axis * kernel) * scale
-        dets = probes * kernel  # conj spectra of the detection scalars carried back over L
-        del kernel  # and dets below: one station's planes at a time
-        amps = targets.reshape(2, -1)[:, :dets.size] @ dets.ravel() * scale
+        kernel = free_space_kernel(k2, source.wavelength, leg)
+        amps, axial = s_amp @ kernel * scale, s_ax @ kernel * scale
         if cascade:
             # spin_orbit_pair drops the centre sample d(0) of the back-propagated
             # scalar d (<d|delta_0> = conj(d(0)) dA); the unit power it then
             # scales d to cancels in the fidelity ratio
-            amps -= dets[0] @ axis * scale * centres
-        del dets
+            amps -= s_c @ kernel * scale * centres
         (p_free, p_obs), (a_free, a_obs) = np.abs(amps) ** 2, np.abs(axial) ** 2
         if p_free <= 0:
             raise ValueError("free-space detection probability vanished; check the geometry")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from bgqkd import (
     TransverseGrid,
     mub_state_vector,
 )
+from bgqkd.propagation import free_space_kernel, transfer_function
 
 from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
 from diagnostics import circular, linear
@@ -75,6 +78,18 @@ class TestGrid:
                     grid256.spectral(lambda k2: k2 > 0)):
             assert out.flags.c_contiguous
 
+    def test_expansions_hold_no_intermediate_plane(self, grid256):
+        # the result and the quadrant it is copied from, nothing else n x n
+        for expand in (grid256.radial, grid256.spectral):
+            expand(lambda v: v)  # the cached index, outside the trace
+            tracemalloc.start()
+            try:
+                out = expand(lambda v: v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.4 * out.nbytes, f"{peak / out.nbytes:.2f} result planes"
+
     def test_ring_weights_are_grid_sums(self):
         for n in (64, 128):
             g = TransverseGrid(n=n, extent=7.3e-3)
@@ -87,6 +102,39 @@ class TestGrid:
                 w = np.exp(-1j * m * g.phi).ravel()
                 expected = [np.sum(w[ring.ravel() == k]) for k in range(radii.size)]
                 assert np.allclose(g.ring_weights(m), expected, rtol=0, atol=1e-12), m
+
+
+class TestSpectralSums:
+    GRIDS = [(64, 25.6e-6), (256, 10e-3)]  # the first with evanescent corners
+
+    @pytest.mark.parametrize("n,extent", GRIDS)
+    def test_adjoint_of_spectral(self, n, extent):
+        grid = TransverseGrid(n=n, extent=extent)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+        sums = grid.spectral_sums(a)
+        assert sums.shape == (2, 3, grid.distinct_k_squared.size)
+        for f in (lambda k2: free_space_kernel(k2, WAVELENGTH, 0.3), lambda k2: k2):
+            expected = np.sum(a * grid.spectral(f), axis=(-2, -1))
+            assert np.allclose(sums @ f(grid.distinct_k_squared), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n,extent", GRIDS)
+    def test_sums_of_ones_count_the_pixels(self, n, extent):
+        grid = TransverseGrid(n=n, extent=extent)
+        counts = grid.spectral_sums(np.ones((n, n)))
+        assert np.array_equal(counts, np.round(counts)) and counts.min() >= 1
+        assert counts.sum() == n * n
+        assert np.array_equal(counts, np.unique(grid.spectral(lambda k2: k2),
+                                                return_counts=True)[1])
+
+    @pytest.mark.parametrize("n,extent", GRIDS)
+    def test_kernel_expands_to_transfer_function(self, n, extent):
+        grid = TransverseGrid(n=n, extent=extent)
+        # each pixel's value of |k_t|^2 is one of the distinct values, exactly
+        ring = np.searchsorted(grid.distinct_k_squared, grid.spectral(lambda k2: k2))
+        for dz in (0.3, -0.05):
+            kernel = free_space_kernel(grid.distinct_k_squared, WAVELENGTH, dz)
+            assert np.array_equal(kernel[ring], transfer_function(grid, WAVELENGTH, dz))
 
 
 class TestInnerProduct:

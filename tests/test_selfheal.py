@@ -189,9 +189,13 @@ def test_scan_cost_does_not_grow_with_stations(monkeypatch, grid256, bg_source):
         with monkeypatch.context() as m:
             ffts = [_count_calls(m, fft, name, planes) for name in ("fft2", "ifft2")]
             holograms = _count_calls(m, bgqkd.modes, "binary_bessel_hologram")
+            # the n x n kernel expansions: a station reads the kernel on the
+            # distinct |k_t|^2 only
+            expansions = [_count_calls(m, TransverseGrid, "spectral"),
+                          _count_calls(m, bgqkd.propagation, "transfer_function")]
             for detection in (CASCADE, IDEAL):
                 selfheal_scan(bg_source, "psi00", obs, stations, grid256, detection)
-            costs.append((sum(f[0] for f in ffts), holograms[0]))
+            costs.append((sum(f[0] for f in ffts), holograms[0], *(e[0] for e in expansions)))
     assert costs[0] == costs[1]
     assert costs[0][1] == 1  # the cascade's hologram, once
 
