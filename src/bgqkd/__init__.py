@@ -18,7 +18,6 @@ from .jones import MubCheckResult, check_mub, mub_state_vector
 from .propagation import ChannelSpec, ObstacleSpec
 from .channel import (
     CountsTable,
-    DetectionKind,
     DetectionModel,
     ScatteringMatrix,
     scattering_matrix,

@@ -3,24 +3,13 @@
 A heralded, horizontally polarized photon with the post-selected radial
 profile enters the preparation train, crosses the obstructed channel, is
 demodulated by the receiver's wave-plate station (placed right after the
-obstacle), travels the decoding leg L, and is projected on the detection
-plane. Two detection models are available:
-
-ideal
-    Perfect modal projector onto the labelled state built from the heralded
-    profile (hologram + fiber treated as one ideal filter at the detection
-    plane).
-cascade
-    Explicit decomposition of the receiver: adjoint wave-plate train at the
-    station, free propagation over L, binary-Bessel hologram multiply, and
-    overlap with the back-projected fiber Gaussian of waist smf_waist. This
-    is the model that resolves self-healing, since the fiber acceptance is
-    narrower than the source envelope.
-
-Both reduce to a single projection at the station plane against an
-effective detection state. Every prepared and detection state is a spin-orbit
-superposition of two scalar OAM fields, so only those are transported, as one
-(2, n, n) array.
+obstacle), travels the decoding leg L, and is detected as in the paper: a
+binary-Bessel hologram (BG sources) followed by a single-mode fiber of
+acceptance waist smf_waist. The fiber acceptance is narrower than the source
+envelope, which is what resolves self-healing. The receiver reduces to a
+single projection at the station plane against an effective detection state.
+Every prepared and detection state is a spin-orbit superposition of two
+scalar OAM fields, so only those are transported, as one (2, n, n) array.
 
 The scenarios of a run share the source, and often the whole free-space leg
 to their station: the paper's three links differ only by the mask on the
@@ -35,7 +24,6 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -55,24 +43,15 @@ from .propagation import (
 BOUNDARY_POWER_TOL = 1e-6
 
 
-class DetectionKind(Enum):
-    IDEAL = "ideal"
-    CASCADE = "cascade"
-
-
 @dataclass(frozen=True)
 class DetectionModel:
-    """Receiver model: ideal modal projection or hologram + fiber cascade."""
+    """Receiver: binary-Bessel hologram and single-mode fiber of waist smf_waist."""
 
-    kind: DetectionKind = DetectionKind.IDEAL
-    smf_waist: float | None = None
+    smf_waist: float = 0.45e-3
     noise_floor: float = 0.0
 
     def __post_init__(self):
-        if self.kind is DetectionKind.CASCADE and self.smf_waist is None:
-            raise ValueError("cascade detection requires an smf_waist")
-        if self.smf_waist is not None and not (np.isfinite(self.smf_waist)
-                                               and self.smf_waist > 0):
+        if not (np.isfinite(self.smf_waist) and self.smf_waist > 0):
             raise ValueError(f"smf_waist must be positive and finite, got {self.smf_waist}")
         if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
             raise ValueError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
@@ -156,10 +135,10 @@ def source_pair(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
     return spin_orbit_pair(heralded_profile(source, grid), grid, abs(source.ell) or 1)
 
 
-def cascade_detection_scalar(source: ModeSpec, grid: TransverseGrid,
-                             detection: DetectionModel) -> np.ndarray:
-    """The cascade receiver's scalar at the detection plane: the fiber
-    Gaussian times the binary Bessel hologram (BG sources with k_r > 0)."""
+def detection_scalar(source: ModeSpec, grid: TransverseGrid,
+                     detection: DetectionModel) -> np.ndarray:
+    """The receiver's scalar at the detection plane: the fiber Gaussian times
+    the binary Bessel hologram (BG sources with k_r > 0)."""
     fiber = grid.radial(lambda r: np.exp(-(r / detection.smf_waist) ** 2).astype(complex))
     if source.family is ModeFamily.BG and source.k_r > 0:
         fiber *= binary_bessel_hologram(source.k_r, grid)
@@ -172,17 +151,13 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: 
 
     Projecting the station-plane field on detection state j (built from the
     pair like the prepared states, with the source's |ell|) equals running
-    the physical receiver: adjoint train, decoding propagation, then the
-    ideal modal projector (g_+- = P(-L) u_+-) or the hologram and fiber
-    (g_+- = exp(+-i ell phi) P(-L)(hologram * fiber)), where P(-L) is
+    the physical receiver: adjoint train, decoding propagation, hologram and
+    fiber, so g_+- = exp(+-i ell phi) P(-L)(hologram * fiber), where P(-L) is
     transport back over the decoding leg L.
     """
-    if detection.kind is DetectionKind.CASCADE:
-        g = propagate_samples(cascade_detection_scalar(source, grid, detection), grid,
-                              source.wavelength, -decoding_distance)
-        return spin_orbit_pair(g, grid, abs(source.ell) or 1)
-    return propagate_samples(source_pair(source, grid), grid, source.wavelength,
-                             -decoding_distance)
+    g = propagate_samples(detection_scalar(source, grid, detection), grid,
+                          source.wavelength, -decoding_distance)
+    return spin_orbit_pair(g, grid, abs(source.ell) or 1)
 
 
 def spin_orbit_amplitudes(dets: np.ndarray, pair: np.ndarray, grid: TransverseGrid,

@@ -278,10 +278,13 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _threads(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type: an integer >= low, checked before any work."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a scenario YAML file")
         p.add_argument("--preset", help=f"built-in preset name ({', '.join(preset_names())})")
-        p.add_argument("--seed", type=int, default=None, help="override run.seed")
+        p.add_argument("--seed", type=_at_least(0), default=None, help="override run.seed")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--threads", type=_threads, default=1, help="parallel scenarios")
+        p.add_argument("--threads", type=_at_least(1), default=1, help="parallel scenarios")
         p.set_defaults(func=fn)
     return parser
 

@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 import yaml
 
-from .channel import DetectionKind, DetectionModel
+from .channel import DetectionModel
 from .errors import ConfigError
 from .fields import TransverseGrid
 from .jones import LABELS
@@ -177,8 +177,8 @@ SCHEMA = {
         "channel": Key("mapping", item=_CHANNEL),
     })),
     "detection": Key("mapping", {}, item={
-        "mode": Key("text", "ideal", choices=("ideal", "cascade")),
-        "smf_waist": Key("length", None, "(0, inf)"),
+        "mode": Key("text", "cascade", choices=("cascade",)),
+        "smf_waist": Key("length", 0.45e-3, "(0, inf)"),
         "noise_floor": Key("number", 0.0, "[0, 1]"),
     }),
     "security": Key("mapping", {}, item={
@@ -297,9 +297,8 @@ def parse_config(doc: Any, *, source_name: str = "config") -> RunConfig:
     spdc = d["spdc"]
     if spdc["pump_waist"] is None:
         spdc["pump_waist"] = source.w0
-    detection = d["detection"]
-    detection = _build(DetectionModel, "detection",
-                       kind=DetectionKind(detection.pop("mode")), **detection)
+    del d["detection"]["mode"]  # one receiver: the hologram and fiber cascade
+    detection = _build(DetectionModel, "detection", **d["detection"])
     direct = tuple(DirectSecurityEntry(**e) for e in d["security"].pop("direct"))
 
     scenarios: list[ScenarioDef] = []

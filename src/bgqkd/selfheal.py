@@ -1,11 +1,12 @@
 """Self-healing diagnostics: detected-signal recovery behind an obstruction.
 
 The fidelity reported here is the matched detection probability of the
-labelled state with the obstacle in place, normalized by the same quantity
-with the obstacle removed (the count-rate recovery a receiver at each
-station actually observes). It is 1 without an obstacle by construction,
-rises with the decoding distance as the mode self-reconstructs, and directly
-mirrors the normalized-counts comparison between mode families.
+labelled state through the hologram and fiber receiver with the obstacle in
+place, normalized by the same quantity with the obstacle removed (the
+count-rate recovery a receiver at each station actually observes). It is 1
+without an obstacle by construction, rises with the decoding distance as the
+mode self-reconstructs, and directly mirrors the normalized-counts comparison
+between mode families.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as spfft
 
-from .channel import (
-    DetectionKind,
-    DetectionModel,
-    cascade_detection_scalar,
-    source_pair,
-)
+from .channel import DetectionModel, detection_scalar, source_pair
 from .fields import TransverseGrid
 from .jones import mub_state_vector, vortex_turn
 from .modes import ModeSpec
@@ -50,7 +46,7 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     <BP_L a|b> = dA / N^2 sum_k conj(a^) K_L b^, K_L = transfer_function(L).
     The matched amplitude is linear in the station pair, so the labelled
     state j's weights are contracted before the transform: 2 station-plane
-    spectra (6 for ideal detection) are taken once per scan. K_L depends on k
+    spectra, free and blocked, are taken once per scan. K_L depends on k
     only through |k_t|^2, so each sum the scan reads is sum_k A(k) K_L(|k_t|^2)
     with A independent of L: A is summed over each distinct |k_t|^2 once per
     scan (TransverseGrid.spectral_sums), and a station costs the kernel on
@@ -63,38 +59,33 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     for z in z_stations:
         if z < station:
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
-    cascade = detection.kind is DetectionKind.CASCADE
     n, area = grid.n, grid.pixel_area
-    pair = source_pair(source, grid)
-    # conj spectra of the detection-plane scalars; the ideal projector is the source pair
-    probes = cascade_detection_scalar(source, grid, detection)[None] if cascade else pair.copy()
-    probes = spfft.fft2(probes, overwrite_x=True, workers=FFT_WORKERS)
-    np.conj(probes, out=probes)
-    free = propagate_samples(pair, grid, source.wavelength, station)
-    del pair
+    # conj spectrum of the detection-plane scalar
+    probe = spfft.fft2(detection_scalar(source, grid, detection), overwrite_x=True,
+                       workers=FFT_WORKERS)
+    np.conj(probe, out=probe)
+    free = propagate_samples(source_pair(source, grid), grid, source.wavelength, station)
     mask = 1.0 if obs is None else obstacle_mask(grid, obs)
 
-    # <d_j|f_j> = sum_{s,s'} M[s, s'] <g_s|u_s'> with M = a^H a: ideal
-    # detection projects g_s on Y_s = sum_s' M[s, s'] u_s', the cascade's
-    # turned scalar and the demodulated axial sample project on
-    # X = sum_s conj(t_s) Y_s, t_+- = exp(+-i ell phi).
-    # Rows per field, free then blocked (free times the mask): Y_+, Y_-, X
-    # (ideal) or X (cascade, built from Y in both fields' rows).
-    k = 1 if cascade else 3
-    targets = np.empty((2 * k, n, n), dtype=complex)
-    np.matmul(a.conj().T @ a, free.reshape(2, -1), out=targets[:2].reshape(2, -1))
+    # <d_j|f_j> = sum_{s,s'} M[s, s'] <g_s|u_s'> with M = a^H a and g_s = t_s d,
+    # t_+- = exp(+-i ell phi), so the matched amplitude and the demodulated
+    # axial sample project on X = sum_s conj(t_s) Y_s, Y_s = sum_s' M[s, s'] u_s'.
+    # Rows: X of the free field, then of the blocked one (free times the mask),
+    # built from Y_+ and Y_- in the two rows.
+    targets = np.empty((2, n, n), dtype=complex)
+    np.matmul(a.conj().T @ a, free.reshape(2, -1), out=targets.reshape(2, -1))
     free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
-    power = float(np.vdot(free, targets[:2]).real * area)
+    power = float(np.vdot(free, targets).real * area)
     del free
     turn = vortex_turn(grid, ell)  # conj(t_-)
-    np.multiply(targets[1], turn, out=targets[k])
-    np.multiply(targets[0], np.conj(turn, out=turn), out=targets[k - 1])
-    targets[k - 1] += targets[k]
+    targets[1] *= turn
+    targets[0] *= np.conj(turn, out=turn)
+    targets[0] += targets[1]
     del turn
-    np.multiply(targets[:k], mask, out=targets[k:])
+    np.multiply(targets[0], mask, out=targets[1])
     del mask
-    centres = targets[k - 1::k, n // 2, n // 2].copy()  # before the transform overwrites them
-    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS).reshape(2, k, n, n)
+    centres = targets[:, n // 2, n // 2].copy()  # before the transform overwrites them
+    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS)
     # The adjoint train ends on the H polarizer, so the demodulated axial
     # amplitude after the leg is the projection on state j built from the
     # back-propagated axial sample (no vpoint null: every pixel is
@@ -104,16 +95,13 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     k2 = grid.distinct_k_squared
     sign = (-1.0) ** np.rint(k2 / (2.0 * np.pi / grid.extent) ** 2)
     # Every station reads s @ K_L for these sums over the distinct |k_t|^2:
-    # the axial samples', the cascade's centre correction and the matched
-    # amplitudes, sum_s conj(d^_s) Y^_s (ideal) or conj(d^) X^ (cascade),
-    # whose products are formed in place in the station spectra.
-    s_ax = grid.spectral_sums(targets[:, -1]) * sign
-    s_c = grid.spectral_sums(probes[0]) * sign if cascade else None
-    targets[:, :len(probes)] *= probes
-    del probes
-    if not cascade:
-        targets[:, 0] += targets[:, 1]
-    s_amp = grid.spectral_sums(targets[:, 0])
+    # the axial samples', the centre correction and the matched amplitudes
+    # conj(d^) X^, whose products are formed in place in the station spectra.
+    s_ax = grid.spectral_sums(targets) * sign
+    s_c = grid.spectral_sums(probe) * sign
+    targets *= probe
+    del probe
+    s_amp = grid.spectral_sums(targets)
     del targets
     scale = area / n ** 2  # <a|b> = scale * sum_k conj(a^) b^
 
@@ -122,11 +110,10 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
         leg = z - station
         kernel = free_space_kernel(k2, source.wavelength, leg)
         amps, axial = s_amp @ kernel * scale, s_ax @ kernel * scale
-        if cascade:
-            # spin_orbit_pair drops the centre sample d(0) of the back-propagated
-            # scalar d (<d|delta_0> = conj(d(0)) dA); the unit power it then
-            # scales d to cancels in the fidelity ratio
-            amps -= s_c @ kernel * scale * centres
+        # spin_orbit_pair drops the centre sample d(0) of the back-propagated
+        # scalar d (<d|delta_0> = conj(d(0)) dA); the unit power it then
+        # scales d to cancels in the fidelity ratio
+        amps -= s_c @ kernel * scale * centres
         (p_free, p_obs), (a_free, a_obs) = np.abs(amps) ** 2, np.abs(axial) ** 2
         if p_free <= 0:
             raise ValueError("free-space detection probability vanished; check the geometry")

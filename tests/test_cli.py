@@ -57,13 +57,15 @@ REJECTED = [
     pytest.param("security", "spdc: {pump_waist: 0}", "spdc.pump_waist", id="pump-waist-zero"),
     pytest.param("security", "spdc: {pump_waist: -1mm}", "spdc.pump_waist",
                  id="pump-waist-negative"),
-    pytest.param("scattering", "detection: {mode: ideal, smf_waist: 0}", "detection.smf_waist",
+    pytest.param("scattering", "detection: {mode: cascade, smf_waist: 0}", "detection.smf_waist",
                  id="smf-waist-zero"),
     pytest.param("selfheal-scan", "selfheal: {obstacle: {radius: 6mm}, z_stations: [0.1]}",
                  "selfheal.obstacle", id="selfheal-obstacle-outside-grid"),
     pytest.param("scattering", f"grid: {{n: {2 ** 24}}}", "grid.n", id="grid-n-too-large"),
-    pytest.param("scattering", "detection: {mode: ideal, noise_floor: 2.0}",
+    pytest.param("scattering", "detection: {mode: cascade, noise_floor: 2.0}",
                  "detection.noise_floor", id="noise-floor-above-1"),
+    # the receiver is the hologram and fiber cascade; no other mode is offered
+    pytest.param("scattering", "detection: {mode: ideal}", "detection.mode", id="mode-ideal"),
 ]
 
 
@@ -158,6 +160,17 @@ class TestConfigErrors:
             main(["info", "--preset", "paper-bg", "--threads", threads])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,preset", [
+        ("security", "paper-bg"), ("security", "paper-table3"),
+        ("selfheal-scan", "paper-selfheal-bg"), ("scattering", "paper-r1")])
+    def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, command, preset):
+        # run.seed lies in [0, inf); the flag that overrides it is held to the same bound
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", preset, "--seed", "-1", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_selfheal_without_section(self, tmp_path):
         rc = main(["selfheal-scan", "--config", write_config(tmp_path, TINY),

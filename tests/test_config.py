@@ -223,17 +223,13 @@ class TestSchema:
             parse_config(doc)
         assert err.value.path == field_path(path)
 
-    def test_cascade_needs_waist(self):
-        doc = minimal_doc(detection={"mode": "cascade"})
-        with pytest.raises(ConfigError):
-            parse_config(doc)
-
     def test_defaults_applied(self):
         cfg = parse_config(minimal_doc())
         assert cfg.security.dimension == 4
         assert cfg.security.f_ec == 1.2
         assert cfg.run.seed == 20180810
         assert cfg.detection.noise_floor == 0.0
+        assert cfg.detection.smf_waist == 0.45e-3
 
 
 class TestPresets:
