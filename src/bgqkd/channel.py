@@ -37,10 +37,12 @@ from .propagation import (
     band_limit_message,
     band_tail_fraction,
     obstacle_mask,
+    propagate_quadrant,
     propagate_samples,
 )
 
 BOUNDARY_POWER_TOL = 1e-6
+_GRAM_BLOCK = 8192  # columns per block of the pair overlaps (spin_orbit_amplitudes)
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,9 @@ class DetectionModel:
 
 
 def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
-    """Unit-power ell = 0 radial profile of the given mode family, (n, n)."""
+    """The ell = 0 radial profile of the given mode family on the grid's
+    quadrant (TransverseGrid.radial_quadrant), unnormalised: spin_orbit_pair
+    scales it to unit power."""
     spec = ModeSpec(
         family=source.family,
         ell=0,
@@ -66,8 +70,7 @@ def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
         wavelength=source.wavelength,
         k_r=source.k_r if source.family is ModeFamily.BG else 0.0,
     )
-    s = grid.radial(functools.partial(radial_factor, spec))
-    return s / np.sqrt(float(np.sum(np.abs(s) ** 2) * grid.pixel_area))
+    return grid.radial_quadrant(functools.partial(radial_factor, spec))
 
 
 def _unit_on_rings(f: np.ndarray, grid: TransverseGrid) -> np.ndarray:
@@ -137,12 +140,15 @@ def source_pair(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
 
 def detection_scalar(source: ModeSpec, grid: TransverseGrid,
                      detection: DetectionModel) -> np.ndarray:
-    """The receiver's scalar at the detection plane: the fiber Gaussian times
-    the binary Bessel hologram (BG sources with k_r > 0)."""
-    fiber = grid.radial(lambda r: np.exp(-(r / detection.smf_waist) ** 2).astype(complex))
-    if source.family is ModeFamily.BG and source.k_r > 0:
-        fiber *= binary_bessel_hologram(source.k_r, grid)
-    return fiber
+    """The receiver's real scalar at the detection plane on the grid's
+    quadrant (TransverseGrid.radial_quadrant): the fiber Gaussian times the
+    binary Bessel hologram (BG sources with k_r > 0)."""
+    hologram = source.family is ModeFamily.BG and source.k_r > 0
+
+    def receiver(r):
+        fiber = np.exp(-(r / detection.smf_waist) ** 2)
+        return fiber * binary_bessel_hologram(source.k_r, r) if hologram else fiber
+    return grid.radial_quadrant(receiver)
 
 
 def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: float,
@@ -153,10 +159,12 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: 
     pair like the prepared states, with the source's |ell|) equals running
     the physical receiver: adjoint train, decoding propagation, hologram and
     fiber, so g_+- = exp(+-i ell phi) P(-L)(hologram * fiber), where P(-L) is
-    transport back over the decoding leg L.
+    transport back over the decoding leg L. The scalar is a function of r,
+    so it is carried back on the grid's quadrant (propagate_quadrant) and
+    unfolded only where the vortex turns are applied.
     """
-    g = propagate_samples(detection_scalar(source, grid, detection), grid,
-                          source.wavelength, -decoding_distance)
+    g = propagate_quadrant(detection_scalar(source, grid, detection), grid,
+                           source.wavelength, -decoding_distance)
     return spin_orbit_pair(g, grid, abs(source.ell) or 1)
 
 
@@ -168,7 +176,10 @@ def spin_orbit_amplitudes(dets: np.ndarray, pair: np.ndarray, grid: TransverseGr
     G[s, s'] = <g_s|u_s'>."""
     x = dets[(..., *window)].reshape(2, -1)
     y = x if pair is dets else pair[(..., *window)].reshape(2, -1)
-    gram = x.conj() @ y.T * grid.pixel_area
+    # a block of columns at a time: x.conj() would copy two planes, and a
+    # block's product is too small for BLAS to wake its threads for
+    gram = sum(x[:, i:i + _GRAM_BLOCK].conj() @ y[:, i:i + _GRAM_BLOCK].T
+               for i in range(0, x.shape[1], _GRAM_BLOCK)) * grid.pixel_area
     return SPIN_ORBIT @ np.kron(np.eye(2), gram).T @ SPIN_ORBIT.conj().T
 
 

@@ -68,14 +68,35 @@ class TransverseGrid:
         pieces = ((slice(0, h), slice(h, 0, -1)), (slice(h, self.n), slice(0, h)))
         return radii, inverse.reshape(h + 1, h + 1), pieces
 
+    def radial_quadrant(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """f(r) on the (n/2+1)^2 quadrant of offsets 0..n/2 from the centre:
+        cell [i, j] holds f at the radius hypot(j dx, i dx), with f called
+        once on the 1-D array of distinct radii (f must act elementwise)."""
+        radii, inverse, _ = self._radial_index
+        return f(radii)[inverse]
+
+    def unfold(self, quadrant: np.ndarray) -> np.ndarray:
+        """The n x n field even about the centre in x and in y whose quadrant
+        (as `radial_quadrant` lays it out) is given: the samples at row and
+        column offsets +-i, +-j are all quadrant[i, j]."""
+        return self._tile(quadrant, self._radial_index[2])
+
+    @property
+    def fold_counts(self) -> np.ndarray:
+        """How many grid rows (or columns) each quadrant row (or column)
+        stands for: (1, 2, ..., 2, 1), as the offsets 0 and -n/2 occur once
+        and every other offset on both sides of the centre."""
+        counts = np.full(self.n // 2 + 1, 2.0)
+        counts[[0, -1]] = 1.0
+        return counts
+
     def radial(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(r) on the grid, with f called once on the 1-D array of distinct radii.
 
         f must act elementwise; the result equals f of the per-pixel radius
         hypot(axis[None, :], axis[:, None]) bit for bit.
         """
-        radii, inverse, pieces = self._radial_index
-        return self._unfold(f(radii)[inverse], pieces)
+        return self.unfold(self.radial_quadrant(f))
 
     @property
     def radii(self) -> np.ndarray:
@@ -88,12 +109,9 @@ class TransverseGrid:
         radii, inverse, pieces = self._radial_index
         if m == 0:
             # a quadrant cell stands for every pixel whose row and column land on it
-            per_fold = np.zeros(self.n // 2 + 1)
-            for _, source in pieces:
-                per_fold[source] += 1
-            return np.bincount(inverse.ravel(), np.outer(per_fold, per_fold).ravel(),
-                               radii.size)
-        index = self._unfold(inverse, pieces).ravel()
+            counts = self.fold_counts
+            return np.bincount(inverse.ravel(), np.outer(counts, counts).ravel(), radii.size)
+        index = self._tile(inverse, pieces).ravel()
         w = np.exp(-1j * m * self.phi).ravel()
         return (np.bincount(index, w.real, radii.size)
                 + 1j * np.bincount(index, w.imag, radii.size))
@@ -109,7 +127,7 @@ class TransverseGrid:
         pieces = ((slice(0, h + 1), slice(0, h + 1)), (slice(h + 1, self.n), slice(h - 1, 0, -1)))
         return k2, inverse.reshape(h + 1, h + 1), pieces
 
-    def _unfold(self, quadrant: np.ndarray, pieces) -> np.ndarray:
+    def _tile(self, quadrant: np.ndarray, pieces) -> np.ndarray:
         """The n x n grid from its quadrant, filled in C order by four slice
         copies; pieces pair each destination slice of an axis with the
         quadrant slice it copies."""
@@ -119,12 +137,18 @@ class TransverseGrid:
                 out[rows, cols] = quadrant[source_rows, source_cols]
         return out
 
+    def spectral_quadrant(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """f(|k_t|^2) on the (n/2+1)^2 quadrant of the FFT-ordered frequency
+        grid, rows and columns 0..n/2, with f called once on the 1-D array of
+        distinct values (f must act elementwise)."""
+        k2, inverse, _ = self._spectral_index
+        return f(k2)[inverse]
+
     def spectral(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(|k_t|^2) on the FFT-ordered frequency grid (rad^2/m^2), with f
         called once on the 1-D array of distinct values; f must act
         elementwise, and the result equals f(kx**2 + ky**2) bit for bit."""
-        k2, inverse, pieces = self._spectral_index
-        return self._unfold(f(k2)[inverse], pieces)
+        return self._tile(self.spectral_quadrant(f), self._spectral_index[2])
 
     def spectral_sums(self, a: np.ndarray) -> np.ndarray:
         """The adjoint of `spectral`: the sums of an FFT-ordered stack a

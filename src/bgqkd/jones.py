@@ -92,7 +92,11 @@ def vortex_turn(grid: TransverseGrid, ell: int, out: np.ndarray | None = None) -
 
 def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> np.ndarray:
     """The unit-power OAM scalars profile * exp(+-i ell phi), on-axis sample
-    removed, as one (2, n, n) array on `grid`.
+    removed, as one (2, n, n) array on `grid`. The profile is a field even
+    about the grid centre in x and in y, given by its quadrant
+    (TransverseGrid.radial_quadrant): it is scaled to unit power there, each
+    cell weighted by the pixels it stands for (grid.fold_counts in each
+    axis), and unfolded once.
 
     Every prepared state is a spin-orbit superposition of the pair: the
     wave-plate train of LABELS[i] run on H (x) profile equals, up to a global
@@ -100,9 +104,11 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     (p_k) = (R, R, L, L), the rows of SPIN_ORBIT being mub_state_vector of
     LABELS.
     """
-    u = np.array(profile, dtype=complex)
-    u[grid.n // 2, grid.n // 2] = 0.0  # the one sample at r = 0
-    u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid.pixel_area)
+    q = np.array(profile)
+    q[0, 0] = 0.0  # the one sample at r = 0
+    counts = grid.fold_counts
+    q /= np.sqrt(counts @ np.abs(q) ** 2 @ counts * grid.pixel_area)
+    u = grid.unfold(q)
     pair = np.empty((2, grid.n, grid.n), dtype=complex)
     turn = vortex_turn(grid, ell, out=pair[0])
     # conj(turn) * u, the operand order (and rounding) of numpy's elided u * turn.conj()

@@ -2,8 +2,9 @@
 Bessel-Gaussian or Laguerre-Gaussian (p = 0) mode, the ell = 0 binary Bessel
 hologram, and the BG range formulas.
 
-A mode is R(r) exp(i ell phi) at z = 0. Its radial factor is evaluated on the
-grid's distinct radii (TransverseGrid.radial) and scaled to unit power by the
+A mode is R(r) exp(i ell phi) at z = 0, with a real radial factor R. R and
+the hologram are functions of r alone, evaluated on the grid's distinct radii
+(TransverseGrid.radii, radial_quadrant) and scaled to unit power by the
 caller (the closed-form prefactor does not normalize a Gaussian-apodized mode
 on a finite window); every z-evolution is the free-space transport's
 (propagation).
@@ -19,7 +20,6 @@ import numpy as np
 from scipy import special
 
 from .errors import UnsupportedModeError
-from .fields import TransverseGrid
 
 
 class ModeFamily(enum.Enum):
@@ -54,43 +54,44 @@ class ModeSpec:
             raise ValueError(f"k_r must be finite and >= 0, got {self.k_r}")
         if int(self.ell) != self.ell:
             raise ValueError(f"ell must be an integer, got {self.ell}")
+        if self.k_r >= self.wavenumber:
+            raise ValueError(f"k_r must be below the free-space wave number 2 pi / wavelength "
+                             f"= {self.wavenumber:.6g} rad/m, got {self.k_r}")
 
     @property
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
-    @property
-    def rayleigh_range(self) -> float:
-        return np.pi * self.w0 ** 2 / self.wavelength
-
 
 def radial_factor(spec: ModeSpec, r: np.ndarray) -> np.ndarray:
-    """R(r) of the z = 0 mode R(r) exp(i ell phi), unnormalised, at the radii r.
+    """The real R(r) of the z = 0 mode R(r) exp(i ell phi), unnormalised, at
+    the radii r.
 
-    BG: sqrt(2/pi) J_ell(k_r r) exp(-r^2 / w0^2), in complex arithmetic over
-    the Rayleigh range z_R = pi w0^2 / lambda, J_ell(z_R k_r r / z_R)
-    exp(-2 k r^2 / (4 z_R)). LG (p = 0): (sqrt(2) r / w0)^|ell| exp(-r^2 / w0^2).
+    BG: sqrt(2/pi) J_ell(k_r r) exp(-r^2 / w0^2), the Bessel factor from
+    Cephes j0 for ell = 0 and +-j1 for |ell| = 1 (J_-1 = -J_1), jv beyond.
+    LG (p = 0): (sqrt(2) r / w0)^|ell| exp(-r^2 / w0^2).
     """
+    envelope = np.exp(-(r / spec.w0) ** 2)
     if spec.family is ModeFamily.LG:
-        # complex, so unit-power scaling rounds as it does for a BG factor
-        return ((np.sqrt(2.0) * r / spec.w0) ** abs(spec.ell)
-                * np.exp(-(r / spec.w0) ** 2)).astype(complex)
-    k, z_r = spec.wavenumber, spec.rayleigh_range
-    if spec.k_r >= k:
-        raise ValueError("k_r must be below the free-space wave number")
+        return (np.sqrt(2.0) * r / spec.w0) ** abs(spec.ell) * envelope
     if spec.k_r == 0.0 and spec.ell != 0:
         raise UnsupportedModeError("BG with k_r = 0 vanishes identically for ell != 0")
-    bessel = (special.jv(spec.ell, z_r * spec.k_r * r / complex(z_r)) if spec.k_r > 0
-              else 1.0 + 0.0j)
-    return np.sqrt(2.0 / np.pi) * bessel * np.exp(-2.0 * k * r ** 2 / (4.0 * complex(z_r)))
+    x = spec.k_r * r
+    if spec.ell == 0:
+        bessel = special.j0(x)
+    elif abs(spec.ell) == 1:
+        bessel = spec.ell * special.j1(x)
+    else:
+        bessel = special.jv(spec.ell, x)
+    return np.sqrt(2.0 / np.pi) * bessel * envelope
 
 
-def binary_bessel_hologram(k_r: float, grid: TransverseGrid) -> np.ndarray:
-    """The ell = 0 hologram's real transmission sign{J_0(k_r r)} on the grid;
-    exact zeros of J_0 resolve to +1 (a measure-zero set)."""
+def binary_bessel_hologram(k_r: float, r: np.ndarray) -> np.ndarray:
+    """The ell = 0 hologram's real transmission sign{J_0(k_r r)} at the radii
+    r; exact zeros of J_0 resolve to +1 (a measure-zero set)."""
     if not k_r > 0:
         raise ValueError(f"hologram requires k_r > 0, got {k_r}")
-    return grid.radial(lambda r: np.where(special.j0(k_r * r) >= 0.0, 1.0, -1.0))
+    return np.where(special.j0(k_r * r) >= 0.0, 1.0, -1.0)
 
 
 def nondiffracting_distance(spec: ModeSpec) -> float:

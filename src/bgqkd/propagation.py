@@ -7,7 +7,10 @@ transport: an FFT of the stack, the kernel exp(-i dz sqrt(k^2 - kx^2 - ky^2))
 inverse FFT. The kernel depends only on |k_t|^2, so it is evaluated once per
 distinct value and expanded to the grid in C order (TransverseGrid.spectral).
 A negative dz carries a field backwards: its kernel is the conjugate of the
-forward one, the adjoint of forward transport. Free space and the obstacles
+forward one, the adjoint of forward transport. A field even about the grid
+centre in x and in y (any function of r, such as the receiver's scalar) is
+carried on its (n/2+1)^2 quadrant instead (propagate_quadrant): the DFT of a
+sequence even about index 0 is its DCT-I. Free space and the obstacles
 act alike on both polarizations, so only scalars are transported; the
 band-limit guard reads Gram matrices taken from each segment's spectrum.
 """
@@ -53,7 +56,8 @@ def free_space_kernel(k2: np.ndarray, wavelength: float, dz: float) -> np.ndarra
 
 def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
     """The free-space kernel K on the FFT-ordered frequency grid:
-    propagate_samples multiplies a field's spectrum by it. K(-k) = K(k), and
+    propagate_samples multiplies a field's spectrum by it, and
+    propagate_quadrant a spectrum's quadrant by its quadrant. K(-k) = K(k), and
     the kernel of -dz is conj(K) pixel for pixel, so transport over -dz is the
     adjoint of transport over dz."""
     return grid.spectral(lambda k2: free_space_kernel(k2, wavelength, dz))
@@ -76,6 +80,28 @@ def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz
         grams.append((edge.conj() @ edge.T, flat.conj() @ flat.T))
     spec *= transfer_function(grid, wavelength, dz)
     return spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)
+
+
+def propagate_quadrant(q: np.ndarray, grid: TransverseGrid, wavelength: float,
+                       dz: float) -> np.ndarray:
+    """Advance by dz metres of free space (backwards for dz < 0) a scalar
+    field even about the grid centre in x and in y, given by its quadrant
+    (TransverseGrid.radial_quadrant, unfold); the result is the carried
+    field's quadrant, q itself at dz = 0.
+
+    Centred on index 0, each row and column of such a field is an even
+    periodic sequence of length n, whose DFT is the DCT-I of its first
+    n/2 + 1 samples, and the DCT-I is its own inverse up to a factor n. So
+    the spectrum's quadrant is dctn(q, type=1), the kernel multiply is that
+    of propagate_samples on the same quadrant of frequencies, and the
+    unfolded result equals propagate_samples(grid.unfold(q)) up to rounding.
+    """
+    if dz == 0.0:
+        return q
+    # one worker: on a quadrant, threads cost more CPU than they save time
+    spec = (spfft.dctn(q, type=1)
+            * grid.spectral_quadrant(lambda k2: free_space_kernel(k2, wavelength, dz)))
+    return spfft.dctn(spec, type=1, overwrite_x=True) / grid.n ** 2
 
 
 # ---------------------------------------------------------------------------

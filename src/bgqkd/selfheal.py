@@ -61,7 +61,7 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
     n, area = grid.n, grid.pixel_area
     # conj spectrum of the detection-plane scalar
-    probe = spfft.fft2(detection_scalar(source, grid, detection), overwrite_x=True,
+    probe = spfft.fft2(grid.unfold(detection_scalar(source, grid, detection)),
                        workers=FFT_WORKERS)
     np.conj(probe, out=probe)
     free = propagate_samples(source_pair(source, grid), grid, source.wavelength, station)

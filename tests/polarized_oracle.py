@@ -41,6 +41,7 @@ from bgqkd.propagation import (
 )
 
 from conftest import pixel_radius
+from reference_oracles import unit_power
 
 _H_INPUT_V_POWER_TOL = 1e-6
 
@@ -105,9 +106,10 @@ def horizontally_polarized(scalar: ScalarField, wavelength: float) -> PolarizedF
 
 
 def heralded_input(source: ModeSpec, grid: TransverseGrid) -> PolarizedField:
-    """Heralded photon state: the ell = 0 profile, horizontally polarized."""
-    return horizontally_polarized(ScalarField(grid, heralded_profile(source, grid)),
-                                  source.wavelength)
+    """Heralded photon state: the unit-power ell = 0 profile, horizontally
+    polarized."""
+    profile = unit_power(grid.unfold(heralded_profile(source, grid)), grid)
+    return horizontally_polarized(ScalarField(grid, profile), source.wavelength)
 
 
 def inner_product(a: PolarizedField, b: PolarizedField) -> complex:

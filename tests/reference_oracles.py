@@ -83,19 +83,31 @@ def unit_power(samples: np.ndarray, grid) -> np.ndarray:
     return samples / np.sqrt(float(np.sum(np.abs(samples) ** 2) * grid.pixel_area))
 
 
-def bg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
-    """Unit-power Bessel-Gaussian mode at propagation distance z, per pixel:
-        J_ell(z_R k_r r / (z_R - i z)) * exp(i ell phi - i k_z z)
+def rayleigh_range(spec) -> float:
+    """z_R = pi w0^2 / lambda of the spec's Gaussian envelope (m)."""
+    return np.pi * spec.w0 ** 2 / spec.wavelength
+
+
+def bg_radial(spec, r: np.ndarray, z: float = 0.0) -> np.ndarray:
+    """The Bessel-Gaussian mode at propagation distance z without its phase
+    exp(i ell phi - i k_z z), at the radii r, in complex arithmetic over z_R:
+        sqrt(2/pi) J_ell(z_R k_r r / (z_R - i z))
             * exp((i k_r^2 z w0^2 - 2 k r^2) / (4 (z_R - i z)))
-    with z_R = pi w0^2 / lambda and k_z = sqrt(k^2 - k_r^2)."""
-    r, ell, k_r = pixel_radius(grid), spec.ell, spec.k_r
-    z_r, k = spec.rayleigh_range, spec.wavenumber
+    with z_R = pi w0^2 / lambda."""
+    z_r, k, k_r = rayleigh_range(spec), spec.wavenumber, spec.k_r
     denom = z_r - 1j * z
-    bessel = (special.jv(ell, z_r * k_r * r / denom) if k_r > 0
+    bessel = (special.jv(spec.ell, z_r * k_r * r / denom) if k_r > 0
               else np.ones_like(r, dtype=complex))
     envelope = np.exp((1j * k_r ** 2 * z * spec.w0 ** 2 - 2.0 * k * r ** 2) / (4.0 * denom))
-    phase = np.exp(1j * ell * grid.phi - 1j * math.sqrt(k * k - k_r * k_r) * z)
-    return unit_power(np.sqrt(2.0 / np.pi) * bessel * phase * envelope, grid)
+    return np.sqrt(2.0 / np.pi) * bessel * envelope
+
+
+def bg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
+    """Unit-power Bessel-Gaussian mode at propagation distance z, per pixel:
+    bg_radial times exp(i ell phi - i k_z z), k_z = sqrt(k^2 - k_r^2)."""
+    k, k_r = spec.wavenumber, spec.k_r
+    phase = np.exp(1j * spec.ell * grid.phi - 1j * math.sqrt(k * k - k_r * k_r) * z)
+    return unit_power(bg_radial(spec, pixel_radius(grid), z) * phase, grid)
 
 
 def lg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
@@ -104,7 +116,7 @@ def lg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
             * exp(i (ell phi - k z - k r^2 / (2 R) + (|ell| + 1) arctan(z / z_R)))
     with w = w0 sqrt(1 + (z / z_R)^2) and R = (z_R^2 + z^2) / z."""
     r, ell = pixel_radius(grid), spec.ell
-    z_r, k = spec.rayleigh_range, spec.wavenumber
+    z_r, k = rayleigh_range(spec), spec.wavenumber
     w = spec.w0 * np.sqrt(1.0 + (z / z_r) ** 2)
     gouy = (abs(ell) + 1) * np.arctan2(z, z_r)
     radial = (np.sqrt(2.0) * r / w) ** abs(ell) * np.exp(-(r / w) ** 2)

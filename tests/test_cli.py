@@ -66,6 +66,10 @@ REJECTED = [
                  "detection.noise_floor", id="noise-floor-above-1"),
     # the receiver is the hologram and fiber cascade; no other mode is offered
     pytest.param("scattering", "detection: {mode: ideal}", "detection.mode", id="mode-ideal"),
+    # 2 pi / 810 nm is 7757 rad/mm: a BG cone at or beyond it does not propagate
+    *(pytest.param(command, "source: {family: BG, ell: 1, k_r: 8000 rad/mm, w0: 1mm, "
+                            "wavelength: 810nm}", "source", id=f"{command}-k_r-above-wave-number")
+      for command in ("security", "info")),
 ]
 
 
@@ -234,8 +238,10 @@ class TestScattering:
         assert main(["scattering", "--config", write_config(tmp_path, doc),
                      "--out-dir", str(out)]) == 0
         assert len(list(out.glob("*.pgm"))) == 3 * 4 * 8
-        # one cascade detection plane per scenario, and two planes per segment
-        assert fft_planes["fft2"] == 3 + 2 * 8
+        # two planes per segment, and the detection scalar's quadrant carried
+        # back by two DCT-Is per scenario
+        assert fft_planes["fft2"] == 2 * 8
+        assert fft_planes["dctn"] == 3 * 2
 
     def test_strict_guard_exit_3(self, tmp_path, capsys):
         rc = main(["scattering", "--config", write_config(tmp_path, STRICT_COARSE),

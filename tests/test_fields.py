@@ -51,6 +51,20 @@ class TestGrid:
             g = TransverseGrid(n=n, extent=7.3e-3)
             assert np.array_equal(g.radial(lambda r: r), pixel_radius(g))
 
+    def test_unfold_places_each_cell_at_its_offsets(self):
+        # quadrant cell [i, j] lands on every pixel at row offset +-i and
+        # column offset +-j from the centre; fold_counts counts those offsets
+        g = TransverseGrid(n=64, extent=7.3e-3)
+        q = np.random.default_rng(3).standard_normal((33, 33))
+        offset = np.abs(np.arange(64) - 32)
+        assert np.array_equal(g.unfold(q), q[offset[:, None], offset[None, :]])
+        assert np.array_equal(g.fold_counts, np.bincount(offset))
+        assert np.array_equal(g.unfold(g.radial_quadrant(lambda r: r)), pixel_radius(g))
+
+    def test_spectral_quadrant_is_the_low_corner(self):
+        g = TransverseGrid(n=64, extent=7.3e-3)
+        assert np.array_equal(g.spectral_quadrant(np.sqrt), g.spectral(np.sqrt)[:33, :33])
+
     def test_spectral_reproduces_per_pixel_k_squared(self):
         for n, extent in ((64, 25.6e-6), (128, 7.3e-3), (512, 10e-3)):
             g = TransverseGrid(n=n, extent=extent)

@@ -9,7 +9,9 @@ from bgqkd import (
     check_mub,
     mub_state_vector,
 )
+from bgqkd.channel import DetectionModel, detection_scalar, heralded_profile
 from bgqkd.jones import LABELS, SPIN_ORBIT, spin_orbit_pair, vortex_turn, wave_plates
+from bgqkd.propagation import propagate_quadrant
 
 from conftest import WAVELENGTH, random_polarized, spin_orbit_states
 from diagnostics import (
@@ -159,7 +161,8 @@ class TestPrepareState:
         # each wave-plate train yields its SPIN_ORBIT row on the OAM pair,
         # pixel by pixel (relative to the peak amplitude), up to one global phase
         base = heralded_input(bg_source, grid256)
-        states = spin_orbit_states(spin_orbit_pair(base.h.samples, grid256, ell), grid256)
+        pair = spin_orbit_pair(heralded_profile(bg_source, grid256), grid256, ell)
+        states = spin_orbit_states(pair, grid256)
         for label, target in zip(LABELS, states):
             prepared = prepare_state(label, base, ell)
             phase = inner_product(target, prepared)
@@ -204,6 +207,24 @@ class TestPrepareState:
         for idx in ("00", "01", "10", "11"):
             out = prepare_state(f"phi{idx}", base)
             assert polarization_variance(out) < 1e-6
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_spin_orbit_pair_matches_full_plane_formula(grid256, bg_source, ell):
+    # from the quadrant, scaled with the fold counts and unfolded once, against
+    # the plane: profile on every pixel, r = 0 sample nulled, unit power over
+    # all pixels, times exp(+-i ell phi); for the real heralded profile and
+    # the complex receiver scalar carried back over 0.3 m
+    receiver = detection_scalar(bg_source, grid256, DetectionModel(smf_waist=0.45e-3))
+    for q in (heralded_profile(bg_source, grid256),
+              propagate_quadrant(receiver, grid256, WAVELENGTH, -0.3)):
+        u = grid256.unfold(q).astype(complex)
+        u[128, 128] = 0.0
+        u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid256.pixel_area)
+        turn = np.exp(1j * ell * grid256.phi)
+        ref = np.stack([u * turn, u * turn.conj()])
+        got = spin_orbit_pair(q, grid256, ell)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestVortexTurn:

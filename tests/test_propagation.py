@@ -10,9 +10,10 @@ from bgqkd import (
     TransverseGrid,
     nondiffracting_distance,
 )
-from bgqkd.channel import heralded_profile
+from bgqkd.channel import DetectionModel, detection_scalar, heralded_profile
 from bgqkd.propagation import (
     obstacle_mask,
+    propagate_quadrant,
     propagate_samples,
     transfer_function,
 )
@@ -34,8 +35,10 @@ from reference_oracles import (
     bg_mode,
     gaussian_overlap_blocked,
     lg_mode,
+    rayleigh_range,
     rayleigh_sommerfeld_point,
     transverse_mode,
+    unit_power,
 )
 
 
@@ -108,7 +111,7 @@ class TestPropagate:
         grid = TransverseGrid(n=512, extent=10e-3)
         spec = ModeSpec(family=ModeFamily.BG, ell=0, w0=W0, wavelength=WAVELENGTH, k_r=K_R)
         z_half = 0.5 * nondiffracting_distance(spec)
-        start = heralded_profile(spec, grid)
+        start = unit_power(grid.unfold(heralded_profile(spec, grid)), grid)
         numerics = {z: propagate_samples(start, grid, WAVELENGTH, z) for z in (z_half, 0.517)}
         sel = pixel_radius(grid) < 1e-3
         i0 = np.abs(start[sel]) ** 2
@@ -128,7 +131,7 @@ class TestPropagate:
         for ell in (0, 1, 2):
             spec = ModeSpec(family=ModeFamily.LG, ell=ell, w0=0.4e-3, wavelength=WAVELENGTH)
             start = lg_mode(spec, grid256)
-            for z in (spec.rayleigh_range, 2.0 * spec.rayleigh_range):
+            for z in (rayleigh_range(spec), 2.0 * rayleigh_range(spec)):
                 numeric = propagate_samples(start, grid256, WAVELENGTH, z)
                 overlap = abs(np.vdot(lg_mode(spec, grid256, z), numeric)
                               * grid256.pixel_area) ** 2
@@ -332,3 +335,22 @@ def test_negative_distance_undoes_forward_transport(grid256):
         back = propagate_samples(propagate_samples(u, grid256, WAVELENGTH, dz),
                                  grid256, WAVELENGTH, -dz)
         assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("n,extent,dz", [
+    (64, 10e-3, 0.02), (64, 10e-3, -0.02), (64, 10e-3, 0.3), (64, 10e-3, -0.3),
+    (256, 10e-3, 0.02), (256, 10e-3, -0.02), (256, 10e-3, 0.3), (256, 10e-3, -0.3),
+    (256, 4e-3, 0.3), (256, 4e-3, -0.3),  # 0.30 m is 3.9 x N dx^2 / lambda here
+])
+def test_quadrant_transport_equals_full_plane_transport(bg_source, n, extent, dz):
+    # the DFT of a sequence even about index 0 is its DCT-I, so the quadrant's
+    # transport, unfolded, is the n x n transport of the unfolded field, the
+    # undersampled kernel included
+    grid = TransverseGrid(n=n, extent=extent)
+    gaussian = grid.radial_quadrant(lambda r: np.exp(-(r / 0.6e-3) ** 2))
+    receiver = detection_scalar(bg_source, grid, DetectionModel(smf_waist=0.45e-3))
+    for q in (receiver, gaussian):
+        got = grid.unfold(propagate_quadrant(q, grid, WAVELENGTH, dz))
+        ref = propagate_samples(grid.unfold(q), grid, WAVELENGTH, dz)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert propagate_quadrant(gaussian, grid, WAVELENGTH, 0.0) is gaussian

@@ -1,10 +1,13 @@
 """The digits ledger: the figures of every preset run that
 tests/test_presets_e2e.py makes, stored in tests/ledger.json.
 
-    PYTHONPATH=src python tests/write_ledger.py
+    PYTHONPATH=src python tests/write_ledger.py [--drift]
 
 runs each preset once through the CLI into a temporary directory and writes
-the ledger. The e2e tests compare each of their runs against it (floats to a
+the ledger; with --drift it leaves the ledger as it is and prints, per
+preset, the largest relative difference of any float from the ledger's (the
+e2e tests' measure, |a - b| / max(|a|, |b|); inf where a value that is not a
+float differs, or the structure does). The e2e tests compare each of their runs against it (floats to a
 relative 1e-10, integers, strings and None exactly), so a change that moves a
 preset's output beyond rounding fails them. Regenerate the ledger only for a
 change that is meant to move the presets' digits, and say so where it lands.
@@ -12,7 +15,11 @@ change that is meant to move the presets' digits, and say so where it lands.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -75,18 +82,56 @@ def ledger_entry(out_dir: Path) -> dict:
     return entry
 
 
-def main() -> int:
+def drift(actual, expected) -> float:
+    """The largest relative difference of the floats of `actual` from those
+    of `expected`, two ledger entries (inf where anything else differs)."""
+    if isinstance(expected, float) and isinstance(actual, float):
+        if math.isnan(actual) and math.isnan(expected) or actual == expected:
+            return 0.0
+        return abs(actual - expected) / max(abs(actual), abs(expected))
+    if isinstance(expected, dict) and isinstance(actual, dict):
+        if sorted(actual) != sorted(expected):
+            return math.inf
+        return max((drift(actual[k], expected[k]) for k in expected), default=0.0)
+    if isinstance(expected, list) and isinstance(actual, list):
+        if len(actual) != len(expected):
+            return math.inf
+        return max((drift(a, e) for a, e in zip(actual, expected)), default=0.0)
+    return 0.0 if type(actual) is type(expected) and actual == expected else math.inf
+
+
+def run_presets() -> dict | None:
+    """Each preset's ledger entry from one CLI run, or None if a run failed."""
     from bgqkd.cli import main as cli
 
-    ledger = {}
+    entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         for preset, command in PRESET_RUNS.items():
             out = Path(tmp) / preset
-            if cli([command, "--preset", preset, "--out-dir", str(out)]) != 0:
+            with contextlib.redirect_stdout(io.StringIO()):  # the runs' own tables
+                rc = cli([command, "--preset", preset, "--out-dir", str(out)])
+            if rc != 0:
                 print(f"{preset}: the {command} run failed", file=sys.stderr)
-                return 1
-            ledger[preset] = ledger_entry(out)
-    LEDGER.write_text(json.dumps(ledger, sort_keys=True, indent=1) + "\n")
+                return None
+            entries[preset] = ledger_entry(out)
+    return entries
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="write or compare the digits ledger")
+    parser.add_argument("--drift", action="store_true",
+                        help="print each preset's largest relative drift from the "
+                             "ledger instead of rewriting it")
+    args = parser.parse_args(argv)
+    entries = run_presets()
+    if entries is None:
+        return 1
+    if args.drift:
+        ledger = json.loads(LEDGER.read_text())
+        for preset, entry in entries.items():
+            print(f"{preset}: {drift(entry, ledger.get(preset)):.3g}")
+        return 0
+    LEDGER.write_text(json.dumps(entries, sort_keys=True, indent=1) + "\n")
     return 0
 
 
