@@ -4,7 +4,17 @@ free-space propagation, scattering matrices, and GLLP security analysis.
 
 The package namespace holds the API of the README's library overview; every
 other name is imported from its own module.
+
+Importing the package pins OpenBLAS to one thread unless the caller set
+OPENBLAS_NUM_THREADS; a process that loaded numpy first keeps its pools.
 """
+
+import os
+
+# Before numpy loads: numpy and scipy each bring an OpenBLAS whose worker pool
+# spins against the main thread, and the package's only BLAS work is 2 x 2
+# Gram matrices, too small for a second thread to shorten.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .fields import ScalarField, TransverseGrid
 from .modes import (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import interior_window
-from .fields import TransverseGrid
+from .fields import TransverseGrid, gram
 from .jones import LABELS, SPIN_ORBIT, spin_orbit_pair
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
@@ -42,7 +42,6 @@ from .propagation import (
 )
 
 BOUNDARY_POWER_TOL = 1e-6
-_GRAM_BLOCK = 8192  # columns per block of the pair overlaps (spin_orbit_amplitudes)
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,15 @@ def _ring_factor(spec: ModeSpec, grid: TransverseGrid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
+def _ring_pump(pump_waist: float, grid: TransverseGrid) -> np.ndarray:
+    """The unit-power Gaussian pump of waist `pump_waist` on `grid.radii`
+    (read-only)."""
+    out = _unit_on_rings(np.exp(-(grid.radii / pump_waist) ** 2), grid)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=32)
 def _ring_weights(grid: TransverseGrid, m: int) -> np.ndarray:
     """`grid.ring_weights(m)` (read-only)."""
     out = grid.ring_weights(m)
@@ -112,13 +120,13 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
     taken over the grid's rings of equal radius, each weighted by its sum of
     exp(-i (ell_s + ell_i) phi) (its pixel count when ell_s + ell_i = 0); the
     norms use the pixel counts. The ring sum equals the grid sum up to
-    rounding. Each distinct mode is evaluated once per grid and kept (the
-    last 32), as are the ring weights.
+    rounding. Each distinct mode and pump is evaluated once per grid and
+    kept (the last 32 of each), as are the ring weights.
     """
     if not (np.isfinite(pump_waist) and pump_waist > 0):
         raise ValueError(f"pump_waist must be positive and finite, got {pump_waist}")
     m_s, m_i = _ring_factor(signal, grid), _ring_factor(idler, grid)
-    pump = _unit_on_rings(np.exp(-(grid.radii / pump_waist) ** 2), grid)
+    pump = _ring_pump(pump_waist, grid)
     weights = _ring_weights(grid, signal.ell + idler.ell)
     return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
 
@@ -176,11 +184,8 @@ def spin_orbit_amplitudes(dets: np.ndarray, pair: np.ndarray, grid: TransverseGr
     G[s, s'] = <g_s|u_s'>."""
     x = dets[(..., *window)].reshape(2, -1)
     y = x if pair is dets else pair[(..., *window)].reshape(2, -1)
-    # a block of columns at a time: x.conj() would copy two planes, and a
-    # block's product is too small for BLAS to wake its threads for
-    gram = sum(x[:, i:i + _GRAM_BLOCK].conj() @ y[:, i:i + _GRAM_BLOCK].T
-               for i in range(0, x.shape[1], _GRAM_BLOCK)) * grid.pixel_area
-    return SPIN_ORBIT @ np.kron(np.eye(2), gram).T @ SPIN_ORBIT.conj().T
+    g = gram(x, y) * grid.pixel_area
+    return SPIN_ORBIT @ np.kron(np.eye(2), g).T @ SPIN_ORBIT.conj().T
 
 
 def state_powers(pair: np.ndarray, grid: TransverseGrid, window=np.s_[:, :]) -> np.ndarray:

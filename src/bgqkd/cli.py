@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help=f"built-in preset name ({', '.join(preset_names())})")
         p.add_argument("--seed", type=_at_least(0), default=None, help="override run.seed")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--threads", type=_at_least(1), default=1, help="parallel scenarios")
+        p.add_argument("--threads", type=_at_least(1), default=1,
+                       help="parallel scenarios (scenario threads only; OpenBLAS stays on one)")
         p.set_defaults(func=fn)
     return parser
 

@@ -6,7 +6,9 @@ exactly. Polarization is carried as spin-orbit coefficients on a pair of
 scalar OAM fields (see channel).
 
 All objects are immutable after construction; operations are pure functions.
-A grid keeps no n x n plane, only its axis and quadrant-sized folds.
+A grid keeps no n x n plane, only its axis and quadrant-sized folds. Every
+plane-length overlap of the package is a small Gram matrix of stacked fields
+(gram), summed over blocks of columns.
 """
 
 from __future__ import annotations
@@ -16,6 +18,19 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+_GRAM_BLOCK = 8192  # columns per block of `gram`
+
+
+def gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """conj(x) @ y.T for stacks of flattened fields x (k, m) and y (k', m),
+    summed over blocks of columns: conj(x) of the whole stack would copy it,
+    and a block's product is small enough that OpenBLAS, should its threads
+    be up, runs it on the calling thread without waking them."""
+    out = np.zeros((x.shape[0], y.shape[0]), np.result_type(x, y))
+    for i in range(0, x.shape[1], _GRAM_BLOCK):
+        out += x[:, i:i + _GRAM_BLOCK].conj() @ y[:, i:i + _GRAM_BLOCK].T
+    return out
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ centre in x and in y (any function of r, such as the receiver's scalar) is
 carried on its (n/2+1)^2 quadrant instead (propagate_quadrant): the DFT of a
 sequence even about index 0 is its DCT-I. Free space and the obstacles
 act alike on both polarizations, so only scalars are transported; the
-band-limit guard reads Gram matrices taken from each segment's spectrum.
+band-limit guard reads Gram matrices taken from each segment's spectrum
+(fields.gram, so no conjugate copy of the spectrum is made).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as spfft
 
-from .fields import TransverseGrid
+from .fields import TransverseGrid, gram
 
 FFT_WORKERS = -1  # scipy.fft workers; results are independent of the value
 
@@ -77,7 +78,7 @@ def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz
         flat = spec.reshape(-1, grid.n * grid.n)
         cut = ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
         edge = flat[:, grid.spectral(lambda k2: k2 > cut).ravel()]
-        grams.append((edge.conj() @ edge.T, flat.conj() @ flat.T))
+        grams.append((gram(edge, edge), gram(flat, flat)))
     spec *= transfer_function(grid, wavelength, dz)
     return spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)
 

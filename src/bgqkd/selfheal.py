@@ -15,7 +15,7 @@ import numpy as np
 from scipy import fft as spfft
 
 from .channel import DetectionModel, detection_scalar, source_pair
-from .fields import TransverseGrid
+from .fields import TransverseGrid, gram
 from .jones import mub_state_vector, vortex_turn
 from .modes import ModeSpec
 from .propagation import (
@@ -60,10 +60,6 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
         if z < station:
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
     n, area = grid.n, grid.pixel_area
-    # conj spectrum of the detection-plane scalar
-    probe = spfft.fft2(grid.unfold(detection_scalar(source, grid, detection)),
-                       workers=FFT_WORKERS)
-    np.conj(probe, out=probe)
     free = propagate_samples(source_pair(source, grid), grid, source.wavelength, station)
     mask = 1.0 if obs is None else obstacle_mask(grid, obs)
 
@@ -75,8 +71,12 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     targets = np.empty((2, n, n), dtype=complex)
     np.matmul(a.conj().T @ a, free.reshape(2, -1), out=targets.reshape(2, -1))
     free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
-    power = float(np.vdot(free, targets).real * area)
+    power = float(np.trace(gram(free.reshape(2, -1), targets.reshape(2, -1))).real * area)
     del free
+    # conj spectrum of the detection-plane scalar, once the pair has gone
+    probe = spfft.fft2(grid.unfold(detection_scalar(source, grid, detection)),
+                       workers=FFT_WORKERS)
+    np.conj(probe, out=probe)
     turn = vortex_turn(grid, ell)  # conj(t_-)
     targets[1] *= turn
     targets[0] *= np.conj(turn, out=turn)

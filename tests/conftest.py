@@ -37,6 +37,7 @@ def pixel_radius(grid):
 
 def clear_ring_caches():
     channel._ring_factor.cache_clear()
+    channel._ring_pump.cache_clear()
     channel._ring_weights.cache_clear()
 
 

@@ -4,12 +4,14 @@ the CLI loads every module the benchmark's tracer wraps, and the package
 never reaches into the tests."""
 
 import ast
+import os
 import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import pytest
 import yaml
 
 import bgqkd
@@ -94,6 +96,25 @@ def test_cli_import_loads_every_traced_module():
         capture_output=True, text=True, check=True, cwd=Path(bgqkd.__file__).parents[1],
     ).stdout.split()
     assert sorted(f"bgqkd.{name}" for name in modules if f"bgqkd.{name}" not in loaded) == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_import_pins_openblas_to_one_thread(caller):
+    # a fresh interpreter that imports the package before numpy, as the
+    # console script and `python -m bgqkd.cli` do, starts no BLAS worker
+    # thread, unless the caller asked for them
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    script = ("import os, bgqkd; print(os.environ['OPENBLAS_NUM_THREADS']); "
+              "print(open('/proc/self/status').read())")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env=env, cwd=Path(bgqkd.__file__).parents[1]).stdout
+    value, status = out.split("\n", 1)
+    assert value == (caller or "1")
+    if caller is None:
+        assert re.search(r"^Threads:\s+(\d+)$", status, re.M).group(1) == "1"
 
 
 def test_package_imports_nothing_from_tests():

@@ -150,7 +150,7 @@ class TestSpdcOverlapCache:
         return [spdc_overlap(s, i, 1.0e-3, self.grid) for s, i in pairs]
 
     def test_each_distinct_mode_evaluated_once(self, monkeypatch, cold_ring_caches):
-        modes, ms = [], []
+        modes, ms, scaled = [], [], []
 
         def counted_factor(spec, r):
             modes.append(spec)
@@ -162,17 +162,26 @@ class TestSpdcOverlapCache:
             ms.append(m)
             return ring_weights(grid, m)
 
+        unit_on_rings = channel._unit_on_rings
+
+        def counted_unit(f, grid):
+            scaled.append(f)
+            return unit_on_rings(f, grid)
+
         monkeypatch.setattr(channel, "radial_factor", counted_factor)
         monkeypatch.setattr(TransverseGrid, "ring_weights", counted_weights)
+        monkeypatch.setattr(channel, "_unit_on_rings", counted_unit)
         self.scan()
         distinct = {mode for pair in SCAN_PAIRS for mode in pair}
         assert len(distinct) == 25  # k_r = 18 rad/mm, ell = 0 is in both parts
         assert len(modes) == len(distinct) and set(modes) == distinct
         assert sorted(ms) == [-2, -1, 0, 1, 2]
+        assert len(scaled) == len(distinct) + 1  # every mode, and the pump once
 
     def test_cached_arrays_are_read_only(self, cold_ring_caches):
         self.scan(SCAN_PAIRS[:6])
         arrays = [channel._ring_factor(bg_mode(1), self.grid),
+                  channel._ring_pump(1.0e-3, self.grid),
                   channel._ring_weights(self.grid, 0), channel._ring_weights(self.grid, 2)]
         for a in arrays:
             assert not a.flags.writeable

@@ -10,6 +10,8 @@ from bgqkd import (
     TransverseGrid,
     mub_state_vector,
 )
+from bgqkd.analysis import interior_window
+from bgqkd.fields import _GRAM_BLOCK, gram
 from bgqkd.propagation import free_space_kernel, transfer_function
 
 from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
@@ -149,6 +151,23 @@ class TestSpectralSums:
         for dz in (0.3, -0.05):
             kernel = free_space_kernel(grid.distinct_k_squared, WAVELENGTH, dz)
             assert np.array_equal(kernel[ring], transfer_function(grid, WAVELENGTH, dz))
+
+
+class TestGram:
+    @pytest.mark.parametrize("n,window", [(64, np.s_[:, :]), (256, np.s_[:, :]),
+                                          (256, interior_window(256))])
+    def test_equals_whole_product(self, n, window):
+        # n^2 = 65,536 is 8 blocks; 64^2 is part of one, the interior 230^2 is
+        # 6 whole blocks and a part
+        rng = np.random.default_rng(n)
+        a, b = (rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+                for _ in range(2))
+        x, y = (c[(..., *window)].reshape(2, -1) for c in (a, b))
+        assert (x.shape[1] % _GRAM_BLOCK == 0) == (n == 256 and window == np.s_[:, :])
+        for u, v in ((x, y), (x, x), (y, x)):
+            expected = u.conj() @ v.T
+            np.testing.assert_allclose(gram(u, v), expected, rtol=0,
+                                       atol=1e-13 * np.abs(expected).max())
 
 
 class TestInnerProduct:

@@ -59,7 +59,7 @@ def masked_matrix_peak(src, grid, detection) -> float:
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
 def test_cascade_selfheal_scan_peak(request, grid, source):
     peak = scan_peak(request.getfixturevalue(source), grid, CASCADE)
-    assert peak < 6.3, f"{peak:.2f} planes"
+    assert peak < 5.8, f"{peak:.2f} planes"
 
 
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
