@@ -10,6 +10,11 @@ envelope, which is what resolves self-healing. The receiver reduces to a
 single projection at the station plane against an effective detection state.
 Every prepared and detection state is a spin-orbit superposition of two
 scalar OAM fields, so only those are transported, as one (2, n, n) array.
+Up to the first obstacle plane or station, the source pair is carried on the
+real parity quadrants of its parts R(r) cos(ell phi) and R(r) sin(ell phi)
+(source_leg, jones.spin_orbit_leg) and written once at the end; behind a mask
+it is carried as the (2, n, n) array (propagation.propagate_samples). The
+receiver's scalar, a function of r, is carried back on its quadrant.
 
 The scenarios of a run share the source, and often the whole free-space leg
 to their station: the paper's three links differ only by the mask on the
@@ -29,7 +34,7 @@ import numpy as np
 
 from .analysis import interior_window
 from .fields import TransverseGrid, gram
-from .jones import LABELS, SPIN_ORBIT, spin_orbit_pair
+from .jones import LABELS, SPIN_ORBIT, spin_orbit_leg, spin_orbit_pair
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
     ChannelSpec,
@@ -146,6 +151,19 @@ def source_pair(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
     return spin_orbit_pair(heralded_profile(source, grid), grid, abs(source.ell) or 1)
 
 
+def source_leg(source: ModeSpec, grid: TransverseGrid, dz: float,
+               grams: list | None = None) -> np.ndarray:
+    """The source pair carried over dz >= 0 of free space, (2, n, n), a new
+    array: source_pair at dz = 0, and otherwise carried on the real parity
+    quadrants of jones.spin_orbit_leg, with no n x n transform. With a list
+    `grams` and dz > 0, the band Gram matrices of the pair entering the leg
+    are appended to it, as propagate_samples would."""
+    if dz == 0.0:
+        return source_pair(source, grid)
+    return spin_orbit_leg(heralded_profile(source, grid), grid, abs(source.ell) or 1,
+                          source.wavelength, dz, grams)
+
+
 def detection_scalar(source: ModeSpec, grid: TransverseGrid,
                      detection: DetectionModel) -> np.ndarray:
     """The receiver's real scalar at the detection plane on the grid's
@@ -215,19 +233,21 @@ def _arrival(source: ModeSpec, grid: TransverseGrid, passed: tuple[ObstacleSpec,
     z), before any mask on the plane z, and the band Gram matrices of the
     fields entering each free-space segment so far (see propagate_samples);
     all read-only. It steps on from the last plane passed, so a leg shared by
-    several channels or snapshot stations is carried once."""
+    several channels or snapshot stations is carried once; the first segment
+    runs on the source's parity quadrants (source_leg)."""
+    segment = []
     if passed:
         plane = passed[-1].z
         before = tuple(o for o in passed if o.z < plane)
         pair, grams = _arrival(source, grid, before, plane)
         for obs in passed[len(before):]:
             pair = pair * obstacle_mask(grid, obs)
+        if z > plane:
+            pair = propagate_samples(pair, grid, source.wavelength, z - plane, segment)
     else:
-        plane, grams = 0.0, ()
-        pair = source_pair(source, grid)
-    if z > plane:
-        segment = []
-        pair = propagate_samples(pair, grid, source.wavelength, z - plane, segment)
+        grams = ()
+        pair = source_leg(source, grid, z, segment)
+    if segment:
         for g in segment[0]:
             g.setflags(write=False)
         grams += tuple(segment)

@@ -1,19 +1,28 @@
 """Scalar angular-spectrum diffraction engine and obstructed channels.
 
 Fields are stacks of samples (..., n, n) beside their TransverseGrid; the
-engine's OAM pair is one (2, n, n) array. propagate_samples is the one
-transport: an FFT of the stack, the kernel exp(-i dz sqrt(k^2 - kx^2 - ky^2))
-(forward phase exp(-i k_z z); evanescent components are zeroed) and an
-inverse FFT. The kernel depends only on |k_t|^2, so it is evaluated once per
-distinct value and expanded to the grid in C order (TransverseGrid.spectral).
-A negative dz carries a field backwards: its kernel is the conjugate of the
-forward one, the adjoint of forward transport. A field even about the grid
-centre in x and in y (any function of r, such as the receiver's scalar) is
-carried on its (n/2+1)^2 quadrant instead (propagate_quadrant): the DFT of a
-sequence even about index 0 is its DCT-I. Free space and the obstacles
-act alike on both polarizations, so only scalars are transported; the
-band-limit guard reads Gram matrices taken from each segment's spectrum
-(fields.gram, so no conjugate copy of the spectrum is made).
+engine's OAM pair is one (2, n, n) array. Free space and the obstacles act
+alike on both polarizations, so only scalars are transported, by one of two
+transports that share the kernel exp(-i dz sqrt(k^2 - kx^2 - ky^2)) (forward
+phase exp(-i k_z z); evanescent components are zeroed). The kernel depends
+only on |k_t|^2, so it is evaluated once per distinct value and expanded in
+C order (TransverseGrid.spectral, spectral_quadrant). A negative dz carries
+a field backwards: its kernel is the conjugate of the forward one, the
+adjoint of forward transport.
+
+- propagate_samples carries any stack: an FFT, the kernel multiply and an
+  inverse FFT. It carries the pair behind an obstacle, whose mask breaks
+  the pair's symmetries.
+- propagate_quadrant carries a field of definite parity in x and in y about
+  the grid centre on its parity quadrant, of about (n/2)^2 samples: the DFT
+  of an even sequence is its DCT-I, and that of an odd one its DST-I. It
+  carries the receiver's scalar (a function of r) and the source pair's first
+  leg (jones.spin_orbit_leg), whose real parts R(r) cos(ell phi) and
+  R(r) sin(ell phi) are even or odd along each axis.
+
+The band-limit guard reads Gram matrices of the fields entering each segment,
+taken from the transport's own spectrum before the kernel: fields.gram of
+the n x n spectrum, or quadrant_band_sums of the parity quadrants' spectra.
 """
 
 from __future__ import annotations
@@ -55,6 +64,12 @@ def free_space_kernel(k2: np.ndarray, wavelength: float, dz: float) -> np.ndarra
     return np.exp(-1j * dz * np.sqrt(np.maximum(k * k - k2, 0.0))) * (k2 <= k * k)
 
 
+def quadrant_kernel(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
+    """The free-space kernel on the (n/2+1)^2 quadrant of the FFT-ordered
+    frequency grid, rows and columns 0..n/2 (see transfer_function)."""
+    return grid.spectral_quadrant(lambda k2: free_space_kernel(k2, wavelength, dz))
+
+
 def transfer_function(grid: TransverseGrid, wavelength: float, dz: float) -> np.ndarray:
     """The free-space kernel K on the FFT-ordered frequency grid:
     propagate_samples multiplies a field's spectrum by it, and
@@ -83,26 +98,85 @@ def propagate_samples(u: np.ndarray, grid: TransverseGrid, wavelength: float, dz
     return spfft.ifft2(spec, overwrite_x=True, workers=FFT_WORKERS)
 
 
-def propagate_quadrant(q: np.ndarray, grid: TransverseGrid, wavelength: float,
-                       dz: float) -> np.ndarray:
-    """Advance by dz metres of free space (backwards for dz < 0) a scalar
-    field even about the grid centre in x and in y, given by its quadrant
-    (TransverseGrid.radial_quadrant, unfold); the result is the carried
-    field's quadrant, q itself at dz = 0.
+def _parity_axes(q: np.ndarray, grid: TransverseGrid):
+    """(axis, transform, frequency slice) of each of the last two axes of a
+    parity quadrant: an axis of n/2 + 1 samples is even (DCT-I, frequencies
+    0..n/2), one of n/2 - 1 samples is odd (DST-I, frequencies 1..n/2-1)."""
+    h = grid.n // 2
+    axes = []
+    for axis in (-2, -1):
+        if q.shape[axis] == h + 1:
+            axes.append((axis, spfft.dct, slice(0, h + 1)))
+        elif q.shape[axis] == h - 1:
+            axes.append((axis, spfft.dst, slice(1, h)))
+        else:
+            raise ValueError(f"a parity quadrant axis has n/2 + 1 or n/2 - 1 samples, "
+                             f"got {q.shape[axis]} for n = {grid.n}")
+    return axes
 
-    Centred on index 0, each row and column of such a field is an even
-    periodic sequence of length n, whose DFT is the DCT-I of its first
-    n/2 + 1 samples, and the DCT-I is its own inverse up to a factor n. So
-    the spectrum's quadrant is dctn(q, type=1), the kernel multiply is that
-    of propagate_samples on the same quadrant of frequencies, and the
-    unfolded result equals propagate_samples(grid.unfold(q)) up to rounding.
+
+def propagate_quadrant(q: np.ndarray, grid: TransverseGrid, wavelength: float,
+                       dz: float, spectra: list | None = None,
+                       kernel: np.ndarray | None = None) -> np.ndarray:
+    """Advance by dz metres of free space (backwards for dz < 0) a field of
+    definite parity in x and in y about the grid centre, given by its parity
+    quadrant; the result is the carried field's parity quadrant, q itself at
+    dz = 0. With a list `spectra`, the quadrant's real spectrum before the
+    kernel multiply is appended to it. `kernel`, if given, is
+    quadrant_kernel(grid, wavelength, dz), evaluated once for several parts.
+
+    Centred on index 0, each row and column of the grid is a periodic
+    sequence of length n, and the parity of each axis is read off the
+    quadrant's shape:
+    - even: n/2 + 1 samples, at offsets 0..n/2 from the centre
+      (TransverseGrid.radial_quadrant, unfold). The DFT of the sequence is
+      their DCT-I, on frequencies 0..n/2.
+    - odd: n/2 - 1 samples, at offsets 1..n/2-1. The sequence vanishes at
+      offsets 0 and n/2, and its DFT is -i times their DST-I, on frequencies
+      1..n/2-1.
+    The grid's first row or column, at offset -n/2, is its own mirror image.
+    A field even along that axis holds it as sample n/2; one odd along it has
+    no room for it, so an odd grid field is its odd part plus its unpaired
+    line, carried as an even part whose only nonzero line is sample n/2 (see
+    jones.spin_orbit_leg). Each transform is its own inverse up to a factor
+    n, and the kernel multiply is that of propagate_samples on the matching
+    frequencies, so the unfolded result equals propagate_samples of the
+    unfolded field up to rounding.
     """
     if dz == 0.0:
         return q
+    axes = _parity_axes(q, grid)
     # one worker: on a quadrant, threads cost more CPU than they save time
-    spec = (spfft.dctn(q, type=1)
-            * grid.spectral_quadrant(lambda k2: free_space_kernel(k2, wavelength, dz)))
-    return spfft.dctn(spec, type=1, overwrite_x=True) / grid.n ** 2
+    spec = q
+    for axis, transform, _ in axes:
+        spec = transform(spec, type=1, axis=axis, overwrite_x=spec is not q)
+    if spectra is not None:
+        spectra.append(spec)
+    if kernel is None:
+        kernel = quadrant_kernel(grid, wavelength, dz)
+    spec = spec * kernel[tuple(cut for *_, cut in axes)]
+    for axis, transform, _ in axes:
+        spec = transform(spec, type=1, axis=axis, overwrite_x=True)
+    spec /= grid.n ** 2
+    return spec
+
+
+def quadrant_band_sums(pairs, grid: TransverseGrid) -> np.ndarray:
+    """The sums of x * y over the outer band annulus and over all of k-space,
+    [tail, total], added up over pairs (x, y) of real spectra of one parity
+    quadrant each (propagate_quadrant's `spectra`). Each frequency is
+    weighted by how many grid frequencies it stands for: grid.fold_counts in
+    each axis, 2 on an odd one."""
+    counts = grid.fold_counts
+    total = np.outer(counts, counts)
+    edge = ((1.0 - _BAND_ANNULUS) * np.pi / grid.spacing) ** 2
+    tail = total * grid.spectral_quadrant(lambda k2: k2 > edge)
+    out = np.zeros(2)
+    for x, y in pairs:
+        cuts = tuple(cut for *_, cut in _parity_axes(x, grid))
+        xy = x * y
+        out += np.sum(xy * tail[cuts]), np.sum(xy * total[cuts])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import fft as spfft
 
-from .channel import DetectionModel, detection_scalar, source_pair
+from .channel import DetectionModel, detection_scalar, source_leg
 from .fields import TransverseGrid, gram
 from .jones import mub_state_vector, vortex_turn
 from .modes import ModeSpec
@@ -23,7 +23,6 @@ from .propagation import (
     ObstacleSpec,
     free_space_kernel,
     obstacle_mask,
-    propagate_samples,
 )
 
 
@@ -60,7 +59,7 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
         if z < station:
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
     n, area = grid.n, grid.pixel_area
-    free = propagate_samples(source_pair(source, grid), grid, source.wavelength, station)
+    free = source_leg(source, grid, station)
     mask = 1.0 if obs is None else obstacle_mask(grid, obs)
 
     # <d_j|f_j> = sum_{s,s'} M[s, s'] <g_s|u_s'> with M = a^H a and g_s = t_s d,
@@ -68,8 +67,16 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     # axial sample project on X = sum_s conj(t_s) Y_s, Y_s = sum_s' M[s, s'] u_s'.
     # Rows: X of the free field, then of the blocked one (free times the mask),
     # built from Y_+ and Y_- in the two rows.
+    # Y is formed elementwise, off BLAS. M is diagonal for every state of the
+    # recipe (each column of a is one OAM sign's polarization, and the two
+    # are orthogonal), so a cross term, and its temporary plane, runs only
+    # where its weight is not 0.
+    m = a.conj().T @ a
     targets = np.empty((2, n, n), dtype=complex)
-    np.matmul(a.conj().T @ a, free.reshape(2, -1), out=targets.reshape(2, -1))
+    for s in range(2):
+        np.multiply(free[s], m[s, s], out=targets[s])
+        if m[s, 1 - s]:
+            targets[s] += m[s, 1 - s] * free[1 - s]
     free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
     power = float(np.trace(gram(free.reshape(2, -1), targets.reshape(2, -1))).real * area)
     del free

@@ -60,8 +60,9 @@ def cold_leg_cache():
 @pytest.fixture
 def fft_planes(monkeypatch):
     """Counts of the n x n planes scipy.fft's fft2 and ifft2 transform, and
-    of the (n/2+1)^2 quadrants its dctn transforms, while the test runs."""
-    planes = {"fft2": 0, "ifft2": 0, "dctn": 0}
+    of the parity quadrants (about (n/2)^2 samples) its dct and dst transform
+    along one axis, while the test runs."""
+    planes = {"fft2": 0, "ifft2": 0, "dct": 0, "dst": 0}
     for name in planes:
         def counted(x, *args, _name=name, _fn=getattr(spfft, name), **kwargs):
             planes[_name] += int(np.prod(np.shape(x)[:-2]))

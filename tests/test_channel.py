@@ -22,7 +22,7 @@ from bgqkd import (
     spdc_overlap,
 )
 from bgqkd import channel
-from bgqkd.channel import BOUNDARY_POWER_TOL, detection_states, matched_sums
+from bgqkd.channel import BOUNDARY_POWER_TOL, detection_states, matched_sums, source_leg
 from bgqkd.fields import ScalarField
 from bgqkd.jones import LABELS
 from bgqkd.modes import binary_bessel_hologram, radial_factor
@@ -463,6 +463,36 @@ def test_off_centre_matrix_symmetry(request, grid256, source, ell, start, moved,
         assert np.max(np.abs(b - a)) > 1e-2 * np.max(a)
 
 
+@pytest.mark.parametrize("family", [ModeFamily.BG, ModeFamily.LG], ids=["BG", "LG"])
+@pytest.mark.parametrize("ell", [1, -1, 2, 3])
+@pytest.mark.parametrize("n,extent,dz", [
+    (64, 10e-3, 0.02), (64, 10e-3, 0.3), (256, 10e-3, 0.02), (256, 10e-3, 0.3),
+    # 0.30 m is 3.9 x N dx^2 / lambda here, and the unpaired lines at offset
+    # -n/2 hold 1-8 % of the peak
+    (256, 4e-3, 0.02), (256, 4e-3, 0.3),
+])
+def test_source_leg_equals_full_plane_transport(family, ell, n, extent, dz):
+    # the pair's real parts carried on parity quadrants and written once equal
+    # the n x n transport of the pair, the undersampled kernel included, and
+    # so do the band Gram matrices read off the parts' spectra. The unpaired
+    # line holds at least 6e-9 of the peak on every grid here (1e-2 on the
+    # 4 mm one), far above the bound, so a leg that drops it fails
+    source = ModeSpec(family=family, ell=ell, w0=W0, wavelength=WAVELENGTH,
+                      k_r=K_R if family is ModeFamily.BG else 0.0)
+    grid = TransverseGrid(n=n, extent=extent)
+    pair = channel.source_pair(source, grid)
+    assert np.max(np.abs(pair[:, :, 0])) > 5e-9 * np.max(np.abs(pair))
+    ref_grams, grams = [], []
+    ref = propagate_samples(pair, grid, WAVELENGTH, dz, ref_grams)
+    got = source_leg(source, grid, dz, grams)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert len(grams) == 1
+    for g, r in zip(grams[0], ref_grams[0]):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+    assert source_leg(source, grid, 0.0) is not pair
+    assert np.array_equal(source_leg(source, grid, 0.0), pair)
+
+
 class TestSharedLegs:
     """The source pair's transport, walked once per channel prefix (see
     channel._arrival) and shared by scenarios and snapshot stations."""
@@ -475,43 +505,48 @@ class TestSharedLegs:
 
     def test_transport_transforms_the_pair_once_per_segment(self, fft_planes, cold_leg_cache,
                                                             grid256, bg_source):
-        # one forward and one inverse transform of the pair per free-space
-        # segment: the band guard reads the transport's own spectrum
+        # the first segment on the source's parity quadrants, with no n x n
+        # transform: for ell = 1, C's odd part (a DCT-I down the columns and a
+        # DST-I along the rows, each way) and its unpaired column (two DCT-Is
+        # each way); then one forward and one inverse transform of the pair
+        # per further segment: the band guard reads the transport's own spectrum
         chan = ChannelSpec(length=0.4, obstacles=(ObstacleSpec(radius=200e-6, z=0.05),
                                                   ObstacleSpec(radius=300e-6, z=0.1)),
                            station_z=0.2)
         _, grams = channel.station_pair(bg_source, grid256, chan.obstacles, chan.station_z)
         assert len(grams) == 3
-        assert fft_planes == {"fft2": 2 * 3, "ifft2": 2 * 3, "dctn": 0}
+        assert fft_planes == {"fft2": 2 * 2, "ifft2": 2 * 2, "dct": 2 + 4, "dst": 2}
 
-    def test_band_grams_read_the_spectrum_before_the_kernel(self, monkeypatch, cold_leg_cache,
-                                                            bg_source):
+    def test_band_grams_read_the_spectrum_before_the_kernel(self, cold_leg_cache):
         # dx = 0.4 um < lambda / sqrt(2), so the grid's corners are evanescent:
-        # Gram matrices taken after the kernel multiply would miss their power
+        # Gram matrices taken after the kernel multiply would miss their power.
+        # A vortex two pixels wide puts a sixth of its power there, and the
+        # disk 1 um on puts a quarter back; the first segment's matrices come
+        # from the source's parity quadrants, the second's from the n x n pair
         grid = TransverseGrid(n=64, extent=25.6e-6)
-        rng = np.random.default_rng(37)
-        pair = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
-        monkeypatch.setattr(channel, "source_pair", lambda source, grid: pair)
-        obs = ObstacleSpec(radius=3e-6, z=10e-6)
-        _, grams = channel.station_pair(bg_source, grid, (obs,), 30e-6)
-        kernel = transfer_function(grid, WAVELENGTH, obs.z)
-        entering = [pair, np.fft.ifft2(np.fft.fft2(pair) * kernel) * obstacle_mask(grid, obs)]
+        source = ModeSpec(family=ModeFamily.LG, ell=1, w0=0.2e-6, wavelength=WAVELENGTH)
+        obs = ObstacleSpec(radius=3e-6, z=1e-6)
+        _, grams = channel.station_pair(source, grid, (obs,), 30e-6)
+        pair = channel.source_pair(source, grid)
+        kernels = [transfer_function(grid, WAVELENGTH, dz) for dz in (obs.z, 30e-6 - obs.z)]
+        entering = [pair, np.fft.ifft2(np.fft.fft2(pair) * kernels[0]) * obstacle_mask(grid, obs)]
         outer = (grid.spectral(lambda k2: k2) > (0.9 * np.pi / grid.spacing) ** 2).ravel()
         assert len(grams) == 2
-        for got, u in zip(grams, entering):
+        for got, u, kernel in zip(grams, entering, kernels):
             spec = np.fft.fft2(u).reshape(2, -1)
             for g, s in zip(got, (spec[:, outer], spec)):
                 ref = s.conj() @ s.T
                 np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
-        after = (np.fft.fft2(pair) * kernel).reshape(2, -1)
-        assert np.trace(grams[0][1]).real > 1.1 * np.trace(after.conj() @ after.T).real
+            after = (np.fft.fft2(u) * kernel).reshape(2, -1)
+            assert np.trace(got[1]).real > 1.1 * np.trace(after.conj() @ after.T).real
 
     def test_shared_leg_is_carried_once(self, fft_planes, cold_leg_cache):
         # free space, 600 um and 800 um, all on the station plane: the pair's
-        # leg to the station once, and per scenario the detection scalar's
-        # quadrant carried back by two DCT-Is, with no n x n transform
+        # leg to the station once, on its parity quadrants (six DCT-Is and two
+        # DST-Is), and per scenario the detection scalar's quadrant carried
+        # back by two DCT-Is each way, with no n x n transform
         matrices = self.run()
-        assert fft_planes == {"fft2": 2, "ifft2": 2, "dctn": 3 * 2}
+        assert fft_planes == {"fft2": 0, "ifft2": 0, "dct": 6 + 3 * 4, "dst": 2}
         for c, m in zip(self.channels, matrices):
             channel._arrival.cache_clear()
             alone = scattering_matrix(c, bg_mode(1), CASCADE, self.grid)
@@ -532,19 +567,17 @@ class TestSharedLegs:
                                                               cold_leg_cache, workers):
         # pool threads that miss the cold cache together wait for the first
         # one's leg instead of carrying it again (more workers than cores and
-        # frequent thread switches make the race likely); the detection scalars
-        # are carried back (dz < 0) through the same transport and not counted
-        planes = []
+        # frequent thread switches make the race likely)
+        legs = []
 
-        def counted(u, grid, wavelength, dz, *args, **kwargs):
-            if dz > 0:
-                planes.append(len(u))
-            return propagate_samples(u, grid, wavelength, dz, *args, **kwargs)
-        monkeypatch.setattr(channel, "propagate_samples", counted)
+        def counted(source, grid, dz, *args, **kwargs):
+            legs.append(dz)
+            return source_leg(source, grid, dz, *args, **kwargs)
+        monkeypatch.setattr(channel, "source_leg", counted)
         serial = self.run()
-        assert sum(planes) == 2
+        assert legs == [0.02]
         channel._arrival.cache_clear()
-        planes.clear()
+        legs.clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -554,7 +587,7 @@ class TestSharedLegs:
                     self.channels, timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        assert sum(planes) == 2
+        assert legs == [0.02]
         for a, b in zip(threaded, serial):
             assert np.array_equal(a.raw, b.raw)
             assert np.array_equal(a.transmission, b.transmission)

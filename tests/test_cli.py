@@ -230,7 +230,9 @@ class TestScattering:
         # paper-bg's three scenarios at four stations: the snapshots reuse the
         # matrices' leg to the 0.02 m obstacle plane and take 7 more segments
         # (0.01, 0.1 and 0.32 m free; 0.1 and 0.32 m behind each disk), where
-        # carrying the pair afresh to every station took 16 (32 forward planes)
+        # carrying the pair afresh to every station took 16 (32 forward planes).
+        # The free legs from the source, 0.02 m included, run on its parity
+        # quadrants (six DCT-Is and two DST-Is each) with no n x n transform
         doc = yaml.safe_load((Path(bgqkd.__file__).parent / "presets/paper-bg.yaml").read_text())
         doc["grid"]["n"] = 128
         doc["run"].update(outputs=["json", "pgm"], pgm_stations=["0.01m", "0.02m", "0.1m", "0.32m"])
@@ -238,10 +240,9 @@ class TestScattering:
         assert main(["scattering", "--config", write_config(tmp_path, doc),
                      "--out-dir", str(out)]) == 0
         assert len(list(out.glob("*.pgm"))) == 3 * 4 * 8
-        # two planes per segment, and the detection scalar's quadrant carried
-        # back by two DCT-Is per scenario
-        assert fft_planes["fft2"] == 2 * 8
-        assert fft_planes["dctn"] == 3 * 2
+        # two planes per segment behind a disk, and the detection scalar's
+        # quadrant carried back by two DCT-Is each way per scenario
+        assert fft_planes == {"fft2": 2 * 4, "ifft2": 2 * 4, "dct": 4 * 6 + 3 * 4, "dst": 4 * 2}
 
     def test_strict_guard_exit_3(self, tmp_path, capsys):
         rc = main(["scattering", "--config", write_config(tmp_path, STRICT_COARSE),

@@ -8,7 +8,9 @@ folds them, times the detection spectrum, onto the distinct |k_t|^2 once,
 and a station adds no n x n plane.
 A scattering matrix holds the shared leg and the masked pair beside the
 detection scalar being built, carried back over the decoding leg as a transport
-over -L into a fresh spectrum. The grid itself keeps no n x n plane.
+over -L into a fresh spectrum. The source's first leg runs on parity
+quadrants and writes the pair once, so a cold station pair holds the pair, the
+mask and the masked pair. The grid itself keeps no n x n plane.
 """
 
 import tracemalloc
@@ -60,6 +62,16 @@ def masked_matrix_peak(src, grid, detection) -> float:
 def test_cascade_selfheal_scan_peak(request, grid, source):
     peak = scan_peak(request.getfixturevalue(source), grid, CASCADE)
     assert peak < 5.8, f"{peak:.2f} planes"
+
+
+@pytest.mark.parametrize("source", ["bg_source", "lg_source"])
+def test_cold_station_leg_peak(request, grid, source):
+    # 6.35 planes with the pair carried as two n x n planes (spectrum, kernel
+    # and inverse transform); 4.99 on the parity quadrants
+    src = request.getfixturevalue(source)
+    peak = traced_peak_planes(lambda: channel.station_pair(
+        src, grid, (ObstacleSpec(radius=600e-6, z=0.02),), 0.02))
+    assert peak < 5.5, f"{peak:.2f} planes"
 
 
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
