@@ -10,11 +10,12 @@ envelope, which is what resolves self-healing. The receiver reduces to a
 single projection at the station plane against an effective detection state.
 Every prepared and detection state is a spin-orbit superposition of two
 scalar OAM fields, so only those are transported, as one (2, n, n) array.
-Up to the first obstacle plane or station, the source pair is carried on the
-real parity quadrants of its parts R(r) cos(ell phi) and R(r) sin(ell phi)
-(source_leg, jones.spin_orbit_leg) and written once at the end; behind a mask
-it is carried as the (2, n, n) array (propagation.propagate_samples). The
-receiver's scalar, a function of r, is carried back on its quadrant.
+For odd ell, as in every preset, the source pair is carried up to the first
+obstacle plane or station on the real parity quadrants of its part
+R(r) cos(ell phi) (source_leg, jones.spin_orbit_leg) and written once at the
+end. For even ell, and behind a mask, it is carried as the (2, n, n) array
+(propagation.propagate_samples). The receiver's scalar, a function of r, is
+carried back on its quadrant.
 
 The scenarios of a run share the source, and often the whole free-space leg
 to their station: the paper's three links differ only by the mask on the
@@ -146,22 +147,20 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
 # scalars u_+- carried to the station, one (2, n, n) array beside its grid,
 # and their 2 x 2 overlaps.
 
-def source_pair(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
-    """The prepared states' OAM pair u_+- at the channel input, (2, n, n)."""
-    return spin_orbit_pair(heralded_profile(source, grid), grid, abs(source.ell) or 1)
-
-
 def source_leg(source: ModeSpec, grid: TransverseGrid, dz: float,
                grams: list | None = None) -> np.ndarray:
-    """The source pair carried over dz >= 0 of free space, (2, n, n), a new
-    array: source_pair at dz = 0, and otherwise carried on the real parity
-    quadrants of jones.spin_orbit_leg, with no n x n transform. With a list
-    `grams` and dz > 0, the band Gram matrices of the pair entering the leg
-    are appended to it, as propagate_samples would."""
-    if dz == 0.0:
-        return source_pair(source, grid)
-    return spin_orbit_leg(heralded_profile(source, grid), grid, abs(source.ell) or 1,
-                          source.wavelength, dz, grams)
+    """The prepared states' OAM pair u_+- carried over dz >= 0 of free
+    space, (2, n, n), a new array. For odd ell and dz > 0 it is carried on
+    the real parity quadrants of jones.spin_orbit_leg, with no n x n
+    transform; at dz = 0 and for even ell it is the pair at the channel input
+    carried by propagate_samples. With a list `grams` and dz > 0, the band
+    Gram matrices of the pair entering the leg are appended to it."""
+    ell = abs(source.ell) or 1
+    profile = heralded_profile(source, grid)
+    if dz == 0.0 or ell % 2 == 0:
+        return propagate_samples(spin_orbit_pair(profile, grid, ell), grid,
+                                 source.wavelength, dz, grams)
+    return spin_orbit_leg(profile, grid, ell, source.wavelength, dz, grams)
 
 
 def detection_scalar(source: ModeSpec, grid: TransverseGrid,
@@ -234,7 +233,7 @@ def _arrival(source: ModeSpec, grid: TransverseGrid, passed: tuple[ObstacleSpec,
     fields entering each free-space segment so far (see propagate_samples);
     all read-only. It steps on from the last plane passed, so a leg shared by
     several channels or snapshot stations is carried once; the first segment
-    runs on the source's parity quadrants (source_leg)."""
+    is the source's own leg (source_leg)."""
     segment = []
     if passed:
         plane = passed[-1].z

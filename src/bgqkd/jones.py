@@ -2,9 +2,9 @@
 strings psi00..phi11 whose order is the row order of SPIN_ORBIT and of every
 8 x 8 table), the wave plates around the q = ell/2 plate that prepare each
 from an H-polarized photon, their four-dimensional spin-orbit vectors, the
-OAM pair the engine carries (one (2, n, n) array), its vortex turn and its
-first free-space leg on real parity quadrants, and the mutual-unbiasedness
-check. The per-pixel Jones trains that realize the
+OAM pair the engine carries (one (2, n, n) array), its vortex turn, for odd
+ell its first free-space leg on real parity quadrants, and the
+mutual-unbiasedness check. The per-pixel Jones trains that realize the
 recipe on grid fields are the tests' reference (tests/polarized_oracle.py).
 """
 
@@ -126,45 +126,29 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     return pair
 
 
-def _signed(parts: list, sy: int, sx: int, h: int) -> np.ndarray:
-    """The (h+1)^2 quadrant, offsets 0..h, of the sum of carried parity
-    quadrants in the grid region whose row and column offsets have signs sy
-    and sx: an odd axis's samples 1..h-1 flip sign with it, and its samples
-    0 and h are 0."""
-    out = np.zeros((h + 1, h + 1), complex)
-    for p in parts:
-        odd_y, odd_x = p.shape[0] == h - 1, p.shape[1] == h - 1
-        sign = (sy if odd_y else 1) * (sx if odd_x else 1)
-        out[slice(1, h) if odd_y else slice(None),
-            slice(1, h) if odd_x else slice(None)] += sign * p
-    return out
-
-
 def spin_orbit_leg(profile: np.ndarray, grid: TransverseGrid, ell: int, wavelength: float,
                    dz: float, grams: list | None = None) -> np.ndarray:
-    """spin_orbit_pair(profile, grid, ell) of a real profile, carried over
-    dz > 0 of free space: propagate_samples(spin_orbit_pair(...), grid,
-    wavelength, dz, grams) up to rounding: with a list `grams`, the band Gram
-    matrices of the pair at dz = 0 are appended to it. No n x n transform
+    """spin_orbit_pair(profile, grid, ell) of a real profile and odd ell,
+    carried over dz > 0 of free space: propagate_samples(spin_orbit_pair(...),
+    grid, wavelength, dz, grams) up to rounding: with a list `grams`, the band
+    Gram matrices of the pair at dz = 0 are appended to it. No n x n transform
     runs: the pair is written once, at the end.
 
     The pair is u_+- = C +- i S with C = R cos(ell phi) and S = R sin(ell phi)
-    for the profile R, and C and S are each even or odd along x and along y,
-    so they are carried on parity quadrants (propagate_quadrant). An odd axis
-    leaves the grid's unpaired line at offset -n/2 out, so it is carried as
-    an even part of its own, nonzero only on that line. For odd ell, C is odd
-    in x and even in y, and S = sigma C^T with sigma = sin(ell pi / 2): C's
-    odd part and its unpaired column (-C at x = +n/2 dx) are carried, and S
-    is read off their transposes. For even ell, C is even in x and in y, and
-    S is odd in both: S's interior, its unpaired row and column, and its
-    corner are carried beside C.
+    for the profile R. For odd ell, C is odd in x and even in y, and
+    S = sigma C^T with sigma = sin(ell pi / 2), so C alone is carried on
+    parity quadrants (propagate_quadrant) and S is read off its transpose. An
+    odd axis leaves the grid's unpaired line at offset -n/2 out, so C's
+    column there (-C at x = +n/2 dx) is carried as an even part of its own.
 
-    The Gram matrices come from the parts' spectra before the kernel. Parts
-    of unlike parity are orthogonal over any band symmetric in each axis, so
-    G[s, t] = cc + s t ss + i (t - s) x for the OAM signs s, t: cc and ss are
-    the weighted power sums of C's and S's part spectra, and x the weighted
-    sum of C's times S's spectrum over their common parity, all real.
+    The Gram matrices come from C's part spectra before the kernel. Parts of
+    unlike parity are orthogonal over any band symmetric in each axis, and
+    S's spectra are the transposes of C's, so G = [[2 cc, -2i x], [2i x, 2 cc]]
+    over the OAM signs: cc is the weighted power sum of C's part spectra, and
+    x = sigma sum E E^T over the spectrum E of the unpaired column, all real.
     """
+    if ell % 2 == 0:
+        raise ValueError(f"the quadrant leg carries odd ell only, got ell = {ell}")
     h = grid.n // 2
     # first: the parts share the kernel, and the grid's spectral index built
     # with it outlives the leg, so it is made below the leg's temporaries
@@ -179,66 +163,33 @@ def spin_orbit_leg(profile: np.ndarray, grid: TransverseGrid, ell: int, waveleng
     del inv_r
     if ell != 1:
         np.power(turn, ell, out=turn)
-    c_spectra, s_spectra = [], []
-    if ell % 2:
-        c = r * turn.real
-        del r, turn
-        edge = np.zeros((h + 1, h + 1))
-        edge[:, h] = -c[:, h]  # the column at x = -n/2 dx, C being odd in x
-        odd, even = [propagate_quadrant(p, grid, wavelength, dz, c_spectra, kernel)
-                     for p in (c[:, 1:h], edge)]
-        del c, edge, kernel
-        # S = sigma C^T: its spectra are the transposes, sigma folded into x below
-        sigma = (-1) ** (ell // 2)
-        s_spectra = [d.T for d in c_spectra]
-        halves = {1: even.copy(), -1: even}  # C where x >= 0 and where x < 0
-        halves[1][:, 1:h] += odd
-        halves[-1][:, 1:h] -= odd
-        del odd, even
-        i_s = 1j * sigma
-
-        def c_of(sy, sx):
-            return halves[sx]
-
-        def s_of(sy, sx):
-            return halves[sy].T
-    else:
-        c, s = r * turn.real, r * turn.imag
-        del r, turn
-        column = np.zeros((h - 1, h + 1))
-        column[:, h] = -s[1:h, h]  # S is odd in x and in y
-        row = np.zeros((h + 1, h - 1))
-        row[h, :] = -s[h, 1:h]
-        corner = np.zeros((h + 1, h + 1))
-        corner[h, h] = s[h, h]
-        even = propagate_quadrant(c, grid, wavelength, dz, c_spectra, kernel)
-        carried = [propagate_quadrant(p, grid, wavelength, dz, s_spectra, kernel)
-                   for p in (s[1:h, 1:h], column, row, corner)]
-        del c, s, column, row, corner, kernel
-        sigma, i_s = 1, 1j
-
-        def c_of(sy, sx):
-            return even
-
-        def s_of(sy, sx):
-            return _signed(carried, sy, sx, h)
-
+    c = r * turn.real
+    del r, turn
+    edge = np.zeros((h + 1, h + 1))
+    edge[:, h] = -c[:, h]  # the column at x = -n/2 dx, C being odd in x
+    spectra = []
+    odd, edge = [propagate_quadrant(p, grid, wavelength, dz, spectra, kernel)
+                 for p in (c[:, 1:h], edge)]
+    del c, kernel
+    sigma = (-1) ** (ell // 2)
+    halves = {1: edge.copy(), -1: edge}  # C where x >= 0 and where x < 0
+    halves[1][:, 1:h] += odd
+    halves[-1][:, 1:h] -= odd
+    del odd, edge
     if grams is not None:
-        cc = quadrant_band_sums(((d, d) for d in c_spectra), grid)
-        ss = quadrant_band_sums(((d, d) for d in s_spectra), grid)
-        x = sigma * quadrant_band_sums(
-            ((a, b) for a in c_spectra for b in s_spectra if a.shape == b.shape), grid)
-        grams.append(tuple(np.array([[a + b, a - b - 2j * w], [a - b + 2j * w, a + b]])
-                           for a, b, w in zip(cc, ss, x)))
-    del c_spectra, s_spectra
+        cc = quadrant_band_sums(((d, d) for d in spectra), grid)
+        x = sigma * quadrant_band_sums([(spectra[1], spectra[1].T)], grid)
+        grams.append(tuple(np.array([[2 * a, -2j * w], [2j * w, 2 * a]])
+                           for a, w in zip(cc, x)))
+    del spectra
 
     pair = np.empty((2, grid.n, grid.n), complex)
     isq = np.empty((h, h), complex)
     regions = ((np.s_[:h], np.s_[h:0:-1], -1), (np.s_[h:], np.s_[:h], 1))
     for rows, q_rows, sy in regions:
         for cols, q_cols, sx in regions:
-            cq = c_of(sy, sx)[q_rows, q_cols]
-            np.multiply(s_of(sy, sx)[q_rows, q_cols], i_s, out=isq)
+            cq = halves[sx][q_rows, q_cols]
+            np.multiply(halves[sy].T[q_rows, q_cols], 1j * sigma, out=isq)
             np.add(cq, isq, out=pair[0, rows, cols])
             np.subtract(cq, isq, out=pair[1, rows, cols])
     return pair

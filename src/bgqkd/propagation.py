@@ -12,13 +12,13 @@ adjoint of forward transport.
 
 - propagate_samples carries any stack: an FFT, the kernel multiply and an
   inverse FFT. It carries the pair behind an obstacle, whose mask breaks
-  the pair's symmetries.
+  the pair's symmetries, and the source pair of even ell.
 - propagate_quadrant carries a field of definite parity in x and in y about
   the grid centre on its parity quadrant, of about (n/2)^2 samples: the DFT
   of an even sequence is its DCT-I, and that of an odd one its DST-I. It
-  carries the receiver's scalar (a function of r) and the source pair's first
-  leg (jones.spin_orbit_leg), whose real parts R(r) cos(ell phi) and
-  R(r) sin(ell phi) are even or odd along each axis.
+  carries the receiver's scalar (a function of r) and, for odd ell, the
+  source pair's first leg (jones.spin_orbit_leg), whose real part
+  R(r) cos(ell phi) is odd in x and even in y.
 
 The band-limit guard reads Gram matrices of the fields entering each segment,
 taken from the transport's own spectrum before the kernel: fields.gram of
@@ -137,11 +137,11 @@ def propagate_quadrant(q: np.ndarray, grid: TransverseGrid, wavelength: float,
     The grid's first row or column, at offset -n/2, is its own mirror image.
     A field even along that axis holds it as sample n/2; one odd along it has
     no room for it, so an odd grid field is its odd part plus its unpaired
-    line, carried as an even part whose only nonzero line is sample n/2 (see
-    jones.spin_orbit_leg). Each transform is its own inverse up to a factor
-    n, and the kernel multiply is that of propagate_samples on the matching
-    frequencies, so the unfolded result equals propagate_samples of the
-    unfolded field up to rounding.
+    line, carried as an even part whose only nonzero line is sample n/2 (as
+    jones.spin_orbit_leg carries R(r) cos(ell phi) of odd ell). Each
+    transform is its own inverse up to a factor n, and the kernel multiply is
+    that of propagate_samples on the matching frequencies, so the unfolded
+    result equals propagate_samples of the unfolded field up to rounding.
     """
     if dz == 0.0:
         return q

@@ -67,16 +67,12 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     # axial sample project on X = sum_s conj(t_s) Y_s, Y_s = sum_s' M[s, s'] u_s'.
     # Rows: X of the free field, then of the blocked one (free times the mask),
     # built from Y_+ and Y_- in the two rows.
-    # Y is formed elementwise, off BLAS. M is diagonal for every state of the
-    # recipe (each column of a is one OAM sign's polarization, and the two
-    # are orthogonal), so a cross term, and its temporary plane, runs only
-    # where its weight is not 0.
+    # M is diagonal for every state of the recipe (each column of a is one OAM
+    # sign's polarization, and the two are orthogonal), so Y_s = M[s, s] u_s,
+    # formed elementwise, off BLAS.
     m = a.conj().T @ a
     targets = np.empty((2, n, n), dtype=complex)
-    for s in range(2):
-        np.multiply(free[s], m[s, s], out=targets[s])
-        if m[s, 1 - s]:
-            targets[s] += m[s, 1 - s] * free[1 - s]
+    np.multiply(free, np.diagonal(m)[:, None, None], out=targets)
     free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
     power = float(np.trace(gram(free.reshape(2, -1), targets.reshape(2, -1))).real * area)
     del free

@@ -24,7 +24,7 @@ from bgqkd import (
 from bgqkd import channel
 from bgqkd.channel import BOUNDARY_POWER_TOL, detection_states, matched_sums, source_leg
 from bgqkd.fields import ScalarField
-from bgqkd.jones import LABELS
+from bgqkd.jones import LABELS, spin_orbit_leg, spin_orbit_pair
 from bgqkd.modes import binary_bessel_hologram, radial_factor
 from bgqkd.propagation import obstacle_mask, propagate_samples, transfer_function
 
@@ -472,15 +472,16 @@ def test_off_centre_matrix_symmetry(request, grid256, source, ell, start, moved,
     (256, 4e-3, 0.02), (256, 4e-3, 0.3),
 ])
 def test_source_leg_equals_full_plane_transport(family, ell, n, extent, dz):
-    # the pair's real parts carried on parity quadrants and written once equal
-    # the n x n transport of the pair, the undersampled kernel included, and
-    # so do the band Gram matrices read off the parts' spectra. The unpaired
-    # line holds at least 6e-9 of the peak on every grid here (1e-2 on the
-    # 4 mm one), far above the bound, so a leg that drops it fails
+    # for odd ell, the pair's real part carried on parity quadrants and
+    # written once equals the n x n transport of the pair, the undersampled
+    # kernel included, and so do the band Gram matrices read off the parts'
+    # spectra. The unpaired line holds at least 6e-9 of the peak on every
+    # grid here (1e-2 on the 4 mm one), far above the bound, so a leg that
+    # drops it fails. Even ell runs the n x n transport itself
     source = ModeSpec(family=family, ell=ell, w0=W0, wavelength=WAVELENGTH,
                       k_r=K_R if family is ModeFamily.BG else 0.0)
     grid = TransverseGrid(n=n, extent=extent)
-    pair = channel.source_pair(source, grid)
+    pair = source_leg(source, grid, 0.0)
     assert np.max(np.abs(pair[:, :, 0])) > 5e-9 * np.max(np.abs(pair))
     ref_grams, grams = [], []
     ref = propagate_samples(pair, grid, WAVELENGTH, dz, ref_grams)
@@ -489,8 +490,33 @@ def test_source_leg_equals_full_plane_transport(family, ell, n, extent, dz):
     assert len(grams) == 1
     for g, r in zip(grams[0], ref_grams[0]):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+    if ell % 2 == 0:
+        assert np.array_equal(got, ref)
+    # at dz = 0, the pair at the channel input, a new array on every call
+    assert np.array_equal(pair, spin_orbit_pair(channel.heralded_profile(source, grid), grid,
+                                                abs(ell)))
     assert source_leg(source, grid, 0.0) is not pair
-    assert np.array_equal(source_leg(source, grid, 0.0), pair)
+
+
+@pytest.mark.parametrize("ell,planes", [
+    # C's odd part (a DCT-I down the columns and a DST-I along the rows, each
+    # way) and its unpaired column (two DCT-Is each way)
+    (1, {"fft2": 0, "ifft2": 0, "dct": 6, "dst": 2}),
+    # the pair's two planes, forward and back
+    (2, {"fft2": 2, "ifft2": 2, "dct": 0, "dst": 0}),
+    (3, {"fft2": 0, "ifft2": 0, "dct": 6, "dst": 2}),
+])
+def test_source_leg_runs_quadrants_for_odd_ell_only(fft_planes, grid256, bg_source, ell,
+                                                   planes):
+    source_leg(dataclasses.replace(bg_source, ell=ell), grid256, 0.02)
+    assert fft_planes == planes
+
+
+@pytest.mark.parametrize("ell", [0, 2, -4])
+def test_quadrant_leg_refuses_even_ell(grid256, bg_source, ell):
+    profile = channel.heralded_profile(bg_source, grid256)
+    with pytest.raises(ValueError, match="odd ell"):
+        spin_orbit_leg(profile, grid256, ell, WAVELENGTH, 0.02)
 
 
 class TestSharedLegs:
@@ -527,7 +553,7 @@ class TestSharedLegs:
         source = ModeSpec(family=ModeFamily.LG, ell=1, w0=0.2e-6, wavelength=WAVELENGTH)
         obs = ObstacleSpec(radius=3e-6, z=1e-6)
         _, grams = channel.station_pair(source, grid, (obs,), 30e-6)
-        pair = channel.source_pair(source, grid)
+        pair = source_leg(source, grid, 0.0)
         kernels = [transfer_function(grid, WAVELENGTH, dz) for dz in (obs.z, 30e-6 - obs.z)]
         entering = [pair, np.fft.ifft2(np.fft.fft2(pair) * kernels[0]) * obstacle_mask(grid, obs)]
         outer = (grid.spectral(lambda k2: k2) > (0.9 * np.pi / grid.spacing) ** 2).ravel()

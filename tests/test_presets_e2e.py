@@ -11,11 +11,10 @@ import math
 import numpy as np
 import pytest
 
+import write_ledger
 from bgqkd.cli import main
 from bgqkd.config import preset_names
-from write_ledger import LEDGER, PRESET_RUNS, ledger_entry
-
-LEDGER_RTOL = 1e-10
+from write_ledger import LEDGER, LEDGER_RTOL, PRESET_RUNS, ledger_entry
 
 
 def run(preset, out):
@@ -51,6 +50,33 @@ def test_every_paper_preset_is_exercised():
     }
     assert set(preset_names()) == covered
     assert set(PRESET_RUNS) == set(json.loads(LEDGER.read_text())) == covered
+
+
+@pytest.mark.parametrize("value,code", [
+    (0.25, 0), (0.25 * (1 + 1e-12), 0), (0.25 * (1 + 1e-9), 1), (math.nan, 1), ("0.25", 1),
+], ids=["equal", "rounding", "drift", "nan", "type"])
+def test_drift_check_fails_past_the_ledger_tolerance(monkeypatch, tmp_path, capsys,
+                                                     value, code):
+    # the --drift run exits 1 where any preset drifts beyond LEDGER_RTOL, and
+    # leaves the ledger as it is; no preset is run
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({"a": {"qber": [0.5, math.nan]}, "b": {"qber": [0.25]}}))
+    before = ledger.read_text()
+    monkeypatch.setattr(write_ledger, "LEDGER", ledger)
+    monkeypatch.setattr(write_ledger, "run_presets",
+                        lambda: {"a": {"qber": [0.5, math.nan]}, "b": {"qber": [value]}})
+    assert write_ledger.main(["--drift"]) == code
+    assert capsys.readouterr().out.startswith("a: 0\n")
+    assert ledger.read_text() == before
+
+
+def test_drift_check_fails_on_a_preset_missing_from_the_ledger(monkeypatch, tmp_path):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({"a": {"qber": [0.5]}}))
+    monkeypatch.setattr(write_ledger, "LEDGER", ledger)
+    monkeypatch.setattr(write_ledger, "run_presets",
+                        lambda: {"a": {"qber": [0.5]}, "b": {"qber": [0.25]}})
+    assert write_ledger.main(["--drift"]) == 1
 
 
 def load_matrix(out_dir, scenario, fam):

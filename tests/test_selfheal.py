@@ -12,8 +12,8 @@ from bgqkd import (
     selfheal_scan,
     shadow_length,
 )
-from bgqkd.channel import detection_states, source_pair, spin_orbit_amplitudes, state_powers
-from bgqkd.jones import LABELS
+from bgqkd.channel import detection_states, source_leg, spin_orbit_amplitudes, state_powers
+from bgqkd.jones import LABELS, mub_state_vector
 from bgqkd.propagation import obstacle_mask, propagate_samples
 
 from polarized_oracle import conjugate_back_propagate
@@ -28,7 +28,7 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     ell = abs(source.ell) or 1
     j = LABELS.index(label)
     station = obs.z if obs is not None else 0.0
-    free = propagate_samples(source_pair(source, grid), grid, source.wavelength, station)
+    free = propagate_samples(source_leg(source, grid, 0.0), grid, source.wavelength, station)
     blocked = free
     if obs is not None:
         blocked = free * obstacle_mask(grid, obs)
@@ -52,6 +52,23 @@ def one_station(source, obs, z, grid):
     """(fidelity, transmitted power) of psi00 at the one station z."""
     (_, fidelity, power, _), = selfheal_scan(source, "psi00", obs, [z], grid, CASCADE)
     return fidelity, power
+
+
+# the diagonal of M = a^H a per state, a[p, s] its amplitude on polarization
+# p and OAM sign s: the vector states weigh both signs by 1/2, each scalar
+# state one sign
+SCAN_WEIGHTS = {"psi00": (0.5, 0.5), "psi01": (0.5, 0.5), "psi10": (0.5, 0.5),
+                "psi11": (0.5, 0.5), "phi00": (0, 1), "phi01": (1, 0), "phi10": (0, 1),
+                "phi11": (1, 0)}
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_scan_weights_are_diagonal(label):
+    # the scan weights the pair by M and forms only its diagonal
+    a = mub_state_vector(label).reshape(2, 2)
+    m = a.conj().T @ a
+    assert m[0, 1] == 0 and m[1, 0] == 0
+    np.testing.assert_allclose(np.diagonal(m), SCAN_WEIGHTS[label], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("label", ["psi02", "xyz00"])

@@ -7,10 +7,12 @@ runs each preset once through the CLI into a temporary directory and writes
 the ledger; with --drift it leaves the ledger as it is and prints, per
 preset, the largest relative difference of any float from the ledger's (the
 e2e tests' measure, |a - b| / max(|a|, |b|); inf where a value that is not a
-float differs, or the structure does). The e2e tests compare each of their runs against it (floats to a
-relative 1e-10, integers, strings and None exactly), so a change that moves a
-preset's output beyond rounding fails them. Regenerate the ledger only for a
-change that is meant to move the presets' digits, and say so where it lands.
+float differs, or the structure does), and exits 1 if any exceeds
+LEDGER_RTOL. The e2e tests compare each of their runs against it (floats to a
+relative LEDGER_RTOL, integers, strings and None exactly), so a change that
+moves a preset's output beyond rounding fails them. Regenerate the ledger
+only for a change that is meant to move the presets' digits, and say so
+where it lands.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 LEDGER = Path(__file__).with_name("ledger.json")
+LEDGER_RTOL = 1e-10
 
 # preset -> the CLI command the e2e tests run it with
 PRESET_RUNS = {
@@ -128,9 +131,12 @@ def main(argv=None) -> int:
         return 1
     if args.drift:
         ledger = json.loads(LEDGER.read_text())
+        failed = False
         for preset, entry in entries.items():
-            print(f"{preset}: {drift(entry, ledger.get(preset)):.3g}")
-        return 0
+            d = drift(entry, ledger.get(preset))
+            print(f"{preset}: {d:.3g}")
+            failed |= not d <= LEDGER_RTOL  # inf and NaN fail too
+        return int(failed)
     LEDGER.write_text(json.dumps(entries, sort_keys=True, indent=1) + "\n")
     return 0
 
