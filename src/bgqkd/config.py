@@ -177,7 +177,6 @@ SCHEMA = {
         "channel": Key("mapping", item=_CHANNEL),
     })),
     "detection": Key("mapping", {}, item={
-        "mode": Key("text", "cascade", choices=("cascade",)),
         "smf_waist": Key("length", 0.45e-3, "(0, inf)"),
         "noise_floor": Key("number", 0.0, "[0, 1]"),
     }),
@@ -297,7 +296,6 @@ def parse_config(doc: Any, *, source_name: str = "config") -> RunConfig:
     spdc = d["spdc"]
     if spdc["pump_waist"] is None:
         spdc["pump_waist"] = source.w0
-    del d["detection"]["mode"]  # one receiver: the hologram and fiber cascade
     detection = _build(DetectionModel, "detection", **d["detection"])
     direct = tuple(DirectSecurityEntry(**e) for e in d["security"].pop("direct"))
 

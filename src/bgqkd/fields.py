@@ -96,6 +96,19 @@ class TransverseGrid:
         column offsets +-i, +-j are all quadrant[i, j]."""
         return self._tile(quadrant, self._radial_index[2])
 
+    def even_part(self, a: np.ndarray) -> np.ndarray:
+        """The part of a stack a (..., n, n) even about the centre in x and in
+        y, on the quadrant as `unfold` takes it: cell [i, j] is the mean of a
+        over the samples at row and column offsets +-i, +-j, the adjoint of
+        `unfold` divided by the fold counts. even_part(unfold(q)) is q."""
+        h, pieces = self.n // 2, self._radial_index[2]
+        out = np.zeros(a.shape[:-2] + (h + 1, h + 1), a.dtype)
+        for rows, source_rows in pieces:
+            for cols, source_cols in pieces:
+                out[..., source_rows, source_cols] += a[..., rows, cols]
+        counts = self.fold_counts
+        return out / np.outer(counts, counts)
+
     @property
     def fold_counts(self) -> np.ndarray:
         """How many grid rows (or columns) each quadrant row (or column)
@@ -165,29 +178,22 @@ class TransverseGrid:
         elementwise, and the result equals f(kx**2 + ky**2) bit for bit."""
         return self._tile(self.spectral_quadrant(f), self._spectral_index[2])
 
-    def spectral_sums(self, a: np.ndarray) -> np.ndarray:
-        """The adjoint of `spectral`: the sums of an FFT-ordered stack a
-        (..., n, n) over each of `distinct_k_squared`, shape (..., count).
-        sum(a * spectral(f)) equals spectral_sums(a) @ f(distinct_k_squared)
-        up to rounding. Rows n - m fold onto rows m, then columns, and the
-        quadrant is summed per value."""
-        k2, inverse, pieces = self._spectral_index
-        h, lead = self.n // 2, a.shape[:-2]
-        rows = np.zeros(lead + (h + 1, self.n), a.dtype)
-        for dest, source in pieces:
-            rows[..., source, :] += a[..., dest, :]
-        quadrant = np.zeros(lead + (h + 1, h + 1), a.dtype)
-        for dest, source in pieces:
-            quadrant[..., source] += rows[..., dest]
-        del rows
-        count = int(np.prod(lead))
-        index = (inverse.ravel() + k2.size * np.arange(count)[:, None]).ravel()
+    def spectral_sums(self, q: np.ndarray) -> np.ndarray:
+        """The adjoint of `spectral` on a stack q (..., n/2+1, n/2+1) of
+        spectra's quadrants, as `spectral_quadrant` lays them out: the sums
+        over each of `distinct_k_squared` of the FFT-ordered spectra even in
+        k_x and k_y whose quadrant q is, shape (..., count). Each cell
+        weighs the grid frequencies it stands for (fold_counts in each axis),
+        so the sum of that spectrum times spectral(f) equals
+        spectral_sums(q) @ f(distinct_k_squared) up to rounding."""
+        k2, inverse, _ = self._spectral_index
+        counts = self.fold_counts
+        w = (q * np.outer(counts, counts)).reshape(-1, inverse.size)
 
-        def ring_sums(w):
-            return np.bincount(index, w.ravel(), count * k2.size).reshape(lead + k2.shape)
-        if np.iscomplexobj(quadrant):
-            return ring_sums(quadrant.real) + 1j * ring_sums(quadrant.imag)
-        return ring_sums(quadrant)
+        def ring_sums(x):
+            return np.stack([np.bincount(inverse.ravel(), row, k2.size) for row in x])
+        sums = ring_sums(w.real) + 1j * ring_sums(w.imag) if np.iscomplexobj(w) else ring_sums(w)
+        return sums.reshape(q.shape[:-2] + k2.shape)
 
     @property
     def distinct_k_squared(self) -> np.ndarray:

@@ -195,6 +195,9 @@ class ObstacleSpec:
             raise ValueError(f"obstacle radius must be positive, got {self.radius}")
         if not (np.isfinite(self.z) and self.z >= 0):
             raise ValueError(f"obstacle z must be finite and >= 0, got {self.z}")
+        if np.shape(self.center) != (2,):
+            raise ValueError(f"obstacle center must have 2 entries (x, y), got {self.center}")
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not np.all(np.isfinite(self.center)):
             raise ValueError(f"obstacle center must be finite, got {self.center}")
 

@@ -6,7 +6,8 @@ place, normalized by the same quantity with the obstacle removed (the
 count-rate recovery a receiver at each station actually observes). It is 1
 without an obstacle by construction, rises with the decoding distance as the
 mode self-reconstructs, and directly mirrors the normalized-counts comparison
-between mode families.
+between mode families. The receiver is even in x and in y, so the scan
+projects on its parity quadrant for any obstacle, with no n x n transform.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from .channel import DetectionModel, detection_scalar, source_leg
 from .fields import TransverseGrid, gram
 from .jones import mub_state_vector, vortex_turn
 from .modes import ModeSpec
-from .propagation import (
-    FFT_WORKERS,
-    ObstacleSpec,
-    free_space_kernel,
-    obstacle_mask,
-)
+from .propagation import ObstacleSpec, free_space_kernel, obstacle_mask
 
 
 def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
@@ -44,13 +40,14 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     over L, with a station-plane field b is the spectral sum
     <BP_L a|b> = dA / N^2 sum_k conj(a^) K_L b^, K_L = transfer_function(L).
     The matched amplitude is linear in the station pair, so the labelled
-    state j's weights are contracted before the transform: 2 station-plane
-    spectra, free and blocked, are taken once per scan. K_L depends on k
-    only through |k_t|^2, so each sum the scan reads is sum_k A(k) K_L(|k_t|^2)
-    with A independent of L: A is summed over each distinct |k_t|^2 once per
-    scan (TransverseGrid.spectral_sums), and a station costs the kernel on
-    those values (free_space_kernel) and three short dot products, with no
-    n x n work.
+    state j's weights are contracted first, to one station-plane field X,
+    free and blocked. The receiver's scalar and the axial sample are even in
+    x and in y, so they see only X's even part (TransverseGrid.even_part),
+    whose DFT is the DCT-I of its quadrant, as the receiver's is. K_L
+    depends on k only through |k_t|^2: each sum the scan reads,
+    sum_k A(k) K_L(|k_t|^2), is summed over each distinct |k_t|^2 once
+    (TransverseGrid.spectral_sums), and a station costs the kernel on those
+    values (free_space_kernel) and three short dot products.
     """
     ell = abs(source.ell) or 1
     a = mub_state_vector(label).reshape(2, 2)  # a[p, s]: polarization p, OAM sign s
@@ -76,10 +73,6 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
     power = float(np.trace(gram(free.reshape(2, -1), targets.reshape(2, -1))).real * area)
     del free
-    # conj spectrum of the detection-plane scalar, once the pair has gone
-    probe = spfft.fft2(grid.unfold(detection_scalar(source, grid, detection)),
-                       workers=FFT_WORKERS)
-    np.conj(probe, out=probe)
     turn = vortex_turn(grid, ell)  # conj(t_-)
     targets[1] *= turn
     targets[0] *= np.conj(turn, out=turn)
@@ -87,25 +80,23 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     del turn
     np.multiply(targets[0], mask, out=targets[1])
     del mask
-    centres = targets[:, n // 2, n // 2].copy()  # before the transform overwrites them
-    targets = spfft.fft2(targets, overwrite_x=True, workers=FFT_WORKERS)
+    x = grid.even_part(targets)
+    del targets
+    centres = x[:, 0, 0].copy()  # before the transform overwrites them
+    probe = detection_scalar(source, grid, detection)
+    for axis in (-2, -1):  # on the quadrant, an even field's DFT is its DCT-I
+        x, probe = (spfft.dct(q, type=1, axis=axis, overwrite_x=True) for q in (x, probe))
     # The adjoint train ends on the H polarizer, so the demodulated axial
     # amplitude after the leg is the projection on state j built from the
-    # back-propagated axial sample (no vpoint null: every pixel is
-    # demodulated). That sample's spectrum is the checkerboard
-    # (-1)^(jx + jy) = (-1)^(jx^2 + jy^2), with jx^2 + jy^2 = |k_t|^2 / dk^2,
-    # so it is one sign per distinct |k_t|^2.
+    # back-propagated axial sample, whose spectrum is 1. Every station reads
+    # s @ K_L for these sums over the distinct |k_t|^2: the axial samples',
+    # the centre correction and the matched amplitudes d^ X^ (d^ is real),
+    # whose products are formed in place in the station spectra.
     k2 = grid.distinct_k_squared
-    sign = (-1.0) ** np.rint(k2 / (2.0 * np.pi / grid.extent) ** 2)
-    # Every station reads s @ K_L for these sums over the distinct |k_t|^2:
-    # the axial samples', the centre correction and the matched amplitudes
-    # conj(d^) X^, whose products are formed in place in the station spectra.
-    s_ax = grid.spectral_sums(targets) * sign
-    s_c = grid.spectral_sums(probe) * sign
-    targets *= probe
-    del probe
-    s_amp = grid.spectral_sums(targets)
-    del targets
+    s_ax = grid.spectral_sums(x)
+    s_c = grid.spectral_sums(probe)
+    x *= probe
+    s_amp = grid.spectral_sums(x)
     scale = area / n ** 2  # <a|b> = scale * sum_k conj(a^) b^
 
     rows = []

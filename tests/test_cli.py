@@ -11,7 +11,7 @@ TINY = {
     "schema_version": 1,
     "grid": {"n": 128, "extent": "8mm"},
     "source": {"family": "LG", "ell": 1, "w0": "0.8mm", "wavelength": "810nm"},
-    "detection": {"mode": "cascade", "smf_waist": "0.5mm", "noise_floor": 1.0e-4},
+    "detection": {"smf_waist": "0.5mm", "noise_floor": 1.0e-4},
     "run": {"seed": 11, "events": 1.0e5, "outputs": ["json", "csv"]},
     "scenarios": [
         {"name": "free-space",
@@ -28,7 +28,7 @@ STRICT_COARSE = {
     "grid": {"n": 128, "extent": "10mm"},
     "source": {"family": "BG", "ell": 1, "k_r": "18 rad/mm",
                "w0": "1.253mm", "wavelength": "810nm"},
-    "detection": {"mode": "cascade", "smf_waist": "0.45mm"},
+    "detection": {"smf_waist": "0.45mm"},
     "run": {"seed": 3, "guard": "strict"},
     "scenarios": [
         {"name": "free-space",
@@ -57,15 +57,16 @@ REJECTED = [
     pytest.param("security", "spdc: {pump_waist: 0}", "spdc.pump_waist", id="pump-waist-zero"),
     pytest.param("security", "spdc: {pump_waist: -1mm}", "spdc.pump_waist",
                  id="pump-waist-negative"),
-    pytest.param("scattering", "detection: {mode: cascade, smf_waist: 0}", "detection.smf_waist",
+    pytest.param("scattering", "detection: {smf_waist: 0}", "detection.smf_waist",
                  id="smf-waist-zero"),
     pytest.param("selfheal-scan", "selfheal: {obstacle: {radius: 6mm}, z_stations: [0.1]}",
                  "selfheal.obstacle", id="selfheal-obstacle-outside-grid"),
     pytest.param("scattering", f"grid: {{n: {2 ** 24}}}", "grid.n", id="grid-n-too-large"),
-    pytest.param("scattering", "detection: {mode: cascade, noise_floor: 2.0}",
+    pytest.param("scattering", "detection: {noise_floor: 2.0}",
                  "detection.noise_floor", id="noise-floor-above-1"),
-    # the receiver is the hologram and fiber cascade; no other mode is offered
-    pytest.param("scattering", "detection: {mode: ideal}", "detection.mode", id="mode-ideal"),
+    # the receiver is the hologram and fiber cascade, with no mode to choose
+    pytest.param("scattering", "detection: {mode: ideal}", "detection", id="mode-ideal"),
+    pytest.param("scattering", "detection: {mode: cascade}", "detection", id="mode-cascade"),
     # 2 pi / 810 nm is 7757 rad/mm: a BG cone at or beyond it does not propagate
     *(pytest.param(command, "source: {family: BG, ell: 1, k_r: 8000 rad/mm, w0: 1mm, "
                             "wavelength: 810nm}", "source", id=f"{command}-k_r-above-wave-number")
@@ -258,7 +259,7 @@ class TestScattering:
             "grid": {"n": 128, "extent": "10mm"},
             "source": {"family": "BG", "ell": 1, "k_r": "18 rad/mm",
                        "w0": "1.253mm", "wavelength": "810nm"},
-            "detection": {"mode": "cascade", "smf_waist": "0.45mm"},
+            "detection": {"smf_waist": "0.45mm"},
             "scenarios": [dict(TINY["scenarios"][i]) for i in range(2)],
         }
         cfg = write_config(tmp_path, doc)
@@ -355,7 +356,7 @@ class TestSelfhealScan:
             "grid": {"n": 128, "extent": "8mm"},
             "source": {"family": "BG", "ell": 1, "k_r": "18 rad/mm",
                        "w0": "0.8mm", "wavelength": "810nm"},
-            "detection": {"mode": "cascade", "smf_waist": "0.5mm"},
+            "detection": {"smf_waist": "0.5mm"},
             "selfheal": {
                 "label": "psi00",
                 "obstacle": {"radius": "0.4mm", "z": "0m"},

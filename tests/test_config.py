@@ -46,7 +46,7 @@ channel: {length: 0.05, station_z: 0.01, obstacles: [{radius: 0.5mm, center: [0,
 scenarios:
   - {name: a, channel: {length: 0.05, station_z: 0.01,
                         obstacles: [{radius: 0.5mm, center: [0, 0], z: 0.01}]}}
-detection: {mode: cascade, smf_waist: 0.45mm, noise_floor: 1.0e-4}
+detection: {smf_waist: 0.45mm, noise_floor: 1.0e-4}
 security:
   dimension: 4
   f_ec: 1.2

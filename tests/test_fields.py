@@ -127,17 +127,23 @@ class TestSpectralSums:
     def test_adjoint_of_spectral(self, n, extent):
         grid = TransverseGrid(n=n, extent=extent)
         rng = np.random.default_rng(n)
-        a = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
-        sums = grid.spectral_sums(a)
+        shape = (2, 3, n // 2 + 1, n // 2 + 1)
+        q = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # the FFT-ordered spectrum even in k_x and k_y whose quadrant q is:
+        # frequencies m and n - m share quadrant row (column) m
+        fold = np.minimum(np.arange(n), n - np.arange(n))
+        even = q[..., fold[:, None], fold[None, :]]
+        assert np.array_equal(even[..., :n // 2 + 1, :n // 2 + 1], q)
+        sums = grid.spectral_sums(q)
         assert sums.shape == (2, 3, grid.distinct_k_squared.size)
         for f in (lambda k2: free_space_kernel(k2, WAVELENGTH, 0.3), lambda k2: k2):
-            expected = np.sum(a * grid.spectral(f), axis=(-2, -1))
+            expected = np.sum(even * grid.spectral(f), axis=(-2, -1))
             assert np.allclose(sums @ f(grid.distinct_k_squared), expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n,extent", GRIDS)
     def test_sums_of_ones_count_the_pixels(self, n, extent):
         grid = TransverseGrid(n=n, extent=extent)
-        counts = grid.spectral_sums(np.ones((n, n)))
+        counts = grid.spectral_sums(np.ones((n // 2 + 1, n // 2 + 1)))
         assert np.array_equal(counts, np.round(counts)) and counts.min() >= 1
         assert counts.sum() == n * n
         assert np.array_equal(counts, np.unique(grid.spectral(lambda k2: k2),
@@ -151,6 +157,44 @@ class TestSpectralSums:
         for dz in (0.3, -0.05):
             kernel = free_space_kernel(grid.distinct_k_squared, WAVELENGTH, dz)
             assert np.array_equal(kernel[ring], transfer_function(grid, WAVELENGTH, dz))
+
+
+class TestEvenPart:
+    GRIDS = [TransverseGrid(n=64, extent=7.3e-3), TransverseGrid(n=128, extent=10e-3)]
+
+    @staticmethod
+    def random_stack(grid, seed, shape=()):
+        rng = np.random.default_rng(seed)
+        shape = shape + (grid.n, grid.n)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["64", "128"])
+    def test_unfolded_quadrant_comes_back(self, grid):
+        h = grid.n // 2
+        q = self.random_stack(grid, 1)[:h + 1, :h + 1]
+        assert np.array_equal(grid.even_part(grid.unfold(q)), q)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["64", "128"])
+    def test_field_odd_in_x_is_zero(self, grid):
+        a = self.random_stack(grid, 2, (2,))
+        # column j sits at offset j - n/2, and its mirror image at n - j
+        # (column 0, at offset -n/2, is its own)
+        odd = a - a[..., (-np.arange(grid.n)) % grid.n]
+        even = grid.even_part(odd)
+        assert even.shape == (2, grid.n // 2 + 1, grid.n // 2 + 1)
+        assert np.abs(even).max() < 1e-15 * np.abs(a).max()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["64", "128"])
+    def test_adjoint_of_unfold(self, grid):
+        # each cell is the mean over the pixels it stands for, so the sum of
+        # a field times an unfolded quadrant weighs it by the fold counts
+        h = grid.n // 2
+        a = self.random_stack(grid, 3, (2,))
+        q = self.random_stack(grid, 4)[:h + 1, :h + 1]
+        weights = np.outer(grid.fold_counts, grid.fold_counts)
+        expected = np.sum(a * grid.unfold(q), axis=(-2, -1))
+        got = np.sum(grid.even_part(a) * weights * q, axis=(-2, -1))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 class TestGram:

@@ -10,7 +10,8 @@ from bgqkd import (
     TransverseGrid,
     nondiffracting_distance,
 )
-from bgqkd.channel import DetectionModel, detection_scalar, heralded_profile
+from bgqkd.channel import (DetectionModel, detection_scalar, heralded_profile,
+                           scattering_matrix)
 from bgqkd.propagation import (
     obstacle_mask,
     propagate_quadrant,
@@ -194,6 +195,26 @@ class TestObstacle:
     def test_rejects_non_finite_position(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
             ObstacleSpec(radius=300e-6, **kwargs)
+
+    @pytest.mark.parametrize("center", [[3e-4, -2e-4], np.array([3e-4, -2e-4])],
+                             ids=["list", "ndarray"])
+    def test_center_is_stored_as_a_tuple(self, cold_leg_cache, bg_source, center):
+        # a list or array centre reached the shared-leg cache unhashable
+        obs = ObstacleSpec(radius=300e-6, center=center, z=0.02)
+        ref = ObstacleSpec(radius=300e-6, center=(3e-4, -2e-4), z=0.02)
+        assert obs.center == (3e-4, -2e-4) and all(type(c) is float for c in obs.center)
+        assert obs == ref and hash(obs) == hash(ref)
+        grid = TransverseGrid(n=128, extent=10e-3)
+        got, expected = (scattering_matrix(ChannelSpec(length=0.05, obstacles=(o,), station_z=0.02),
+                                           bg_source, DetectionModel(), grid).raw
+                         for o in (obs, ref))
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("center", [(1e-4,), (1e-4, 0.0, 2e-4)], ids=["1-entry", "3-entry"])
+    def test_center_needs_two_entries(self, center):
+        # one entry reached obstacle_mask as an IndexError, and a third was dropped
+        with pytest.raises(ValueError, match="2 entries"):
+            ObstacleSpec(radius=300e-6, center=center)
 
     def test_off_center_mask(self, grid256):
         f = gaussian_field(grid256, 0.6e-3)

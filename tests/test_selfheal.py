@@ -231,11 +231,12 @@ def test_scan_cost_does_not_grow_with_stations(monkeypatch, grid256, bg_source):
     assert costs[0][1] == 1  # the receiver's hologram, once
 
 
-@pytest.mark.parametrize("detection,planes", [(CASCADE, 3)], ids=["cascade"])
-def test_scan_forward_transform_planes(fft_planes, grid256, bg_source, detection, planes):
-    # the detection-plane scalar (1) and the station planes, contracted on
-    # the matched state before the transform (1 per field); the pair's leg to
-    # the station runs once, on its parity quadrants, with no n x n transform
+@pytest.mark.parametrize("detection", [CASCADE], ids=["cascade"])
+def test_scan_forward_transform_planes(fft_planes, grid256, bg_source, detection):
+    # no n x n transform: the pair's leg to the station runs once, on its
+    # parity quadrants (6 dct, 2 dst), and the scan takes the 2-D DCT-I of
+    # the receiver's quadrant and of the even parts of its 2 station planes,
+    # contracted on the matched state before the transform
     obs = ObstacleSpec(radius=600e-6, z=0.05)
     selfheal_scan(bg_source, "phi11", obs, [0.1, 0.2, 0.3], grid256, detection)
-    assert fft_planes == {"fft2": planes, "ifft2": 0, "dct": 6, "dst": 2}
+    assert fft_planes == {"fft2": 0, "ifft2": 0, "dct": 6 + 2 * (1 + 2), "dst": 2}

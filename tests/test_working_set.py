@@ -2,10 +2,10 @@
 
 Each bound is the traced (tracemalloc) peak of one call from a cold leg cache
 on a fresh n = 256 grid, with about half a plane of headroom over what the
-engine needs. A scan contracts the matched state's weights before its
-transform, so its station-plane spectra are 2 planes, free and blocked; it
-folds them, times the detection spectrum, onto the distinct |k_t|^2 once,
-and a station adds no n x n plane.
+engine needs. A scan contracts the matched state's weights to 2 station
+planes, free and blocked, and folds their even parts onto the grid quadrant
+before it lets them go; it transforms no n x n plane, and a station adds
+none.
 A scattering matrix holds the shared leg and the masked pair beside the
 detection scalar being built, carried back over the decoding leg as a transport
 over -L into a fresh spectrum. The source's first leg runs on parity
@@ -61,7 +61,8 @@ def masked_matrix_peak(src, grid, detection) -> float:
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
 def test_cascade_selfheal_scan_peak(request, grid, source):
     peak = scan_peak(request.getfixturevalue(source), grid, CASCADE)
-    assert peak < 5.8, f"{peak:.2f} planes"
+    # 4.93 planes: the scan's station planes go before it takes any spectrum
+    assert peak < 5.4, f"{peak:.2f} planes"
 
 
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
