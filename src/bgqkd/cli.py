@@ -138,14 +138,16 @@ def cmd_security(args) -> int:
                           "the direct entries; this config has both")
     if not cfg.security_direct and not cfg.scenarios:
         raise ConfigError("scenarios", "security needs scenarios or direct entries")
-    out = _out_dir(args)
     reports = []
     status = EXIT_OK
     if cfg.security_direct:
         d = cfg.security.dimension
-        for entry in cfg.security_direct:
-            rate = key_rate(entry.qber, entry.delta, d=d, f_ec=cfg.security.f_ec,
-                            q_mu=entry.q_mu, variant=cfg.security.variant)
+        for i, entry in enumerate(cfg.security_direct):
+            try:
+                rate = key_rate(entry.qber, entry.delta, d=d, f_ec=cfg.security.f_ec,
+                                q_mu=entry.q_mu, variant=cfg.security.variant)
+            except ValueError as exc:  # qber / (1 - delta) above 1
+                raise ConfigError(f"security.direct[{i}]", str(exc)) from None
             reports.append(SecurityReport(
                 scenario=entry.name, family=entry.family, dimension=d, qber=entry.qber,
                 qber_sigma=None, mutual_information_bits=mutual_information(entry.qber, d),
@@ -153,15 +155,20 @@ def cmd_security(args) -> int:
                 f_ec=cfg.security.f_ec, mu=entry.mu, q_mu=entry.q_mu,
                 notes=("direct entry (no field simulation)",),
             ).to_json_dict())
+        out = _out_dir(args)
     else:
-        matrices = _run_scenarios(cfg, args.threads)
-        reference = next(
-            (m for s, m in zip(cfg.scenarios, matrices) if not s.channel.obstacles), None)
         spdc = cfg.spdc
         if spdc.delta is not None:
             delta, mu = spdc.delta, None
         else:
             delta, mu = multiphoton_fraction(spdc.mu, spdc.q_mu), spdc.mu
+            if delta >= 1.0:  # clamped: no single-photon signal is left to bound
+                raise ConfigError("spdc.mu", f"mu = {spdc.mu:g} takes the multi-photon fraction "
+                                  f"(1 - p0 - p1) / q_mu to 1 at q_mu = {spdc.q_mu:g}")
+        out = _out_dir(args)
+        matrices = _run_scenarios(cfg, args.threads)
+        reference = next(
+            (m for s, m in zip(cfg.scenarios, matrices) if not s.channel.obstacles), None)
         for idx, m in enumerate(matrices):
             counts = simulate_counts(m, cfg.run.events, seed=cfg.run.seed + idx)
             rep = security_report(m, delta=delta, q_mu=spdc.q_mu, mu=mu, reference=reference,
@@ -201,17 +208,22 @@ def _summary_table(reports: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def scan_sources(source: ModeSpec) -> list[ModeSpec]:
+    """The sources selfheal-scan runs: the config's, and after a BG source the
+    LG mode of the same charge, waist and wavelength for comparison."""
+    if source.family is ModeFamily.LG:
+        return [source]
+    return [source, ModeSpec(family=ModeFamily.LG, ell=source.ell, w0=source.w0,
+                             wavelength=source.wavelength)]
+
+
 def cmd_selfheal_scan(args) -> int:
     cfg = _load(args)
     if cfg.selfheal is None:
         raise ConfigError("selfheal", "selfheal-scan needs a selfheal section")
     out = _out_dir(args)
-    sources = [cfg.source]
-    if cfg.source.family is ModeFamily.BG:
-        sources.append(ModeSpec(family=ModeFamily.LG, ell=cfg.source.ell,
-                                w0=cfg.source.w0, wavelength=cfg.source.wavelength))
     lines = ["family,z,fidelity,transmitted_power,on_axis_intensity_ratio"]
-    for src in sources:
+    for src in scan_sources(cfg.source):
         rows = selfheal_scan(src, cfg.selfheal.label, cfg.selfheal.obstacle,
                              list(cfg.selfheal.z_stations), cfg.grid, cfg.detection)
         for z, fid, power, axial in rows:

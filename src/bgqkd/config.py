@@ -139,11 +139,6 @@ _OBSTACLE = {
     "center": Key("list", (0.0, 0.0), "[2, 2]", item=Key("length")),
     "z": _Z,
 }
-_CHANNEL = {
-    "length": Key("length", bounds="[0, inf)"),
-    "station_z": _Z,
-    "obstacles": Key("list", (), item=Key("mapping", item=_OBSTACLE)),
-}
 _DIRECT = {
     "name": Key("text"),
     "family": _FAMILY,
@@ -171,10 +166,13 @@ SCHEMA = {
         "q_mu": _Q_MU,
         "delta": _DELTA,
     }),
-    "channel": Key("mapping", None, item=_CHANNEL),
     "scenarios": Key("list", (), item=Key("mapping", item={
         "name": Key("text"),
-        "channel": Key("mapping", item=_CHANNEL),
+        "channel": Key("mapping", item={
+            "length": Key("length", bounds="[0, inf)"),
+            "station_z": _Z,
+            "obstacles": Key("list", (), item=Key("mapping", item=_OBSTACLE)),
+        }),
     })),
     "detection": Key("mapping", {}, item={
         "smf_waist": Key("length", 0.45e-3, "(0, inf)"),
@@ -300,8 +298,6 @@ def parse_config(doc: Any, *, source_name: str = "config") -> RunConfig:
     direct = tuple(DirectSecurityEntry(**e) for e in d["security"].pop("direct"))
 
     scenarios: list[ScenarioDef] = []
-    if d["channel"] is not None:
-        scenarios.append(ScenarioDef("channel", _channel(d["channel"], "channel", grid)))
     for i, entry in enumerate(d["scenarios"]):
         name = entry["name"]
         if any(s.name == name for s in scenarios):

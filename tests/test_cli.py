@@ -50,6 +50,12 @@ REJECTED = [
     pytest.param("security", "security: {direct: [{name: a, qber: 0.05}]}", "security.direct",
                  id="direct-beside-scenarios"),
     pytest.param("security", "scenarios: []", "scenarios", id="neither-scenarios-nor-direct"),
+    # qber / (1 - delta) = 1.125 leaves the key rate no bound
+    pytest.param("security", "{scenarios: [], security: {direct: [{name: a, qber: 0.05}, "
+                             "{name: b, qber: 0.9, delta: 0.2}]}}",
+                 "security.direct[1]", id="direct-qber-over-1-minus-delta"),
+    # at q_mu = 1e-4, mu = 0.02 makes (1 - p0 - p1) / q_mu about 2: Delta clamps to 1
+    pytest.param("security", "spdc: {mu: 0.02}", "spdc.mu", id="mu-multiphoton-fraction-1"),
     pytest.param("scattering", "run: {pgm_stations: 0.3}", "run.pgm_stations",
                  id="pgm-stations-not-a-list"),
     pytest.param("scattering", "run: {outputs: [pgm], pgm_stations: [-0.1]}",
@@ -168,13 +174,22 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command,preset", [
         ("security", "paper-bg"), ("security", "paper-table3"),
-        ("selfheal-scan", "paper-selfheal-bg"), ("scattering", "paper-r1")])
+        ("selfheal-scan", "paper-selfheal-bg"), ("scattering", "paper-bg")])
     def test_negative_seed_rejected_before_any_work(self, tmp_path, capsys, command, preset):
         # run.seed lies in [0, inf); the flag that overrides it is held to the same bound
         with pytest.raises(SystemExit) as exc:
             main([command, "--preset", preset, "--seed", "-1", "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_channel_shorthand_is_an_unknown_key(self, tmp_path, capsys):
+        # a link is written as a scenarios entry; there is no second spelling
+        doc = dict(TINY, channel={"length": "0.05m", "station_z": "0.01m"})
+        rc = main(["scattering", "--config", write_config(tmp_path, doc),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown key(s) ['channel']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_selfheal_without_section(self, tmp_path):
@@ -185,7 +200,9 @@ class TestConfigErrors:
 
 class TestScattering:
     def test_runs_beside_direct_security_entries(self, tmp_path):
-        doc = dict(TINY, security={"direct": [{"name": "a", "qber": 0.05}]})
+        # the matrices read neither the direct entries nor Delta, which mu =
+        # 0.02 takes to 1 and security refuses
+        doc = dict(TINY, security={"direct": [{"name": "a", "qber": 0.05}]}, spdc={"mu": 0.02})
         out = tmp_path / "out"
         rc = main(["scattering", "--config", write_config(tmp_path, doc), "--out-dir", str(out)])
         assert rc == 0

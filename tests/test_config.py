@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from bgqkd import ConfigError
+from bgqkd.cli import scan_sources
 from bgqkd.config import load_preset, parse_config, preset_names
 from conftest import field_path, schema_leaves
 
@@ -13,7 +14,8 @@ def minimal_doc(**overrides):
         "schema_version": 1,
         "grid": {"n": 64, "extent": "10mm"},
         "source": {"family": "LG", "ell": 1, "w0": "1mm", "wavelength": "810nm"},
-        "channel": {"length": "0.05m", "station_z": "0.01m", "obstacles": []},
+        "scenarios": [{"name": "channel", "channel": {"length": "0.05m", "station_z": "0.01m",
+                                                      "obstacles": []}}],
     }
     doc.update(overrides)
     return doc
@@ -22,16 +24,17 @@ def minimal_doc(**overrides):
 # a non-finite length or wave number, by the field path it is reported at
 NON_FINITE = [
     ("grid.extent", "grid: {extent: .nan}"),
-    ("channel.length", "channel: {length: nan cm}"),
-    ("channel.station_z", "channel: {length: 0.05, station_z: inf mm}"),
+    ("scenarios[0].channel.length", "scenarios: [{name: a, channel: {length: nan cm}}]"),
+    ("scenarios[0].channel.station_z",
+     "scenarios: [{name: a, channel: {length: 0.05, station_z: inf mm}}]"),
     ("source.k_r", "source: {family: BG, k_r: -inf rad/mm}"),
     ("run.pgm_stations[0]", "run: {outputs: [pgm], pgm_stations: [.nan]}"),
     ("selfheal.z_stations[1]",
      "selfheal: {obstacle: {radius: 0.5mm}, z_stations: [0.1, .nan]}"),
-    ("channel.obstacles[0].z",
-     "channel: {length: 0.05, station_z: 0.01, obstacles: [{radius: 0.5mm, z: .nan}]}"),
-    ("channel.obstacles[0].center[0]",
-     "channel: {length: 0.05, obstacles: [{radius: 0.5mm, center: [.inf, 0]}]}"),
+    ("scenarios[0].channel.obstacles[0].z", "scenarios: [{name: a, channel: {length: 0.05, "
+     "station_z: 0.01, obstacles: [{radius: 0.5mm, z: .nan}]}}]"),
+    ("scenarios[0].channel.obstacles[0].center[0]", "scenarios: [{name: a, channel: {"
+     "length: 0.05, obstacles: [{radius: 0.5mm, center: [.inf, 0]}]}}]"),
 ]
 
 
@@ -42,7 +45,6 @@ schema_version: 1
 grid: {n: 64, extent: 10mm}
 source: {family: BG, ell: 1, k_r: 18 rad/mm, w0: 1mm, wavelength: 810nm}
 spdc: {pump_waist: 1mm, mu: 1.0e-3, q_mu: 1.0e-4, delta: 1.0e-3}
-channel: {length: 0.05, station_z: 0.01, obstacles: [{radius: 0.5mm, center: [0, 0], z: 0.01}]}
 scenarios:
   - {name: a, channel: {length: 0.05, station_z: 0.01,
                         obstacles: [{radius: 0.5mm, center: [0, 0], z: 0.01}]}}
@@ -157,13 +159,13 @@ class TestSchema:
 
     def test_oversized_obstacle_rejected(self):
         doc = minimal_doc()
-        doc["channel"]["obstacles"] = [{"radius": "6mm", "z": "0.01m"}]
+        doc["scenarios"][0]["channel"]["obstacles"] = [{"radius": "6mm", "z": "0.01m"}]
         with pytest.raises(ConfigError):
             parse_config(doc)
 
     def test_obstacle_past_station_rejected(self):
         doc = minimal_doc()
-        doc["channel"]["obstacles"] = [{"radius": "0.5mm", "z": "0.02m"}]
+        doc["scenarios"][0]["channel"]["obstacles"] = [{"radius": "0.5mm", "z": "0.02m"}]
         with pytest.raises(ConfigError):
             parse_config(doc)
 
@@ -234,9 +236,7 @@ class TestSchema:
 
 class TestPresets:
     def test_all_presets_parse(self):
-        names = preset_names()
-        assert len(names) >= 10
-        for name in names:
+        for name in preset_names():
             cfg = load_preset(name)
             assert cfg.grid.n >= 64
 
@@ -246,8 +246,24 @@ class TestPresets:
         cfg = load_preset(name)
         assert cfg.spdc.pump_waist == cfg.source.w0
 
+    def test_no_two_presets_make_the_same_run(self):
+        # a preset that repeats another's run adds only run time: each
+        # scenario (source, grid, detection, channel) and each self-heal scan
+        # (scanned source, grid, detection, label, obstacle, stations) belongs
+        # to one preset
+        owner = {}
+        for name in preset_names():
+            cfg = load_preset(name)
+            runs = [(cfg.source, cfg.grid, cfg.detection, s.channel) for s in cfg.scenarios]
+            if cfg.selfheal is not None:
+                sh = cfg.selfheal
+                runs += [(source, cfg.grid, cfg.detection, sh.label, sh.obstacle, sh.z_stations)
+                         for source in scan_sources(cfg.source)]
+            for run in runs:
+                assert owner.setdefault(run, name) == name, f"{name} repeats {owner[run]}"
+
     def test_lookup_case_insensitive(self):
-        cfg = load_preset("Paper-R2-LG")
+        cfg = load_preset("Paper-LG")
         assert cfg.source.family.value == "LG"
 
     def test_unknown_preset(self):

@@ -2,7 +2,8 @@
 
 These exercise the full default-grid pipeline and the reference claims tied
 to each preset's output files, and check every run's figures against the
-digits ledger (tests/ledger.json, written by tests/write_ledger.py).
+digits ledger (tests/ledger.json, written by tests/write_ledger.py). Each run
+of PRESET_RUNS is made once for the module, however many tests read it.
 """
 
 import json
@@ -14,12 +15,24 @@ import pytest
 import write_ledger
 from bgqkd.cli import main
 from bgqkd.config import preset_names
-from write_ledger import LEDGER, LEDGER_RTOL, PRESET_RUNS, ledger_entry
+from write_ledger import LEDGER, LEDGER_RTOL, PRESET_RUNS, ledger_entry, ledger_key
 
 
-def run(preset, out):
-    assert main([PRESET_RUNS[preset], "--preset", preset, "--out-dir", str(out)]) == 0
-    assert_matches_ledger(ledger_entry(out), json.loads(LEDGER.read_text())[preset], preset)
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """run(preset, command): the output directory of that CLI run, made on
+    first use and checked against the ledger."""
+    made = {}
+
+    def output(preset, command):
+        key = ledger_key(preset, command)
+        if key not in made:
+            out = tmp_path_factory.mktemp(f"{preset}-{command}")
+            assert main([command, "--preset", preset, "--out-dir", str(out)]) == 0
+            assert_matches_ledger(ledger_entry(out), json.loads(LEDGER.read_text())[key], key)
+            made[key] = out
+        return made[key]
+    return output
 
 
 def assert_matches_ledger(actual, expected, where):
@@ -43,13 +56,9 @@ def assert_matches_ledger(actual, expected, where):
 
 def test_every_paper_preset_is_exercised():
     # keep this list in sync: every committed preset appears in a test below
-    covered = {
-        "paper-bg", "paper-lg", "paper-free-space", "paper-free-space-lg",
-        "paper-r1", "paper-r1-lg", "paper-r2", "paper-r2-lg",
-        "paper-selfheal-bg", "paper-selfheal-lg", "paper-table3",
-    }
-    assert set(preset_names()) == covered
-    assert set(PRESET_RUNS) == set(json.loads(LEDGER.read_text())) == covered
+    covered = {"paper-bg", "paper-lg", "paper-selfheal-bg", "paper-table3"}
+    assert set(preset_names()) == {preset for preset, _ in PRESET_RUNS} == covered
+    assert set(json.loads(LEDGER.read_text())) == {ledger_key(*r) for r in PRESET_RUNS}
 
 
 @pytest.mark.parametrize("value,code", [
@@ -83,11 +92,9 @@ def load_matrix(out_dir, scenario, fam):
     return json.loads((out_dir / f"{scenario}_{fam}_matrix.json").read_text())
 
 
-def test_free_space_presets(tmp_path):
-    for preset, fam in (("paper-free-space", "bg"), ("paper-free-space-lg", "lg")):
-        out = tmp_path / preset
-        run(preset, out)
-        data = load_matrix(out, "free-space", fam)
+def test_free_space_presets(run):
+    for preset, fam in (("paper-bg", "bg"), ("paper-lg", "lg")):
+        data = load_matrix(run(preset, "scattering"), "free-space", fam)
         rn = np.array(data["row_normalized"])
         # matched blocks ~ identity, cross blocks ~ 0.25 (noise floor shifts
         # the conditional probabilities by ~ the accidental fraction)
@@ -95,32 +102,26 @@ def test_free_space_presets(tmp_path):
         assert np.max(np.abs(rn[:4, 4:] - 0.25)) < 1e-2
 
 
-def test_r1_presets(tmp_path):
-    for preset, fam in (("paper-r1", "bg"), ("paper-r1-lg", "lg")):
-        out = tmp_path / preset
-        run(preset, out)
-        data = load_matrix(out, "r1-600um", fam)
+def test_r1_presets(run):
+    for preset, fam in (("paper-bg", "bg"), ("paper-lg", "lg")):
+        data = load_matrix(run(preset, "scattering"), "r1-600um", fam)
         diag = np.diag(np.array(data["row_normalized"]))
         assert diag.mean() > 0.9  # both families retain information at R1
 
 
-def test_r2_presets(tmp_path):
+def test_r2_presets(run):
     diags = {}
-    for preset, fam in (("paper-r2", "bg"), ("paper-r2-lg", "lg")):
-        out = tmp_path / preset
-        run(preset, out)
-        data = load_matrix(out, "r2-800um", fam)
+    for preset, fam in (("paper-bg", "bg"), ("paper-lg", "lg")):
+        data = load_matrix(run(preset, "scattering"), "r2-800um", fam)
         diags[fam] = float(np.mean(np.diag(np.array(data["row_normalized"]))))
     assert diags["lg"] < 0.5  # severe crosstalk for the Gaussian family
     assert diags["bg"] > diags["lg"]
 
 
-def test_family_security_presets(tmp_path):
+def test_family_security_presets(run):
     reports = {}
     for preset in ("paper-bg", "paper-lg"):
-        out = tmp_path / preset
-        run(preset, out)
-        for rep in json.loads((out / "security_reports.json").read_text()):
+        for rep in json.loads((run(preset, "security") / "security_reports.json").read_text()):
             reports[(rep["family"], rep["scenario"])] = rep
     # normalized-counts ordering: free >= R1 >= R2 for the BG family
     nc_bg = [reports[("BG", s)]["normalized_counts"]
@@ -136,15 +137,16 @@ def test_family_security_presets(tmp_path):
     assert bg_r2["key_rate"]["secure"]
 
 
-def test_selfheal_presets(tmp_path):
-    out_bg = tmp_path / "sh-bg"
-    run("paper-selfheal-bg", out_bg)
-    lines = (out_bg / "selfheal_scan.csv").read_text().strip().splitlines()[1:]
+def test_selfheal_presets(run):
+    out = run("paper-selfheal-bg", "selfheal-scan")
+    lines = (out / "selfheal_scan.csv").read_text().strip().splitlines()[1:]
     rows = [ln.split(",") for ln in lines]
     bg = [(float(r[1]), float(r[2]), float(r[3]), float(r[4]))
           for r in rows if r[0] == "BG"]
     lg = [(float(r[1]), float(r[2]), float(r[3]), float(r[4]))
           for r in rows if r[0] == "LG"]
+    # the LG mode is scanned at the BG stations beside it
+    assert [r[0] for r in lg] == [r[0] for r in bg] and len(bg) == 5
     # fidelity at 2 z_min beats 0.2 z_min; LG never catches up
     assert bg[-1][1] > bg[0][1]
     assert bg[-1][1] > 1.5 * lg[-1][1]
@@ -153,15 +155,9 @@ def test_selfheal_presets(tmp_path):
     assert all(b > a for a, b in zip(axial, axial[1:]))
     assert axial[-1] >= 0.5
 
-    out_lg = tmp_path / "sh-lg"
-    run("paper-selfheal-lg", out_lg)
-    assert (out_lg / "selfheal_scan.csv").is_file()
 
-
-def test_table3_preset(tmp_path):
-    out = tmp_path / "t3"
-    run("paper-table3", out)
-    reports = json.loads((out / "security_reports.json").read_text())
+def test_table3_preset(run):
+    reports = json.loads((run("paper-table3", "security") / "security_reports.json").read_text())
     by_key = {(r["family"], r["scenario"]): r for r in reports}
     expected_info = {
         ("BG", "free-space"): 1.69, ("BG", "r1-600um"): 1.63,

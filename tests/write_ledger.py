@@ -1,16 +1,17 @@
 """The digits ledger: the figures of every preset run that
-tests/test_presets_e2e.py makes, stored in tests/ledger.json.
+tests/test_presets_e2e.py makes, stored in tests/ledger.json under
+"<preset> <command>".
 
     PYTHONPATH=src python tests/write_ledger.py [--drift]
 
-runs each preset once through the CLI into a temporary directory and writes
-the ledger; with --drift it leaves the ledger as it is and prints, per
-preset, the largest relative difference of any float from the ledger's (the
-e2e tests' measure, |a - b| / max(|a|, |b|); inf where a value that is not a
-float differs, or the structure does), and exits 1 if any exceeds
-LEDGER_RTOL. The e2e tests compare each of their runs against it (floats to a
-relative LEDGER_RTOL, integers, strings and None exactly), so a change that
-moves a preset's output beyond rounding fails them. Regenerate the ledger
+makes each run of PRESET_RUNS once through the CLI into a temporary
+directory and writes the ledger; with --drift it leaves the ledger as it is
+and prints, per run, the largest relative difference of any float from the
+ledger's (the e2e tests' measure, |a - b| / max(|a|, |b|); inf where a value
+that is not a float differs, or the structure does), and exits 1 if any
+exceeds LEDGER_RTOL. The e2e tests compare each of their runs against it
+(floats to a relative LEDGER_RTOL, integers, strings and None exactly), so a
+change that moves a preset's output beyond rounding fails them. Regenerate the ledger
 only for a change that is meant to move the presets' digits, and say so
 where it lands.
 """
@@ -29,20 +30,19 @@ from pathlib import Path
 LEDGER = Path(__file__).with_name("ledger.json")
 LEDGER_RTOL = 1e-10
 
-# preset -> the CLI command the e2e tests run it with
-PRESET_RUNS = {
-    "paper-free-space": "scattering",
-    "paper-free-space-lg": "scattering",
-    "paper-r1": "scattering",
-    "paper-r1-lg": "scattering",
-    "paper-r2": "scattering",
-    "paper-r2-lg": "scattering",
-    "paper-bg": "security",
-    "paper-lg": "security",
-    "paper-table3": "security",
-    "paper-selfheal-bg": "selfheal-scan",
-    "paper-selfheal-lg": "selfheal-scan",
-}
+# (preset, CLI command): each distinct paper computation, run once
+PRESET_RUNS = [
+    ("paper-bg", "scattering"),
+    ("paper-bg", "security"),
+    ("paper-lg", "scattering"),
+    ("paper-lg", "security"),
+    ("paper-selfheal-bg", "selfheal-scan"),
+    ("paper-table3", "security"),
+]
+
+
+def ledger_key(preset: str, command: str) -> str:
+    return f"{preset} {command}"
 
 
 def ledger_entry(out_dir: Path) -> dict:
@@ -104,26 +104,27 @@ def drift(actual, expected) -> float:
 
 
 def run_presets() -> dict | None:
-    """Each preset's ledger entry from one CLI run, or None if a run failed."""
+    """Each run's ledger entry from one CLI run, or None if a run failed."""
     from bgqkd.cli import main as cli
 
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for preset, command in PRESET_RUNS.items():
-            out = Path(tmp) / preset
+        for preset, command in PRESET_RUNS:
+            key = ledger_key(preset, command)
+            out = Path(tmp) / key
             with contextlib.redirect_stdout(io.StringIO()):  # the runs' own tables
                 rc = cli([command, "--preset", preset, "--out-dir", str(out)])
             if rc != 0:
-                print(f"{preset}: the {command} run failed", file=sys.stderr)
+                print(f"{key}: the run failed", file=sys.stderr)
                 return None
-            entries[preset] = ledger_entry(out)
+            entries[key] = ledger_entry(out)
     return entries
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="write or compare the digits ledger")
     parser.add_argument("--drift", action="store_true",
-                        help="print each preset's largest relative drift from the "
+                        help="print each run's largest relative drift from the "
                              "ledger instead of rewriting it")
     args = parser.parse_args(argv)
     entries = run_presets()
@@ -132,9 +133,9 @@ def main(argv=None) -> int:
     if args.drift:
         ledger = json.loads(LEDGER.read_text())
         failed = False
-        for preset, entry in entries.items():
-            d = drift(entry, ledger.get(preset))
-            print(f"{preset}: {d:.3g}")
+        for key, entry in entries.items():
+            d = drift(entry, ledger.get(key))
+            print(f"{key}: {d:.3g}")
             failed |= not d <= LEDGER_RTOL  # inf and NaN fail too
         return int(failed)
     LEDGER.write_text(json.dumps(entries, sort_keys=True, indent=1) + "\n")
