@@ -15,7 +15,11 @@ obstacle plane or station on the real parity quadrants of its part
 R(r) cos(ell phi) (source_leg, jones.spin_orbit_leg) and written once at the
 end. For even ell, and behind a mask, it is carried as the (2, n, n) array
 (propagation.propagate_samples). The receiver's scalar, a function of r, is
-carried back on its quadrant.
+carried back on its quadrant and never unfolded: a scenario projects the
+cached station pair on it in one pass over blocks of rows (station_grams),
+masking only the rows an obstacle on the station plane meets. Beside the
+leg it holds the real station-plane mask, quadrants and one block of rows:
+no complex n x n array.
 
 The scenarios of a run share the source, and often the whole free-space leg
 to their station: the paper's three links differ only by the mask on the
@@ -34,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import interior_window
-from .fields import TransverseGrid, gram
-from .jones import LABELS, SPIN_ORBIT, spin_orbit_leg, spin_orbit_pair
+from .fields import _GRAM_BLOCK, TransverseGrid, gram
+from .jones import (LABELS, SPIN_ORBIT, quadrant_turn, spin_orbit_leg, spin_orbit_pair,
+                    unit_quadrant)
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
     ChannelSpec,
@@ -178,36 +183,81 @@ def detection_scalar(source: ModeSpec, grid: TransverseGrid,
 
 def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: float,
                      detection: DetectionModel) -> np.ndarray:
-    """The effective detection states' OAM pair g_+- at the station plane, (2, n, n).
+    """The receiver's unit-power scalar at the station plane on the grid's
+    quadrant (TransverseGrid.radial_quadrant), its r = 0 cell zeroed: the
+    effective detection states' OAM pair g_+- is this scalar times
+    exp(+-i ell phi), as spin_orbit_pair unfolds it.
 
     Projecting the station-plane field on detection state j (built from the
     pair like the prepared states, with the source's |ell|) equals running
     the physical receiver: adjoint train, decoding propagation, hologram and
     fiber, so g_+- = exp(+-i ell phi) P(-L)(hologram * fiber), where P(-L) is
     transport back over the decoding leg L. The scalar is a function of r,
-    so it is carried back on the grid's quadrant (propagate_quadrant) and
-    unfolded only where the vortex turns are applied.
+    so it is carried back on the grid's quadrant (propagate_quadrant).
     """
     g = propagate_quadrant(detection_scalar(source, grid, detection), grid,
                            source.wavelength, -decoding_distance)
-    return spin_orbit_pair(g, grid, abs(source.ell) or 1)
+    return unit_quadrant(g, grid)
 
 
-def spin_orbit_amplitudes(dets: np.ndarray, pair: np.ndarray, grid: TransverseGrid,
-                          window=np.s_[:, :]) -> np.ndarray:
-    """8 x 8 amplitudes <d_j|f_i> at [i, j] (over the sample window) for the
-    prepared states carried by `pair` and the detection states carried by
-    `dets`, both (2, n, n) on `grid`, from the pairs' 2 x 2 overlaps
-    G[s, s'] = <g_s|u_s'>."""
-    x = dets[(..., *window)].reshape(2, -1)
-    y = x if pair is dets else pair[(..., *window)].reshape(2, -1)
-    g = gram(x, y) * grid.pixel_area
-    return SPIN_ORBIT @ np.kron(np.eye(2), g).T @ SPIN_ORBIT.conj().T
+def _receiver_rows(receiver: np.ndarray, turn: np.ndarray, ell: int, rows: slice,
+                   out: np.ndarray) -> np.ndarray:
+    """Rows `rows` of spin_orbit_pair(receiver, grid, ell), written into out
+    (2, rows, n), from the quadrants of the unit-power receiver and of its
+    vortex turn (quadrant_turn). The rows lie on one side of the centre row.
+    The turn elsewhere is its mirror image, t(x, -y) = conj t(x, y) and
+    t(-x, y) = (-1)^ell conj t(x, y), taken by slicing the quadrants."""
+    h = receiver.shape[0] - 1
+    if rows.start >= h:
+        q, (plus, minus) = np.s_[rows.start - h:rows.stop - h], out
+    else:  # y < 0: there the turn is conjugate, so the two signs trade places
+        q, (minus, plus) = np.s_[h - rows.start:h - rows.stop:-1], out
+    a, t = receiver[q], turn[q]
+    np.multiply(a[:, :h], t[:, :h], out=plus[:, h:])
+    np.multiply(a[:, :h], t[:, :h].conj(), out=minus[:, h:])
+    left = t[:, h:0:-1].conj()
+    if ell % 2:
+        np.negative(left, out=left)
+    np.multiply(a[:, h:0:-1], left, out=plus[:, :h])
+    np.multiply(a[:, h:0:-1], left.conj(), out=minus[:, :h])
+    return out
 
 
-def state_powers(pair: np.ndarray, grid: TransverseGrid, window=np.s_[:, :]) -> np.ndarray:
-    """Power of each of the 8 states carried by `pair`, within the sample window."""
-    return np.real(np.diag(spin_orbit_amplitudes(pair, pair, grid, window)))
+def station_grams(pair: np.ndarray, mask: np.ndarray | None, receiver: np.ndarray,
+                  grid: TransverseGrid, ell: int) -> tuple[np.ndarray, ...]:
+    """The three 2 x 2 Gram matrices (times the pixel area) that a scenario's
+    8 x 8 table needs, for the station pair u_+- = pair * mask (mask None:
+    no obstacle on the station plane) and the detection pair g_+- =
+    spin_orbit_pair(receiver, grid, ell): <g_s|u_s'>, <u_s|u_s'>, and
+    <u_s|u_s'> over interior_window(n).
+
+    One pass reads the pair in blocks of rows that never straddle the centre
+    row, each as many samples as a block of `gram`. Only the blocks that
+    meet a masked row are masked, into one block-sized buffer, and the
+    detection pair is written block by block from the quadrants: no n x n
+    array is made here.
+    """
+    n, h = grid.n, grid.n // 2
+    step = max(1, min(_GRAM_BLOCK // n, h))
+    window = interior_window(n)
+    top, bottom, _ = window[0].indices(n)
+    turn = quadrant_turn(grid, ell)
+    masked_rows = None if mask is None else mask.min(axis=1) < 1.0
+    dets = np.empty((2, step, n), complex)
+    masked = np.empty_like(dets)
+    grams = np.zeros((3, 2, 2), complex)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        u = pair[:, rows]
+        if masked_rows is not None and masked_rows[rows].any():
+            u = np.multiply(u, mask[rows], out=masked)
+        x = u.reshape(2, -1)
+        grams[0] += gram(_receiver_rows(receiver, turn, ell, rows, dets).reshape(2, -1), x)
+        grams[1] += gram(x, x)
+        inner = u[:, max(top - r0, 0):max(bottom - r0, 0), window[1]].reshape(2, -1)
+        if inner.size:
+            grams[2] += gram(inner, inner)
+    return tuple(grams * grid.pixel_area)
 
 
 def state_intensity(i: int, pair: np.ndarray) -> np.ndarray:
@@ -239,8 +289,7 @@ def _arrival(source: ModeSpec, grid: TransverseGrid, passed: tuple[ObstacleSpec,
         plane = passed[-1].z
         before = tuple(o for o in passed if o.z < plane)
         pair, grams = _arrival(source, grid, before, plane)
-        for obs in passed[len(before):]:
-            pair = pair * obstacle_mask(grid, obs)
+        pair = pair * _plane_mask(grid, passed, plane)
         if z > plane:
             pair = propagate_samples(pair, grid, source.wavelength, z - plane, segment)
     else:
@@ -254,19 +303,35 @@ def _arrival(source: ModeSpec, grid: TransverseGrid, passed: tuple[ObstacleSpec,
     return pair, grams
 
 
+def _leg(source: ModeSpec, grid: TransverseGrid, obstacles: tuple[ObstacleSpec, ...],
+         z: float):
+    """_arrival of the source pair at z through the obstacles (sorted by z)
+    before it, under the lock: the pair before any mask on the plane z."""
+    passed = tuple(o for o in obstacles if o.z < z)
+    with _ARRIVAL_LOCK:
+        return _arrival(source, grid, passed, z)
+
+
+def _plane_mask(grid: TransverseGrid, obstacles, z: float) -> np.ndarray | None:
+    """The product of the masks of the obstacles on the plane z, None if there
+    are none there."""
+    mask = None
+    for obs in obstacles:
+        if obs.z == z:
+            m = obstacle_mask(grid, obs)
+            mask = m if mask is None else np.multiply(mask, m, out=mask)
+    return mask
+
+
 def station_pair(source: ModeSpec, grid: TransverseGrid,
                  obstacles: tuple[ObstacleSpec, ...], z: float):
     """The source pair carried to z through the obstacles (sorted by z) at or
     before it, those on the plane z included, with the band Gram matrices of
     the fields entering each free-space segment. Both may be shared with
     other calls: do not write into them."""
-    passed = tuple(o for o in obstacles if o.z < z)
-    with _ARRIVAL_LOCK:
-        pair, grams = _arrival(source, grid, passed, z)
-    for obs in obstacles:
-        if obs.z == z:
-            pair = pair * obstacle_mask(grid, obs)
-    return pair, grams
+    pair, grams = _leg(source, grid, obstacles, z)
+    mask = _plane_mask(grid, obstacles, z)
+    return (pair if mask is None else pair * mask), grams
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +339,12 @@ def station_pair(source: ModeSpec, grid: TransverseGrid,
 
 # H-component weights of each state on the pair: <H|R> = <H|L> = 1/sqrt(2)
 _H_WEIGHTS = (SPIN_ORBIT[:, :2] + SPIN_ORBIT[:, 2:]) / np.sqrt(2.0)
+
+
+def _amplitudes(g: np.ndarray) -> np.ndarray:
+    """8 x 8 amplitudes <d_j|f_i> at [i, j] of states built alike (SPIN_ORBIT)
+    on two OAM pairs, from the pairs' 2 x 2 overlaps G[s, s'] = <g_s|u_s'>."""
+    return SPIN_ORBIT @ np.kron(np.eye(2), g).T @ SPIN_ORBIT.conj().T
 
 
 def matched_sums(table: np.ndarray) -> np.ndarray:
@@ -354,13 +425,13 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
     band tail of each state before every free-space segment, and its power
     fraction near the grid edge at the station.
     """
-    # the station pair first, so that no detection pair is alive while a leg is carried
-    pair, band = station_pair(source, grid, channel.obstacles, channel.station_z)
-    dets = detection_states(source, grid, channel.decoding_distance, detection)
-    raw = np.abs(spin_orbit_amplitudes(dets, pair, grid)) ** 2 + detection.noise_floor
-    del dets  # before the state powers' window copies, beside the cached leg
-    power = state_powers(pair, grid)
-    interior = state_powers(pair, grid, interior_window(grid.n))
+    # the leg first, so that no receiver is alive while a leg is carried
+    pair, band = _leg(source, grid, channel.obstacles, channel.station_z)
+    receiver = detection_states(source, grid, channel.decoding_distance, detection)
+    mask = _plane_mask(grid, channel.obstacles, channel.station_z)
+    g_det, g_pair, g_inner = station_grams(pair, mask, receiver, grid, abs(source.ell) or 1)
+    raw = np.abs(_amplitudes(g_det)) ** 2 + detection.noise_floor
+    power, interior = (np.real(np.diag(_amplitudes(g))) for g in (g_pair, g_inner))
     notes: list[str] = []
     for i, label in enumerate(LABELS):
         for g in band:

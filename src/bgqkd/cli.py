@@ -201,8 +201,8 @@ def _summary_table(reports: list[dict]) -> str:
         fmt("QBER", lambda r: r["qber"])
         fmt("I_AB [bits]", lambda r: r["mutual_information_bits"])
         fmt("delta", lambda r: r["delta"], 6)
-        fmt("R/Q_mu", lambda r: r["key_rate"]["per_signal"])
-        fmt("R/Q_mu printed", lambda r: r["key_rate"]["per_signal_as_printed"])
+        fmt("R/Q_mu", lambda r: (r["key_rate"] or {}).get("per_signal"))
+        fmt("R/Q_mu printed", lambda r: (r["key_rate"] or {}).get("per_signal_as_printed"))
         fmt("NC", lambda r: r["normalized_counts"])
         lines.append("")
     return "\n".join(lines)

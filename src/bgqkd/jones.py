@@ -92,7 +92,24 @@ def vortex_turn(grid: TransverseGrid, ell: int, out: np.ndarray | None = None) -
     return turn if ell == 1 else np.power(turn, ell, out=turn)
 
 
-def _unit_quadrant(profile: np.ndarray, grid: TransverseGrid) -> np.ndarray:
+def quadrant_turn(grid: TransverseGrid, ell: int) -> np.ndarray:
+    """vortex_turn's values at row and column offsets >= 0, on the quadrant
+    as TransverseGrid.radial_quadrant lays it out: cell [i, j] holds the turn
+    at (x, y) = (j dx, i dx), and the r = 0 cell is 0. The rest of the grid
+    is its mirror image: t(-x, y) = (-1)^ell conj t(x, y) and
+    t(x, -y) = conj t(x, y), both exact in floating point."""
+    h = grid.n // 2
+    offsets = np.abs(grid.axis[:h + 1])[::-1]  # as TransverseGrid.radial_quadrant
+    inv_r = grid.radial_quadrant(lambda rr: np.divide(1.0, rr, out=np.zeros_like(rr),
+                                                      where=rr > 0))
+    turn = np.empty((h + 1, h + 1), complex)
+    np.multiply(offsets[None, :], inv_r, out=turn.real)
+    np.multiply(offsets[:, None], inv_r, out=turn.imag)
+    del inv_r
+    return turn if ell == 1 else np.power(turn, ell, out=turn)
+
+
+def unit_quadrant(profile: np.ndarray, grid: TransverseGrid) -> np.ndarray:
     """A copy of the quadrant `profile` with its r = 0 cell zeroed, scaled to
     unit power over the grid (each cell weighted by grid.fold_counts in each
     axis)."""
@@ -117,7 +134,7 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     (p_k) = (R, R, L, L), the rows of SPIN_ORBIT being mub_state_vector of
     LABELS.
     """
-    u = grid.unfold(_unit_quadrant(profile, grid))
+    u = grid.unfold(unit_quadrant(profile, grid))
     pair = np.empty((2, grid.n, grid.n), dtype=complex)
     turn = vortex_turn(grid, ell, out=pair[0])
     # conj(turn) * u, the operand order (and rounding) of numpy's elided u * turn.conj()
@@ -153,16 +170,8 @@ def spin_orbit_leg(profile: np.ndarray, grid: TransverseGrid, ell: int, waveleng
     # first: the parts share the kernel, and the grid's spectral index built
     # with it outlives the leg, so it is made below the leg's temporaries
     kernel = quadrant_kernel(grid, wavelength, dz)
-    r = _unit_quadrant(profile, grid)
-    offsets = np.abs(grid.axis[:h + 1])[::-1]  # as TransverseGrid.radial_quadrant
-    inv_r = grid.radial_quadrant(lambda rr: np.divide(1.0, rr, out=np.zeros_like(rr),
-                                                      where=rr > 0))
-    turn = np.empty((h + 1, h + 1), complex)  # vortex_turn's values at offsets >= 0
-    np.multiply(offsets[None, :], inv_r, out=turn.real)
-    np.multiply(offsets[:, None], inv_r, out=turn.imag)
-    del inv_r
-    if ell != 1:
-        np.power(turn, ell, out=turn)
+    r = unit_quadrant(profile, grid)
+    turn = quadrant_turn(grid, ell)
     c = r * turn.real
     del r, turn
     edge = np.zeros((h + 1, h + 1))

@@ -151,7 +151,7 @@ class SecurityReport:
     qber_sigma: Optional[float]
     mutual_information_bits: float
     delta: float
-    key_rate: KeyRateResult
+    key_rate: Optional[KeyRateResult]
     normalized_counts: Optional[float]
     f_ec: float
     mu: Optional[float]
@@ -178,11 +178,18 @@ def security_report(matrix: ScatteringMatrix, *,
     mean photon number it came from, is only reported. Normalized counts
     compare the psi00 -> psi00 raw detection probability against the
     free-space reference matrix; without a reference the field is absent.
+    Where e / (1 - Delta) exceeds 1 the GLLP rate bounds nothing: the key
+    rate is absent and a note gives that ratio.
     """
     qber = qber_from_matrix(matrix, counts)
     i_ab = mutual_information(qber.e, d)
-    rate = key_rate(qber.e, delta, d=d, f_ec=f_ec, q_mu=q_mu, variant=variant)
     notes = list(matrix.warnings)
+    rate = None
+    if 0.0 <= delta < 1.0 and qber.e / (1.0 - delta) > 1.0:
+        notes.append(f"e/(1-delta) = {qber.e / (1.0 - delta):.4g} exceeds 1; "
+                     "key rate unavailable")
+    else:
+        rate = key_rate(qber.e, delta, d=d, f_ec=f_ec, q_mu=q_mu, variant=variant)
     if qber.excluded_rows:
         notes.append("rows with no matched-basis signal excluded from QBER: "
                      + ", ".join(qber.excluded_rows))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,8 +23,9 @@ from bgqkd import (
     spdc_overlap,
 )
 from bgqkd import channel
+from bgqkd.analysis import interior_window
 from bgqkd.channel import BOUNDARY_POWER_TOL, detection_states, matched_sums, source_leg
-from bgqkd.fields import ScalarField
+from bgqkd.fields import ScalarField, gram
 from bgqkd.jones import LABELS, spin_orbit_leg, spin_orbit_pair
 from bgqkd.modes import binary_bessel_hologram, radial_factor
 from bgqkd.propagation import obstacle_mask, propagate_samples, transfer_function
@@ -352,7 +354,8 @@ class TestScatteringMatrix:
         assert any("k-space" in w for w in m.warnings)
 
     def test_detection_states_orthonormal(self, grid256, bg_source):
-        states = spin_orbit_states(detection_states(bg_source, grid256, 0.30, CASCADE), grid256)
+        receiver = detection_states(bg_source, grid256, 0.30, CASCADE)
+        states = spin_orbit_states(spin_orbit_pair(receiver, grid256, 1), grid256)
         for block in (states[:4], states[4:]):
             for i, a in enumerate(block):
                 for j, b in enumerate(block):
@@ -407,6 +410,14 @@ ORACLE_CHANNELS = {
     "two-obstacle": ChannelSpec(length=0.32, station_z=0.08, obstacles=(
         ObstacleSpec(radius=400e-6, center=(500e-6, 0.0), z=0.01),
         ObstacleSpec(radius=300e-6, center=(-200e-6, 400e-6), z=0.05))),
+    # two disks on the station plane that overlap: their union is masked once
+    "overlapping": ChannelSpec(length=0.32, station_z=0.02, obstacles=(
+        ObstacleSpec(radius=500e-6, center=(300e-6, -150e-6), z=0.02),
+        ObstacleSpec(radius=450e-6, center=(-250e-6, 100e-6), z=0.02))),
+    # a disk whose masked rows (y = -4.6..-1.0 mm) cross the interior
+    # window's border row (y = -4.49 mm at n = 256) and reach into the beam
+    "near-edge": ChannelSpec(length=0.32, station_z=0.02, obstacles=(
+        ObstacleSpec(radius=1.8e-3, center=(200e-6, -2.8e-3), z=0.02),)),
 }
 
 
@@ -517,6 +528,42 @@ def test_quadrant_leg_refuses_even_ell(grid256, bg_source, ell):
     profile = channel.heralded_profile(bg_source, grid256)
     with pytest.raises(ValueError, match="odd ell"):
         spin_orbit_leg(profile, grid256, ell, WAVELENGTH, 0.02)
+
+
+# Station-plane masks for the streamed Gram matrices: none, a centred disk, an
+# off-centre disk, and two overlapping disks whose rows span y = -1.6..0.2 mm,
+# across the centre row and, at n = 256, the block boundary at row 96
+# (y = -1.25 mm).
+STATION_MASKS = {
+    "none": (),
+    "centred": (ObstacleSpec(radius=600e-6),),
+    "off-centre": (ObstacleSpec(radius=600e-6, center=(300e-6, -150e-6)),),
+    "overlapping": (ObstacleSpec(radius=700e-6, center=(300e-6, -900e-6)),
+                    ObstacleSpec(radius=500e-6, center=(-200e-6, -300e-6))),
+}
+
+
+# at n = 1024 the last blocks of rows lie wholly below the interior window
+@pytest.mark.parametrize("n, ell, masks", [
+    *itertools.product([64, 256], [1, 2, 3], STATION_MASKS), (1024, 1, "off-centre")])
+def test_station_grams_equal_plane_grams(n, ell, masks):
+    grid = TransverseGrid(n=n, extent=10e-3)
+    source = bg_mode(ell)
+    pair = source_leg(source, grid, 0.02)
+    receiver = detection_states(source, grid, 0.30, CASCADE)
+    mask = None
+    if STATION_MASKS[masks]:
+        mask = np.prod([obstacle_mask(grid, o) for o in STATION_MASKS[masks]], axis=0)
+    got = channel.station_grams(pair, mask, receiver, grid, ell)
+
+    u = pair if mask is None else pair * mask
+    inner = u[(..., *interior_window(n))].reshape(2, -1)
+    dets = spin_orbit_pair(receiver, grid, ell).reshape(2, -1)
+    u = u.reshape(2, -1)
+    want = [gram(dets, u), gram(u, u), gram(inner, inner)]
+    for g, g_plane in zip(got, want):
+        g_plane = g_plane * grid.pixel_area
+        assert np.max(np.abs(g - g_plane)) <= 1e-14 * np.max(np.abs(g_plane))
 
 
 class TestSharedLegs:

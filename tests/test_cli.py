@@ -316,6 +316,31 @@ class TestSecurity:
         assert (out / "security_summary.txt").is_file()
         assert (out / "free-space_lg_counts.csv").is_file()
 
+    def test_unbounded_key_rate_reported_without_rate(self, tmp_path, capsys):
+        # delta = 0.999 takes e / (1 - delta) of the blocked link above 1; that
+        # scenario gets a report without a key rate, and the run still writes
+        # every file and exits 0
+        out = tmp_path / "out"
+        doc = dict(TINY, spdc={"delta": 0.999})
+        rc = main(["security", "--config", write_config(tmp_path, doc), "--out-dir", str(out)])
+        assert rc == 0
+        by_name = {r["scenario"]: r
+                   for r in json.loads((out / "security_reports.json").read_text())}
+        assert by_name["free-space"]["key_rate"] is not None
+        blocked = by_name["blocked"]
+        assert blocked["key_rate"] is None
+        assert any(n.startswith("e/(1-delta) = ") and n.endswith("exceeds 1; key rate unavailable")
+                   for n in blocked["notes"])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "blocked_lg_counts.csv", "free-space_lg_counts.csv", "security_reports.json",
+            "security_summary.txt"]
+        summary = (out / "security_summary.txt").read_text()
+        assert summary in capsys.readouterr().out
+        # the R/Q_mu rows, columns free-space then blocked
+        rates = [line.split()[-2:] for line in summary.splitlines()
+                 if line.split()[:1] == ["R/Q_mu"]]
+        assert len(rates) == 2 and all(r[0] != "-" and r[1] == "-" for r in rates)
+
     @pytest.mark.parametrize("events", [0, 1.0e-3])
     def test_no_sifted_counts_leaves_sigma_unset(self, tmp_path, events):
         doc = dict(TINY, grid=dict(TINY["grid"], n=64), run=dict(TINY["run"], events=events))

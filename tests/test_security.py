@@ -224,6 +224,16 @@ class TestSecurityReport:
         rep = security_report(obstructed, delta=2e-3, reference=free)
         assert rep.normalized_counts == pytest.approx(0.25)
 
+    def test_unbounded_key_rate_is_absent_and_noted(self):
+        # e = 0.05 against 1 - delta = 0.01: the GLLP bound has no meaning
+        raw = ideal_raw(diag=0.95)
+        raw[np.arange(8), np.arange(8) ^ 1] = 0.05
+        rep = security_report(synthetic_matrix(raw), delta=0.99)
+        assert rep.qber == pytest.approx(0.05)
+        assert rep.key_rate is None
+        assert "e/(1-delta) = 5 exceeds 1; key rate unavailable" in rep.notes
+        assert rep.to_json_dict()["key_rate"] is None
+
     def test_stats_and_delta_exclusive(self):
         # delta is the one multi-photon input; there is no statistics route
         m = synthetic_matrix(ideal_raw())

@@ -12,13 +12,27 @@ from bgqkd import (
     selfheal_scan,
     shadow_length,
 )
-from bgqkd.channel import detection_states, source_leg, spin_orbit_amplitudes, state_powers
-from bgqkd.jones import LABELS, mub_state_vector
+from bgqkd.channel import detection_states, source_leg
+from bgqkd.fields import gram
+from bgqkd.jones import LABELS, SPIN_ORBIT, mub_state_vector, spin_orbit_pair
 from bgqkd.propagation import obstacle_mask, propagate_samples
 
 from polarized_oracle import conjugate_back_propagate
 
 CASCADE = DetectionModel(smf_waist=0.45e-3, noise_floor=0.0)
+
+
+def spin_orbit_amplitudes(dets, pair, grid):
+    """8 x 8 amplitudes <d_j|f_i> at [i, j] for the prepared states carried by
+    `pair` and the detection states carried by `dets`, both (2, n, n) on
+    `grid`, from the pairs' 2 x 2 overlaps G[s, s'] = <g_s|u_s'>."""
+    g = gram(dets.reshape(2, -1), pair.reshape(2, -1)) * grid.pixel_area
+    return SPIN_ORBIT @ np.kron(np.eye(2), g).T @ SPIN_ORBIT.conj().T
+
+
+def state_powers(pair, grid):
+    """Power of each of the 8 states carried by `pair`."""
+    return np.real(np.diag(spin_orbit_amplitudes(pair, pair, grid)))
 
 
 def direct_space_scan(source, label, obs, z_stations, grid, detection):
@@ -40,7 +54,8 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     for z in z_stations:
         w = conjugate_back_propagate(axis, grid, source.wavelength, z - station)
         demod = np.stack([w * turn, w * turn.conj()])
-        dets = detection_states(source, grid, z - station, detection)
+        dets = spin_orbit_pair(detection_states(source, grid, z - station, detection), grid,
+                               ell)
         (p_obs, a_obs), (p_free, a_free) = (
             [abs(spin_orbit_amplitudes(d, pair, grid)[j, j]) ** 2 for d in (dets, demod)]
             for pair in (blocked, free))
