@@ -15,11 +15,12 @@ obstacle plane or station on the real parity quadrants of its part
 R(r) cos(ell phi) (source_leg, jones.spin_orbit_leg) and written once at the
 end. For even ell, and behind a mask, it is carried as the (2, n, n) array
 (propagation.propagate_samples). The receiver's scalar, a function of r, is
-carried back on its quadrant and never unfolded: a scenario projects the
-cached station pair on it in one pass over blocks of rows (station_grams),
-masking only the rows an obstacle on the station plane meets. Beside the
-leg it holds the real station-plane mask, quadrants and one block of rows:
-no complex n x n array.
+carried back on its quadrant: a scenario projects the cached station pair
+on it in one pass over blocks of rows (station_grams), each block's turned
+receiver rows written from the quadrant (jones._turned_rows), masking only
+the rows an obstacle on the station plane meets. Beside the leg it holds
+the real station-plane mask, quadrants and one block of rows: no complex
+n x n array.
 
 The scenarios of a run share the source, and often the whole free-space leg
 to their station: the paper's three links differ only by the mask on the
@@ -39,8 +40,8 @@ import numpy as np
 
 from .analysis import interior_window
 from .fields import _GRAM_BLOCK, TransverseGrid, gram
-from .jones import (LABELS, SPIN_ORBIT, quadrant_turn, spin_orbit_leg, spin_orbit_pair,
-                    unit_quadrant)
+from .jones import (LABELS, SPIN_ORBIT, _turned_rows, quadrant_turn, spin_orbit_leg,
+                    spin_orbit_pair, unit_quadrant)
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
     ChannelSpec,
@@ -92,20 +93,11 @@ def _unit_on_rings(f: np.ndarray, grid: TransverseGrid) -> np.ndarray:
 
 
 # An SPDC scan sweeps its idler modes cyclically (21 in the acceptance scan),
-# so a cache smaller than one sweep would never hit.
+# so a cache smaller than one sweep and the pump would never hit.
 @functools.lru_cache(maxsize=32)
 def _ring_factor(spec: ModeSpec, grid: TransverseGrid) -> np.ndarray:
     """The unit-power radial factor of `spec` on `grid.radii` (read-only)."""
     out = _unit_on_rings(radial_factor(spec, grid.radii), grid)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=32)
-def _ring_pump(pump_waist: float, grid: TransverseGrid) -> np.ndarray:
-    """The unit-power Gaussian pump of waist `pump_waist` on `grid.radii`
-    (read-only)."""
-    out = _unit_on_rings(np.exp(-(grid.radii / pump_waist) ** 2), grid)
     out.setflags(write=False)
     return out
 
@@ -124,20 +116,20 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
 
     Mode functions are the unit-normalized z = 0 transverse modes (radial
     profile times exp(i ell phi)); the pump is a unit-power Gaussian of the
-    given waist. A Gaussian pump enforces the azimuthal selection rule
-    ell_s + ell_i = 0.
+    given waist, the LG ell = 0 mode of that waist. A Gaussian pump enforces
+    the azimuthal selection rule ell_s + ell_i = 0.
 
     Each factor is a function of r times exp(i ell phi), so the grid sum is
     taken over the grid's rings of equal radius, each weighted by its sum of
     exp(-i (ell_s + ell_i) phi) (its pixel count when ell_s + ell_i = 0); the
     norms use the pixel counts. The ring sum equals the grid sum up to
-    rounding. Each distinct mode and pump is evaluated once per grid and
-    kept (the last 32 of each), as are the ring weights.
+    rounding. Each distinct mode, the pump among them, is evaluated once per
+    grid and kept (the last 32), as are the ring weights.
     """
     if not (np.isfinite(pump_waist) and pump_waist > 0):
         raise ValueError(f"pump_waist must be positive and finite, got {pump_waist}")
     m_s, m_i = _ring_factor(signal, grid), _ring_factor(idler, grid)
-    pump = _ring_pump(pump_waist, grid)
+    pump = _ring_factor(ModeSpec(ModeFamily.LG, 0, pump_waist, signal.wavelength), grid)
     weights = _ring_weights(grid, signal.ell + idler.ell)
     return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
 
@@ -186,7 +178,7 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: 
     """The receiver's unit-power scalar at the station plane on the grid's
     quadrant (TransverseGrid.radial_quadrant), its r = 0 cell zeroed: the
     effective detection states' OAM pair g_+- is this scalar times
-    exp(+-i ell phi), as spin_orbit_pair unfolds it.
+    exp(+-i ell phi), as spin_orbit_pair turns it.
 
     Projecting the station-plane field on detection state j (built from the
     pair like the prepared states, with the source's |ell|) equals running
@@ -200,29 +192,6 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: 
     return unit_quadrant(g, grid)
 
 
-def _receiver_rows(receiver: np.ndarray, turn: np.ndarray, ell: int, rows: slice,
-                   out: np.ndarray) -> np.ndarray:
-    """Rows `rows` of spin_orbit_pair(receiver, grid, ell), written into out
-    (2, rows, n), from the quadrants of the unit-power receiver and of its
-    vortex turn (quadrant_turn). The rows lie on one side of the centre row.
-    The turn elsewhere is its mirror image, t(x, -y) = conj t(x, y) and
-    t(-x, y) = (-1)^ell conj t(x, y), taken by slicing the quadrants."""
-    h = receiver.shape[0] - 1
-    if rows.start >= h:
-        q, (plus, minus) = np.s_[rows.start - h:rows.stop - h], out
-    else:  # y < 0: there the turn is conjugate, so the two signs trade places
-        q, (minus, plus) = np.s_[h - rows.start:h - rows.stop:-1], out
-    a, t = receiver[q], turn[q]
-    np.multiply(a[:, :h], t[:, :h], out=plus[:, h:])
-    np.multiply(a[:, :h], t[:, :h].conj(), out=minus[:, h:])
-    left = t[:, h:0:-1].conj()
-    if ell % 2:
-        np.negative(left, out=left)
-    np.multiply(a[:, h:0:-1], left, out=plus[:, :h])
-    np.multiply(a[:, h:0:-1], left.conj(), out=minus[:, :h])
-    return out
-
-
 def station_grams(pair: np.ndarray, mask: np.ndarray | None, receiver: np.ndarray,
                   grid: TransverseGrid, ell: int) -> tuple[np.ndarray, ...]:
     """The three 2 x 2 Gram matrices (times the pixel area) that a scenario's
@@ -234,8 +203,8 @@ def station_grams(pair: np.ndarray, mask: np.ndarray | None, receiver: np.ndarra
     One pass reads the pair in blocks of rows that never straddle the centre
     row, each as many samples as a block of `gram`. Only the blocks that
     meet a masked row are masked, into one block-sized buffer, and the
-    detection pair is written block by block from the quadrants: no n x n
-    array is made here.
+    detection pair is written block by block from the quadrants
+    (jones._turned_rows): no n x n array is made here.
     """
     n, h = grid.n, grid.n // 2
     step = max(1, min(_GRAM_BLOCK // n, h))
@@ -252,7 +221,7 @@ def station_grams(pair: np.ndarray, mask: np.ndarray | None, receiver: np.ndarra
         if masked_rows is not None and masked_rows[rows].any():
             u = np.multiply(u, mask[rows], out=masked)
         x = u.reshape(2, -1)
-        grams[0] += gram(_receiver_rows(receiver, turn, ell, rows, dets).reshape(2, -1), x)
+        grams[0] += gram(_turned_rows(receiver, turn, ell, rows, dets).reshape(2, -1), x)
         grams[1] += gram(x, x)
         inner = u[:, max(top - r0, 0):max(bottom - r0, 0), window[1]].reshape(2, -1)
         if inner.size:

@@ -336,10 +336,10 @@ def preset_names() -> list[str]:
 
 
 def load_preset(name: str) -> RunConfig:
-    normalized = name.strip().lower()
-    root = resources.files("bgqkd") / "presets"
-    target = root / f"{normalized}.yaml"
-    if not target.is_file():
-        raise ConfigError("preset", f"unknown preset {name!r}; available: {preset_names()}")
+    """The built-in preset `name`, one of preset_names(); paths are refused."""
+    normalized, names = name.strip().lower(), preset_names()
+    if normalized not in names:
+        raise ConfigError("preset", f"unknown preset {name!r}; available: {names}")
+    target = resources.files("bgqkd") / "presets" / f"{normalized}.yaml"
     doc = yaml.safe_load(target.read_text())
     return parse_config(doc, source_name=f"preset:{normalized}")

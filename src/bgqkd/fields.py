@@ -6,9 +6,10 @@ exactly. Polarization is carried as spin-orbit coefficients on a pair of
 scalar OAM fields (see channel).
 
 All objects are immutable after construction; operations are pure functions.
-A grid keeps no n x n plane, only its axis and quadrant-sized folds. Every
-plane-length overlap of the package is a small Gram matrix of stacked fields
-(gram), summed over blocks of columns.
+A grid keeps no n x n plane, only its axis and quadrant-sized folds; a
+function of r stays on the quadrant (radial_quadrant), and jones writes the
+turned planes from it. Every plane-length overlap of the package is a small
+Gram matrix of stacked fields (gram), summed over blocks of columns.
 """
 
 from __future__ import annotations
@@ -90,17 +91,11 @@ class TransverseGrid:
         radii, inverse, _ = self._radial_index
         return f(radii)[inverse]
 
-    def unfold(self, quadrant: np.ndarray) -> np.ndarray:
-        """The n x n field even about the centre in x and in y whose quadrant
-        (as `radial_quadrant` lays it out) is given: the samples at row and
-        column offsets +-i, +-j are all quadrant[i, j]."""
-        return self._tile(quadrant, self._radial_index[2])
-
     def even_part(self, a: np.ndarray) -> np.ndarray:
         """The part of a stack a (..., n, n) even about the centre in x and in
-        y, on the quadrant as `unfold` takes it: cell [i, j] is the mean of a
-        over the samples at row and column offsets +-i, +-j, the adjoint of
-        `unfold` divided by the fold counts. even_part(unfold(q)) is q."""
+        y, on the quadrant as `radial_quadrant` lays it out: cell [i, j] is
+        the mean of a over the samples at row and column offsets +-i, +-j, the
+        pixels that quadrant cell stands for."""
         h, pieces = self.n // 2, self._radial_index[2]
         out = np.zeros(a.shape[:-2] + (h + 1, h + 1), a.dtype)
         for rows, source_rows in pieces:
@@ -118,17 +113,10 @@ class TransverseGrid:
         counts[[0, -1]] = 1.0
         return counts
 
-    def radial(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """f(r) on the grid, with f called once on the 1-D array of distinct radii.
-
-        f must act elementwise; the result equals f of the per-pixel radius
-        hypot(axis[None, :], axis[:, None]) bit for bit.
-        """
-        return self.unfold(self.radial_quadrant(f))
-
     @property
     def radii(self) -> np.ndarray:
-        """The distinct sample radii, ascending: the points `radial` calls f on."""
+        """The distinct sample radii, ascending: the points `radial_quadrant`
+        calls f on."""
         return self._radial_index[0]
 
     def ring_weights(self, m: int) -> np.ndarray:

@@ -2,10 +2,12 @@
 strings psi00..phi11 whose order is the row order of SPIN_ORBIT and of every
 8 x 8 table), the wave plates around the q = ell/2 plate that prepare each
 from an H-polarized photon, their four-dimensional spin-orbit vectors, the
-OAM pair the engine carries (one (2, n, n) array), its vortex turn, for odd
-ell its first free-space leg on real parity quadrants, and the
-mutual-unbiasedness check. The per-pixel Jones trains that realize the
-recipe on grid fields are the tests' reference (tests/polarized_oracle.py).
+OAM pair the engine carries (one (2, n, n) array), the vortex turn on the
+grid quadrant and the one writer of turned planes, which mirrors it out row
+by row, for odd ell the pair's first free-space leg on real parity
+quadrants, and the mutual-unbiasedness check. The per-pixel Jones trains
+that realize the recipe on grid fields are the tests' reference
+(tests/polarized_oracle.py).
 """
 
 from __future__ import annotations
@@ -78,26 +80,14 @@ SPIN_ORBIT: np.ndarray = np.stack([mub_state_vector(l) for l in LABELS])
 SPIN_ORBIT.setflags(write=False)
 
 
-def vortex_turn(grid: TransverseGrid, ell: int, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(i ell phi) on `grid` as ((x + i y) / r)^ell: one n x n complex
-    plane, `out` if given. 1/r is evaluated once per distinct radius, and
-    the r = 0 sample is 1 (phi = arctan2(0, 0) = 0). No transcendental
-    function runs per pixel; the turn agrees with exp(i ell phi) to within
-    4 ell ulp."""
-    turn = np.empty((grid.n, grid.n), dtype=complex) if out is None else out
-    inv_r = grid.radial(lambda r: np.divide(1.0, r, out=np.zeros_like(r), where=r > 0))
-    np.multiply(grid.axis[None, :], inv_r, out=turn.real)
-    np.multiply(grid.axis[:, None], inv_r, out=turn.imag)
-    turn[grid.n // 2, grid.n // 2] = 1.0
-    return turn if ell == 1 else np.power(turn, ell, out=turn)
-
-
 def quadrant_turn(grid: TransverseGrid, ell: int) -> np.ndarray:
-    """vortex_turn's values at row and column offsets >= 0, on the quadrant
-    as TransverseGrid.radial_quadrant lays it out: cell [i, j] holds the turn
-    at (x, y) = (j dx, i dx), and the r = 0 cell is 0. The rest of the grid
-    is its mirror image: t(-x, y) = (-1)^ell conj t(x, y) and
-    t(x, -y) = conj t(x, y), both exact in floating point."""
+    """The vortex turn exp(i ell phi) as ((x + i y) / r)^ell at row and column
+    offsets >= 0, on the quadrant as TransverseGrid.radial_quadrant lays it
+    out: cell [i, j] holds the turn at (x, y) = (j dx, i dx). 1/r is
+    evaluated once per distinct radius, and the r = 0 cell is 1
+    (phi = arctan2(0, 0) = 0). No transcendental function runs per cell; the
+    turn agrees with exp(i ell phi) to within 4 ell ulp. The rest of the grid
+    is its mirror image (_turned_rows)."""
     h = grid.n // 2
     offsets = np.abs(grid.axis[:h + 1])[::-1]  # as TransverseGrid.radial_quadrant
     inv_r = grid.radial_quadrant(lambda rr: np.divide(1.0, rr, out=np.zeros_like(rr),
@@ -106,7 +96,32 @@ def quadrant_turn(grid: TransverseGrid, ell: int) -> np.ndarray:
     np.multiply(offsets[None, :], inv_r, out=turn.real)
     np.multiply(offsets[:, None], inv_r, out=turn.imag)
     del inv_r
+    turn[0, 0] = 1.0
     return turn if ell == 1 else np.power(turn, ell, out=turn)
+
+
+def _turned_rows(a: np.ndarray, turn: np.ndarray, ell: int, rows: slice,
+                 out: np.ndarray) -> np.ndarray:
+    """Rows `rows` (start and stop given, on one side of the centre row) of
+    (a t_+, a t_-), t_+- = exp(+-i ell phi), written into out (2, rows, n)
+    from the quadrants of a field `a` even in x and in y and of the turn
+    (quadrant_turn). Elsewhere the turn is its mirror image, t(x, -y) =
+    conj t(x, y) and t(-x, y) = (-1)^ell conj t(x, y), both exact in floating
+    point, taken by slicing the quadrants."""
+    h = turn.shape[0] - 1
+    if rows.start >= h:
+        q, (plus, minus) = np.s_[rows.start - h:rows.stop - h], out
+    else:  # y < 0: there the turn is conjugate, so the two signs trade places
+        q, (minus, plus) = np.s_[h - rows.start:h - rows.stop:-1], out
+    a, t = a[q], turn[q]
+    np.multiply(a[:, :h], t[:, :h], out=plus[:, h:])
+    np.multiply(a[:, :h], t[:, :h].conj(), out=minus[:, h:])
+    left = t[:, h:0:-1].conj()
+    if ell % 2:
+        np.negative(left, out=left)
+    np.multiply(a[:, h:0:-1], left, out=plus[:, :h])
+    np.multiply(a[:, h:0:-1], left.conj(), out=minus[:, :h])
+    return out
 
 
 def unit_quadrant(profile: np.ndarray, grid: TransverseGrid) -> np.ndarray:
@@ -126,7 +141,7 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     about the grid centre in x and in y, given by its quadrant
     (TransverseGrid.radial_quadrant): it is scaled to unit power there, each
     cell weighted by the pixels it stands for (grid.fold_counts in each
-    axis), and unfolded once.
+    axis), and turned per half of the grid (_turned_rows).
 
     Every prepared state is a spin-orbit superposition of the pair: the
     wave-plate train of LABELS[i] run on H (x) profile equals, up to a global
@@ -134,12 +149,11 @@ def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> 
     (p_k) = (R, R, L, L), the rows of SPIN_ORBIT being mub_state_vector of
     LABELS.
     """
-    u = grid.unfold(unit_quadrant(profile, grid))
-    pair = np.empty((2, grid.n, grid.n), dtype=complex)
-    turn = vortex_turn(grid, ell, out=pair[0])
-    # conj(turn) * u, the operand order (and rounding) of numpy's elided u * turn.conj()
-    np.multiply(np.conj(turn, out=pair[1]), u, out=pair[1])
-    np.multiply(u, turn, out=turn)
+    n, h = grid.n, grid.n // 2
+    a, turn = unit_quadrant(profile, grid), quadrant_turn(grid, ell)
+    pair = np.empty((2, n, n), complex)
+    for rows in (slice(0, h), slice(h, n)):
+        _turned_rows(a, turn, ell, rows, pair[:, rows])
     return pair
 
 

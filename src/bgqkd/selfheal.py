@@ -7,7 +7,8 @@ count-rate recovery a receiver at each station actually observes). It is 1
 without an obstacle by construction, rises with the decoding distance as the
 mode self-reconstructs, and directly mirrors the normalized-counts comparison
 between mode families. The receiver is even in x and in y, so the scan
-projects on its parity quadrant for any obstacle, with no n x n transform.
+projects on its parity quadrant for any obstacle, with no n x n transform
+and no n x n turn plane.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 from scipy import fft as spfft
 
 from .channel import DetectionModel, detection_scalar, source_leg
-from .fields import TransverseGrid, gram
-from .jones import mub_state_vector, vortex_turn
+from .fields import _GRAM_BLOCK, TransverseGrid, gram
+from .jones import _turned_rows, mub_state_vector, quadrant_turn
 from .modes import ModeSpec
 from .propagation import ObstacleSpec, free_space_kernel, obstacle_mask
 
@@ -41,13 +42,13 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     <BP_L a|b> = dA / N^2 sum_k conj(a^) K_L b^, K_L = transfer_function(L).
     The matched amplitude is linear in the station pair, so the labelled
     state j's weights are contracted first, to one station-plane field X,
-    free and blocked. The receiver's scalar and the axial sample are even in
-    x and in y, so they see only X's even part (TransverseGrid.even_part),
-    whose DFT is the DCT-I of its quadrant, as the receiver's is. K_L
-    depends on k only through |k_t|^2: each sum the scan reads,
-    sum_k A(k) K_L(|k_t|^2), is summed over each distinct |k_t|^2 once
-    (TransverseGrid.spectral_sums), and a station costs the kernel on those
-    values (free_space_kernel) and three short dot products.
+    free and blocked, demodulated in blocks of rows. The receiver's scalar
+    and the axial sample are even in x and in y, so they see only X's even
+    part (TransverseGrid.even_part), whose DFT is the DCT-I of its quadrant,
+    as the receiver's is. K_L depends on k only through |k_t|^2: each sum
+    the scan reads, sum_k A(k) K_L(|k_t|^2), is summed over each distinct
+    |k_t|^2 once (TransverseGrid.spectral_sums), and a station costs the
+    kernel on those values (free_space_kernel) and three short dot products.
     """
     ell = abs(source.ell) or 1
     a = mub_state_vector(label).reshape(2, 2)  # a[p, s]: polarization p, OAM sign s
@@ -73,11 +74,20 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
     free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
     power = float(np.trace(gram(free.reshape(2, -1), targets.reshape(2, -1))).real * area)
     del free
-    turn = vortex_turn(grid, ell)  # conj(t_-)
-    targets[1] *= turn
-    targets[0] *= np.conj(turn, out=turn)
-    targets[0] += targets[1]
-    del turn
+    # X in blocks of rows that never straddle the centre row, with the
+    # block's turns t_+- = conj(t_-+) written from the quadrant turn
+    h = n // 2
+    step = max(1, min(_GRAM_BLOCK // n, h))
+    turn, ones = quadrant_turn(grid, ell), np.broadcast_to(1.0, (h + 1, h + 1))
+    turns = np.empty((2, step, n), complex)
+    for r0 in range(0, n, step):
+        rows = slice(r0, r0 + step)
+        t_plus, t_minus = _turned_rows(ones, turn, ell, rows, turns)
+        y = targets[:, rows]
+        y[1] *= t_plus
+        y[0] *= t_minus
+        y[0] += y[1]
+    del turn, turns
     np.multiply(targets[0], mask, out=targets[1])
     del mask
     x = grid.even_part(targets)

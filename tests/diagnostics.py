@@ -1,6 +1,7 @@
 """Field diagnostics the tests use to check prepared states: azimuthal (OAM)
-spectra, Stokes maps, projected-lobe orientation, and the split into circular
-components with |L> = (1, i)/sqrt(2), |R> = (1, -i)/sqrt(2).
+spectra, Stokes maps, projected-lobe orientation, the split into circular
+components with |L> = (1, i)/sqrt(2), |R> = (1, -i)/sqrt(2), and the n x n
+plane of a field even about the grid centre, given by its quadrant.
 """
 
 import numpy as np
@@ -10,6 +11,15 @@ from bgqkd.fields import ScalarField
 from polarized_oracle import PolarizedField, polarized_from_arrays
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def unfold(grid, quadrant: np.ndarray) -> np.ndarray:
+    """The n x n field even about the centre of `grid` in x and in y whose
+    quadrant (as TransverseGrid.radial_quadrant lays it out) is given: the
+    samples at row and column offsets +-i, +-j are all quadrant[i, j]. So
+    unfold(grid, grid.radial_quadrant(f)) is f of the per-pixel radius."""
+    offset = np.abs(np.arange(grid.n) - grid.n // 2)
+    return quadrant[offset[:, None], offset[None, :]]
 
 
 def circular(f: PolarizedField) -> tuple[ScalarField, ScalarField]:

@@ -108,7 +108,9 @@ def horizontally_polarized(scalar: ScalarField, wavelength: float) -> PolarizedF
 def heralded_input(source: ModeSpec, grid: TransverseGrid) -> PolarizedField:
     """Heralded photon state: the unit-power ell = 0 profile, horizontally
     polarized."""
-    profile = unit_power(grid.unfold(heralded_profile(source, grid)), grid)
+    from diagnostics import unfold  # diagnostics imports this module
+
+    profile = unit_power(unfold(grid, heralded_profile(source, grid)), grid)
     return horizontally_polarized(ScalarField(grid, profile), source.wavelength)
 
 

@@ -147,6 +147,7 @@ def uncached_overlap(signal, idler, pump_waist, grid):
 
 class TestSpdcOverlapCache:
     grid = TransverseGrid(n=128, extent=10e-3)
+    PUMP = ModeSpec(family=ModeFamily.LG, ell=0, w0=1.0e-3, wavelength=WAVELENGTH)
 
     def scan(self, pairs=SCAN_PAIRS):
         return [spdc_overlap(s, i, 1.0e-3, self.grid) for s, i in pairs]
@@ -176,14 +177,15 @@ class TestSpdcOverlapCache:
         self.scan()
         distinct = {mode for pair in SCAN_PAIRS for mode in pair}
         assert len(distinct) == 25  # k_r = 18 rad/mm, ell = 0 is in both parts
+        distinct.add(self.PUMP)  # the pump is the LG ell = 0 mode of its waist
         assert len(modes) == len(distinct) and set(modes) == distinct
         assert sorted(ms) == [-2, -1, 0, 1, 2]
-        assert len(scaled) == len(distinct) + 1  # every mode, and the pump once
+        assert len(scaled) == len(distinct)
 
     def test_cached_arrays_are_read_only(self, cold_ring_caches):
         self.scan(SCAN_PAIRS[:6])
         arrays = [channel._ring_factor(bg_mode(1), self.grid),
-                  channel._ring_pump(1.0e-3, self.grid),
+                  channel._ring_factor(self.PUMP, self.grid),
                   channel._ring_weights(self.grid, 0), channel._ring_weights(self.grid, 2)]
         for a in arrays:
             assert not a.flags.writeable

@@ -183,6 +183,14 @@ class TestConfigErrors:
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_preset_path_refused_before_any_work(self, tmp_path, capsys):
+        # --preset takes a name that preset_names() lists, not a path to a file
+        rc = main(["security", "--preset", "../presets/paper-bg",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error at preset: unknown preset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_channel_shorthand_is_an_unknown_key(self, tmp_path, capsys):
         # a link is written as a scenarios entry; there is no second spelling
         doc = dict(TINY, channel={"length": "0.05m", "station_z": "0.01m"})

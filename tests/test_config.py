@@ -267,8 +267,10 @@ class TestPresets:
         assert cfg.source.family.value == "LG"
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            load_preset("paper-does-not-exist")
+        # a path to a preset's file is not a preset name
+        for name in ("paper-does-not-exist", "../presets/paper-bg", "./paper-bg"):
+            with pytest.raises(ConfigError, match="unknown preset"):
+                load_preset(name)
 
     def test_paper_geometry_inequalities(self):
         # the reproduction geometry must satisfy z_min(600um) < L < z_min(800um)

@@ -15,7 +15,7 @@ from bgqkd.fields import _GRAM_BLOCK, gram
 from bgqkd.propagation import free_space_kernel, transfer_function
 
 from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
-from diagnostics import circular, linear
+from diagnostics import circular, linear, unfold
 from polarized_oracle import (
     GridMismatchError,
     PolarizedField,
@@ -49,19 +49,13 @@ class TestGrid:
         assert g.axis[0] == pytest.approx(-3.2e-3)
 
     def test_radial_reproduces_pixel_radius(self):
+        # quadrant cell [i, j] stands for every pixel at row offset +-i and
+        # column offset +-j from the centre, each from the same hypot as the
+        # per-pixel radius; fold_counts counts those offsets
         for n in (64, 128, 256):
             g = TransverseGrid(n=n, extent=7.3e-3)
-            assert np.array_equal(g.radial(lambda r: r), pixel_radius(g))
-
-    def test_unfold_places_each_cell_at_its_offsets(self):
-        # quadrant cell [i, j] lands on every pixel at row offset +-i and
-        # column offset +-j from the centre; fold_counts counts those offsets
-        g = TransverseGrid(n=64, extent=7.3e-3)
-        q = np.random.default_rng(3).standard_normal((33, 33))
-        offset = np.abs(np.arange(64) - 32)
-        assert np.array_equal(g.unfold(q), q[offset[:, None], offset[None, :]])
-        assert np.array_equal(g.fold_counts, np.bincount(offset))
-        assert np.array_equal(g.unfold(g.radial_quadrant(lambda r: r)), pixel_radius(g))
+            assert np.array_equal(unfold(g, g.radial_quadrant(lambda r: r)), pixel_radius(g))
+            assert np.array_equal(g.fold_counts, np.bincount(np.abs(np.arange(n) - n // 2)))
 
     def test_spectral_quadrant_is_the_low_corner(self):
         g = TransverseGrid(n=64, extent=7.3e-3)
@@ -89,18 +83,17 @@ class TestGrid:
         assert out.shape == (grid256.n, grid256.n)
 
     def test_expansions_are_c_contiguous(self, grid256):
-        for out in (grid256.radial(lambda r: r), grid256.spectral(lambda k2: k2),
-                    grid256.radial(lambda r: np.exp(1j * r)),
-                    grid256.spectral(lambda k2: k2 > 0)):
+        for out in (grid256.spectral(lambda k2: k2), grid256.spectral(lambda k2: k2 > 0),
+                    grid256.spectral(lambda k2: np.exp(1j * k2))):
             assert out.flags.c_contiguous
 
     def test_expansions_hold_no_intermediate_plane(self, grid256):
         # the result and the quadrant it is copied from, nothing else n x n
-        for expand in (grid256.radial, grid256.spectral):
-            expand(lambda v: v)  # the cached index, outside the trace
+        for f in (lambda k2: k2, lambda k2: np.exp(1j * k2)):
+            grid256.spectral(f)  # the cached index, outside the trace
             tracemalloc.start()
             try:
-                out = expand(lambda v: v)
+                out = grid256.spectral(f)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -172,7 +165,7 @@ class TestEvenPart:
     def test_unfolded_quadrant_comes_back(self, grid):
         h = grid.n // 2
         q = self.random_stack(grid, 1)[:h + 1, :h + 1]
-        assert np.array_equal(grid.even_part(grid.unfold(q)), q)
+        assert np.array_equal(grid.even_part(unfold(grid, q)), q)
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["64", "128"])
     def test_field_odd_in_x_is_zero(self, grid):
@@ -192,7 +185,7 @@ class TestEvenPart:
         a = self.random_stack(grid, 3, (2,))
         q = self.random_stack(grid, 4)[:h + 1, :h + 1]
         weights = np.outer(grid.fold_counts, grid.fold_counts)
-        expected = np.sum(a * grid.unfold(q), axis=(-2, -1))
+        expected = np.sum(a * unfold(grid, q), axis=(-2, -1))
         got = np.sum(grid.even_part(a) * weights * q, axis=(-2, -1))
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 

@@ -10,7 +10,8 @@ from bgqkd import (
     mub_state_vector,
 )
 from bgqkd.channel import DetectionModel, detection_scalar, heralded_profile
-from bgqkd.jones import LABELS, SPIN_ORBIT, spin_orbit_pair, vortex_turn, wave_plates
+from bgqkd.jones import (LABELS, SPIN_ORBIT, _turned_rows, quadrant_turn, spin_orbit_pair,
+                         wave_plates)
 from bgqkd.propagation import propagate_quadrant
 
 from conftest import WAVELENGTH, random_polarized, spin_orbit_states
@@ -20,6 +21,7 @@ from diagnostics import (
     linear,
     polarization_variance,
     projected_lobe_axis,
+    unfold,
 )
 from polarized_oracle import (
     HalfWavePlate,
@@ -209,22 +211,39 @@ class TestPrepareState:
             assert polarization_variance(out) < 1e-6
 
 
-@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("ell", [1, 2, 3])
 def test_spin_orbit_pair_matches_full_plane_formula(grid256, bg_source, ell):
-    # from the quadrant, scaled with the fold counts and unfolded once, against
-    # the plane: profile on every pixel, r = 0 sample nulled, unit power over
-    # all pixels, times exp(+-i ell phi); for the real heralded profile and
-    # the complex receiver scalar carried back over 0.3 m
+    # from the quadrant, scaled with the fold counts and turned and mirrored
+    # out (_turned_rows) on each half of the grid, against the plane: profile
+    # on every pixel, r = 0 sample nulled, unit power over all pixels, times
+    # exp(+-i ell phi); for the real heralded profile and the complex
+    # receiver scalar carried back over 0.3 m
     receiver = detection_scalar(bg_source, grid256, DetectionModel(smf_waist=0.45e-3))
     for q in (heralded_profile(bg_source, grid256),
               propagate_quadrant(receiver, grid256, WAVELENGTH, -0.3)):
-        u = grid256.unfold(q).astype(complex)
+        u = unfold(grid256, q).astype(complex)
         u[128, 128] = 0.0
         u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid256.pixel_area)
         turn = np.exp(1j * ell * grid256.phi)
         ref = np.stack([u * turn, u * turn.conj()])
         got = spin_orbit_pair(q, grid256, ell)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def halves(grid):
+    """The two row blocks of `grid` on either side of its centre row."""
+    return slice(0, grid.n // 2), slice(grid.n // 2, grid.n)
+
+
+def turned_plane(grid, ell):
+    """The turns (t_+, t_-) = exp(+-i ell phi) on every pixel of `grid`, as
+    _turned_rows writes them: a quadrant of ones turned and mirrored out."""
+    h = grid.n // 2
+    out = np.empty((2, grid.n, grid.n), complex)
+    ones, turn = np.ones((h + 1, h + 1)), quadrant_turn(grid, ell)
+    for rows in halves(grid):
+        _turned_rows(ones, turn, ell, rows, out[:, rows])
+    return out
 
 
 class TestVortexTurn:
@@ -234,21 +253,27 @@ class TestVortexTurn:
     @pytest.mark.parametrize("ell", [0, 1, 2, 3])
     def test_matches_azimuth_exponential(self, n, ell):
         grid = TransverseGrid(n=n, extent=10e-3)
-        turn = vortex_turn(grid, ell)
         phi = np.arctan2(grid.axis[:, None], grid.axis[None, :])
-        # the bound is 0 for ell = 0: the plane is exactly 1 everywhere
-        assert np.max(np.abs(turn - np.exp(1j * ell * phi))) <= 4 * ell * self.EPS
-        assert np.max(np.abs(np.abs(turn) - 1.0)) <= 4 * max(ell, 1) * self.EPS
-        assert turn[n // 2, n // 2] == 1.0  # arctan2(0, 0) = 0
+        for sign, turn in zip((1, -1), turned_plane(grid, ell)):
+            # the bound is 0 for ell = 0: the plane is exactly 1 everywhere
+            assert np.max(np.abs(turn - np.exp(sign * 1j * ell * phi))) <= 4 * ell * self.EPS
+            assert np.max(np.abs(np.abs(turn) - 1.0)) <= 4 * max(ell, 1) * self.EPS
+            assert turn[n // 2, n // 2] == 1.0  # arctan2(0, 0) = 0
 
     def test_ell_zero_is_exactly_one(self, grid256):
-        assert np.all(vortex_turn(grid256, 0) == 1.0)
+        assert np.all(quadrant_turn(grid256, 0) == 1.0)
+        assert np.all(turned_plane(grid256, 0) == 1.0)
 
     @pytest.mark.parametrize("ell", [1, 2])
     def test_fills_given_plane(self, grid256, ell):
-        out = np.full((256, 256), np.nan, dtype=complex)
-        assert vortex_turn(grid256, ell, out=out) is out
-        assert np.array_equal(out, vortex_turn(grid256, ell))
+        # each call writes every cell of its rows into the given view
+        h = grid256.n // 2
+        out = np.full((2, 256, 256), np.nan, dtype=complex)
+        ones, turn = np.ones((h + 1, h + 1)), quadrant_turn(grid256, ell)
+        for rows in halves(grid256):
+            view = out[:, rows]
+            assert _turned_rows(ones, turn, ell, rows, view) is view
+        assert np.array_equal(out, turned_plane(grid256, ell))
 
 
 class TestMubVectors:

@@ -16,11 +16,11 @@ from bgqkd import (
     shadow_length,
 )
 from bgqkd.channel import heralded_profile
-from bgqkd.jones import spin_orbit_pair, vortex_turn
+from bgqkd.jones import spin_orbit_pair
 from bgqkd.modes import full_reconstruction_distance, radial_factor
 
 from conftest import W0, WAVELENGTH, K_R, pixel_radius
-from diagnostics import dominant_oam_fraction
+from diagnostics import dominant_oam_fraction, unfold
 from reference_oracles import BESSEL_REFERENCE, J0_ROOTS, J1_ROOTS, bg_radial, unit_power
 
 
@@ -34,7 +34,7 @@ def lg_spec(ell=0, w0=W0):
 
 def profile_plane(spec, grid):
     """The heralded profile of `spec` unfolded to the grid, unnormalised."""
-    return grid.unfold(heralded_profile(spec, grid))
+    return unfold(grid, heralded_profile(spec, grid))
 
 
 def pair_powers(spec, grid):
@@ -110,8 +110,8 @@ class TestBgProfile:
     def test_oam_concentration(self, grid256):
         # the mode R(r) exp(i ell phi) that spdc_overlap sums over rings
         for ell in (0, 1, 2):
-            radial = grid256.radial(partial(radial_factor, bg_spec(ell)))
-            f = ScalarField(grid256, radial * vortex_turn(grid256, ell))
+            radial = unfold(grid256, grid256.radial_quadrant(partial(radial_factor, bg_spec(ell))))
+            f = ScalarField(grid256, radial * np.exp(1j * ell * grid256.phi))
             assert dominant_oam_fraction(f, ell) > 0.999
 
     def test_bad_input(self):
@@ -177,9 +177,14 @@ def test_radial_factor_matches_complex_form(grid512, ell, k_r):
     assert np.max(np.abs(got - ref)) <= 12 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
+def hologram_plane(grid):
+    """The binary Bessel hologram at K_R on every pixel of `grid`."""
+    return unfold(grid, grid.radial_quadrant(partial(binary_bessel_hologram, K_R)))
+
+
 class TestHologram:
     def test_center_positive_and_first_flip(self, grid512):
-        t = grid512.radial(partial(binary_bessel_hologram, K_R))
+        t = hologram_plane(grid512)
         center = grid512.n // 2
         assert t[center, center] == 1.0
         r_flip = J0_ROOTS[0] / K_R
@@ -187,7 +192,7 @@ class TestHologram:
         assert t[center, idx] == -1.0
 
     def test_unimodular(self, grid256):
-        t = grid256.radial(partial(binary_bessel_hologram, K_R))
+        t = hologram_plane(grid256)
         assert set(np.unique(t)) == {-1.0, 1.0}
 
     def test_requires_positive_kr(self, grid256):
@@ -196,7 +201,7 @@ class TestHologram:
 
     def test_matches_full_grid_formula(self, grid256):
         expected = np.where(special.jv(0, K_R * pixel_radius(grid256)) >= 0.0, 1.0, -1.0)
-        assert np.array_equal(grid256.radial(partial(binary_bessel_hologram, K_R)), expected)
+        assert np.array_equal(hologram_plane(grid256), expected)
 
     @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
     def test_matches_jv_sign_on_grid_radii(self, n):

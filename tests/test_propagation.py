@@ -20,6 +20,7 @@ from bgqkd.propagation import (
 )
 
 from conftest import W0, WAVELENGTH, K_R, pixel_radius, random_polarized
+from diagnostics import unfold
 from polarized_oracle import (
     BandLimitWarning,
     PolarizedField,
@@ -112,7 +113,7 @@ class TestPropagate:
         grid = TransverseGrid(n=512, extent=10e-3)
         spec = ModeSpec(family=ModeFamily.BG, ell=0, w0=W0, wavelength=WAVELENGTH, k_r=K_R)
         z_half = 0.5 * nondiffracting_distance(spec)
-        start = unit_power(grid.unfold(heralded_profile(spec, grid)), grid)
+        start = unit_power(unfold(grid, heralded_profile(spec, grid)), grid)
         numerics = {z: propagate_samples(start, grid, WAVELENGTH, z) for z in (z_half, 0.517)}
         sel = pixel_radius(grid) < 1e-3
         i0 = np.abs(start[sel]) ** 2
@@ -371,7 +372,7 @@ def test_quadrant_transport_equals_full_plane_transport(bg_source, n, extent, dz
     gaussian = grid.radial_quadrant(lambda r: np.exp(-(r / 0.6e-3) ** 2))
     receiver = detection_scalar(bg_source, grid, DetectionModel(smf_waist=0.45e-3))
     for q in (receiver, gaussian):
-        got = grid.unfold(propagate_quadrant(q, grid, WAVELENGTH, dz))
-        ref = propagate_samples(grid.unfold(q), grid, WAVELENGTH, dz)
+        got = unfold(grid, propagate_quadrant(q, grid, WAVELENGTH, dz))
+        ref = propagate_samples(unfold(grid, q), grid, WAVELENGTH, dz)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert propagate_quadrant(gaussian, grid, WAVELENGTH, 0.0) is gaussian

@@ -2,10 +2,13 @@
 
 Each bound is the traced (tracemalloc) peak of one call from a cold leg cache
 on a fresh n = 256 grid, with about half a plane of headroom over what the
-engine needs. A scan contracts the matched state's weights to 2 station
-planes, free and blocked, and folds their even parts onto the grid quadrant
-before it lets them go; it transforms no n x n plane, and a station adds
-none.
+engine needs. No call makes an n x n turn plane: the vortex turn lives on
+the grid quadrant (a quarter plane), and every turned field is written from it
+a block of rows at a time.
+A scan contracts the matched state's weights to 2 station planes, free and
+blocked, demodulates them block by block in place, and folds their even parts
+onto the grid quadrant before it lets them go; it transforms no n x n plane,
+and a station adds none.
 The source's first leg runs on parity quadrants and writes the pair once, so a
 cold station pair holds the pair, the mask and the masked pair. A scattering
 matrix makes no masked pair and no detection pair: beside the shared leg it
