@@ -57,6 +57,19 @@ class TestGrid:
             assert np.array_equal(unfold(g, g.radial_quadrant(lambda r: r)), pixel_radius(g))
             assert np.array_equal(g.fold_counts, np.bincount(np.abs(np.arange(n) - n // 2)))
 
+    def test_unfold_places_each_cell_at_its_offsets(self):
+        # quadrant cell [i, j] lands on every pixel at row offset +-i and
+        # column offset +-j from the centre; fold_counts counts those offsets
+        g = TransverseGrid(n=64, extent=7.3e-3)
+        q = np.random.default_rng(3).standard_normal((33, 33))
+        for i, j in ((0, 0), (1, 0), (0, 5), (7, 12), (32, 32)):
+            rows = {32 - i, (32 + i) % 64} if i < 32 else {0}
+            cols = {32 - j, (32 + j) % 64} if j < 32 else {0}
+            hits = np.argwhere(unfold(g, q) == q[i, j])
+            assert {tuple(p) for p in hits} == {(r, c) for r in rows for c in cols}
+        assert np.array_equal(g.fold_counts, np.bincount(np.abs(np.arange(64) - 32)))
+        assert np.array_equal(unfold(g, g.radial_quadrant(lambda r: r)), pixel_radius(g))
+
     def test_spectral_quadrant_is_the_low_corner(self):
         g = TransverseGrid(n=64, extent=7.3e-3)
         assert np.array_equal(g.spectral_quadrant(np.sqrt), g.spectral(np.sqrt)[:33, :33])
