@@ -13,21 +13,20 @@ scalar OAM fields, so only those are transported, as one (2, n, n) array.
 For odd ell, as in every preset, the source pair is carried up to the first
 obstacle plane or station on the real parity quadrants of its part
 R(r) cos(ell phi) (source_leg, jones.spin_orbit_leg) and written once at the
-end. For even ell, and behind a mask, it is carried as the (2, n, n) array
+end. For even ell, and past an obstacle, it is carried as the (2, n, n) array
 (propagation.propagate_samples). The receiver's scalar, a function of r, is
 carried back on its quadrant: a scenario projects the cached station pair
 on it in one pass over blocks of rows (station_grams), each block's turned
-receiver rows written from the quadrant (jones._turned_rows), masking only
-the rows an obstacle on the station plane meets. Beside the leg it holds
-the real station-plane mask, quadrants and one block of rows: no complex
-n x n array.
+receiver rows written from the quadrant (jones._turned_rows), zeroing only
+the samples an obstacle on the station plane covers. Beside the leg it holds
+those samples' indices, quadrants and one block of rows: no n x n array.
 
 The scenarios of a run share the source, and often the whole free-space leg
-to their station: the paper's three links differ only by the mask on the
-station plane. The source pair's transport is therefore a walk over prefixes
-of the channel, each kept once per process (the last three; a (2, n, n)
-entry holds 8.4 MB at n = 512 and 33.6 MB at n = 1024), and each scenario or
-snapshot applies only the masks on its own plane.
+to their station: the paper's three links differ only by the obstacle on
+the station plane. The source pair's transport is therefore a walk over
+prefixes of the channel, each kept once per process (the last three; a
+(2, n, n) entry holds 8.4 MB at n = 512 and 33.6 MB at n = 1024), and each
+scenario or snapshot zeroes only what its own plane's obstacles cover.
 """
 
 from __future__ import annotations
@@ -40,15 +39,15 @@ import numpy as np
 
 from .analysis import interior_window
 from .fields import _GRAM_BLOCK, TransverseGrid, gram
-from .jones import (LABELS, SPIN_ORBIT, _turned_rows, quadrant_turn, spin_orbit_leg,
-                    spin_orbit_pair, unit_quadrant)
+from .jones import (LABELS, SPIN_ORBIT, _to_unit_power, _turned_rows, quadrant_turn,
+                    spin_orbit_leg, spin_orbit_pair, unit_quadrant)
 from .modes import ModeFamily, ModeSpec, binary_bessel_hologram, radial_factor
 from .propagation import (
     ChannelSpec,
     ObstacleSpec,
     band_limit_message,
     band_tail_fraction,
-    obstacle_mask,
+    covered_samples,
     propagate_quadrant,
     propagate_samples,
 )
@@ -84,28 +83,37 @@ def heralded_profile(source: ModeSpec, grid: TransverseGrid) -> np.ndarray:
     return grid.radial_quadrant(functools.partial(radial_factor, spec))
 
 
-def _unit_on_rings(f: np.ndarray, grid: TransverseGrid) -> np.ndarray:
-    """Radial samples f on `grid.radii`, scaled to unit power over the grid."""
-    p = np.sum(_ring_weights(grid, 0) * np.abs(f) ** 2) * grid.pixel_area
-    if p == 0.0:
-        raise ValueError("cannot normalize a zero field")
-    return f / np.sqrt(p)
-
-
 # An SPDC scan sweeps its idler modes cyclically (21 in the acceptance scan),
 # so a cache smaller than one sweep and the pump would never hit.
 @functools.lru_cache(maxsize=32)
-def _ring_factor(spec: ModeSpec, grid: TransverseGrid) -> np.ndarray:
-    """The unit-power radial factor of `spec` on `grid.radii` (read-only)."""
-    out = _unit_on_rings(radial_factor(spec, grid.radii), grid)
+def _mode_quadrant(spec: ModeSpec, grid: TransverseGrid) -> np.ndarray:
+    """The unit-power radial factor of `spec` on the grid's quadrant
+    (TransverseGrid.radial_quadrant), read-only."""
+    out = _to_unit_power(grid.radial_quadrant(functools.partial(radial_factor, spec)), grid)
     out.setflags(write=False)
     return out
 
 
 @functools.lru_cache(maxsize=32)
-def _ring_weights(grid: TransverseGrid, m: int) -> np.ndarray:
-    """`grid.ring_weights(m)` (read-only)."""
-    out = grid.ring_weights(m)
+def _azimuth_weights(grid: TransverseGrid, m: int) -> np.ndarray:
+    """The sum of exp(-i m phi) over the pixels each quadrant cell stands for
+    (read-only). For m != 0 it sums t = quadrant_turn(grid, |m|) over the
+    mirror images t(x, -y) = conj t, t(-x, y) = (-1)^m conj t that exist:
+    offsets 0..n/2-1 on an axis's positive side (p = 1) and 1..n/2 on its
+    negative (q = 1), which gives outer(p + q, p + (-1)^m q) Re t
+    + i outer(p - q, p - (-1)^m q) Im t, conjugated for m > 0."""
+    if m == 0:
+        counts = grid.fold_counts
+        out = np.outer(counts, counts)
+    else:
+        offsets = np.arange(grid.n // 2 + 1)
+        p, q, sign = (offsets < grid.n // 2) * 1.0, (offsets > 0) * 1.0, (-1) ** m
+        turn = quadrant_turn(grid, abs(m))
+        out = np.empty_like(turn)
+        np.multiply(np.outer(p + q, p + sign * q), turn.real, out=out.real)
+        np.multiply(np.outer(p - q, p - sign * q), turn.imag, out=out.imag)
+        if m > 0:  # exp(-i m phi) = conj(t)
+            np.negative(out.imag, out=out.imag)
     out.setflags(write=False)
     return out
 
@@ -119,19 +127,21 @@ def spdc_overlap(signal: ModeSpec, idler: ModeSpec, pump_waist: float,
     given waist, the LG ell = 0 mode of that waist. A Gaussian pump enforces
     the azimuthal selection rule ell_s + ell_i = 0.
 
-    Each factor is a function of r times exp(i ell phi), so the grid sum is
-    taken over the grid's rings of equal radius, each weighted by its sum of
-    exp(-i (ell_s + ell_i) phi) (its pixel count when ell_s + ell_i = 0); the
-    norms use the pixel counts. The ring sum equals the grid sum up to
+    Each factor is a real function of r times exp(i ell phi), so the grid sum
+    is taken over the grid's (n/2+1)^2 quadrant of radial factors, each cell
+    weighted by its pixels' sum of exp(-i (ell_s + ell_i) phi) (its pixel
+    count when ell_s + ell_i = 0). The quadrant sum equals the grid sum up to
     rounding. Each distinct mode, the pump among them, is evaluated once per
-    grid and kept (the last 32), as are the ring weights.
+    grid and kept (the last 32), as are the weights.
     """
     if not (np.isfinite(pump_waist) and pump_waist > 0):
         raise ValueError(f"pump_waist must be positive and finite, got {pump_waist}")
-    m_s, m_i = _ring_factor(signal, grid), _ring_factor(idler, grid)
-    pump = _ring_factor(ModeSpec(ModeFamily.LG, 0, pump_waist, signal.wavelength), grid)
-    weights = _ring_weights(grid, signal.ell + idler.ell)
-    return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
+    m_s, m_i = _mode_quadrant(signal, grid), _mode_quadrant(idler, grid)
+    pump = _mode_quadrant(ModeSpec(ModeFamily.LG, 0, pump_waist, signal.wavelength), grid)
+    c = _azimuth_weights(grid, signal.ell + idler.ell) * m_s
+    c *= m_i
+    c *= pump
+    return complex(np.sum(c) * grid.pixel_area)
 
 
 # ---------------------------------------------------------------------------
@@ -192,34 +202,36 @@ def detection_states(source: ModeSpec, grid: TransverseGrid, decoding_distance: 
     return unit_quadrant(g, grid)
 
 
-def station_grams(pair: np.ndarray, mask: np.ndarray | None, receiver: np.ndarray,
-                  grid: TransverseGrid, ell: int) -> tuple[np.ndarray, ...]:
+def station_grams(pair: np.ndarray, covered: tuple[np.ndarray, np.ndarray],
+                  receiver: np.ndarray, grid: TransverseGrid, ell: int) -> tuple[np.ndarray, ...]:
     """The three 2 x 2 Gram matrices (times the pixel area) that a scenario's
-    8 x 8 table needs, for the station pair u_+- = pair * mask (mask None:
-    no obstacle on the station plane) and the detection pair g_+- =
-    spin_orbit_pair(receiver, grid, ell): <g_s|u_s'>, <u_s|u_s'>, and
+    8 x 8 table needs, for the station pair u_+- (`pair` with the samples
+    `covered`, as covered_samples gives them, zeroed) and the detection pair
+    g_+- = spin_orbit_pair(receiver, grid, ell): <g_s|u_s'>, <u_s|u_s'>, and
     <u_s|u_s'> over interior_window(n).
 
     One pass reads the pair in blocks of rows that never straddle the centre
-    row, each as many samples as a block of `gram`. Only the blocks that
-    meet a masked row are masked, into one block-sized buffer, and the
-    detection pair is written block by block from the quadrants
-    (jones._turned_rows): no n x n array is made here.
+    row, each as many samples as a block of `gram`. A block holding a covered
+    sample is zeroed in one block-sized copy, and the detection pair is
+    written block by block (jones._turned_rows): no n x n array is made here.
     """
     n, h = grid.n, grid.n // 2
     step = max(1, min(_GRAM_BLOCK // n, h))
     window = interior_window(n)
     top, bottom, _ = window[0].indices(n)
     turn = quadrant_turn(grid, ell)
-    masked_rows = None if mask is None else mask.min(axis=1) < 1.0
+    covered_rows, covered_cols = covered
     dets = np.empty((2, step, n), complex)
     masked = np.empty_like(dets)
     grams = np.zeros((3, 2, 2), complex)
     for r0 in range(0, n, step):
         rows = slice(r0, r0 + step)
         u = pair[:, rows]
-        if masked_rows is not None and masked_rows[rows].any():
-            u = np.multiply(u, mask[rows], out=masked)
+        lo, hi = np.searchsorted(covered_rows, (r0, r0 + step))
+        if hi > lo:
+            masked[...] = u
+            masked[:, covered_rows[lo:hi] - r0, covered_cols[lo:hi]] = 0.0
+            u = masked
         x = u.reshape(2, -1)
         grams[0] += gram(_turned_rows(receiver, turn, ell, rows, dets).reshape(2, -1), x)
         grams[1] += gram(x, x)
@@ -248,7 +260,7 @@ _ARRIVAL_LOCK = threading.Lock()  # pool threads that miss together carry a leg 
 def _arrival(source: ModeSpec, grid: TransverseGrid, passed: tuple[ObstacleSpec, ...],
              z: float):
     """The source pair arriving at z through `passed` (sorted by z, all before
-    z), before any mask on the plane z, and the band Gram matrices of the
+    z), before the obstacles on the plane z, and the band Gram matrices of the
     fields entering each free-space segment so far (see propagate_samples);
     all read-only. It steps on from the last plane passed, so a leg shared by
     several channels or snapshot stations is carried once; the first segment
@@ -258,9 +270,8 @@ def _arrival(source: ModeSpec, grid: TransverseGrid, passed: tuple[ObstacleSpec,
         plane = passed[-1].z
         before = tuple(o for o in passed if o.z < plane)
         pair, grams = _arrival(source, grid, before, plane)
-        pair = pair * _plane_mask(grid, passed, plane)
-        if z > plane:
-            pair = propagate_samples(pair, grid, source.wavelength, z - plane, segment)
+        pair = propagate_samples(_blocked(pair, grid, passed, plane), grid, source.wavelength,
+                                 z - plane, segment)
     else:
         grams = ()
         pair = source_leg(source, grid, z, segment)
@@ -275,21 +286,20 @@ def _arrival(source: ModeSpec, grid: TransverseGrid, passed: tuple[ObstacleSpec,
 def _leg(source: ModeSpec, grid: TransverseGrid, obstacles: tuple[ObstacleSpec, ...],
          z: float):
     """_arrival of the source pair at z through the obstacles (sorted by z)
-    before it, under the lock: the pair before any mask on the plane z."""
+    before it, under the lock: the pair before the obstacles on the plane z."""
     passed = tuple(o for o in obstacles if o.z < z)
     with _ARRIVAL_LOCK:
         return _arrival(source, grid, passed, z)
 
 
-def _plane_mask(grid: TransverseGrid, obstacles, z: float) -> np.ndarray | None:
-    """The product of the masks of the obstacles on the plane z, None if there
-    are none there."""
-    mask = None
-    for obs in obstacles:
-        if obs.z == z:
-            m = obstacle_mask(grid, obs)
-            mask = m if mask is None else np.multiply(mask, m, out=mask)
-    return mask
+def _blocked(pair: np.ndarray, grid: TransverseGrid, obstacles, z: float) -> np.ndarray:
+    """pair with the samples that the obstacles on the plane z cover zeroed,
+    in a copy; pair itself where they cover none."""
+    rows, cols = covered_samples(grid, (o for o in obstacles if o.z == z))
+    if rows.size:
+        pair = pair.copy()
+        pair[:, rows, cols] = 0.0
+    return pair
 
 
 def station_pair(source: ModeSpec, grid: TransverseGrid,
@@ -299,8 +309,7 @@ def station_pair(source: ModeSpec, grid: TransverseGrid,
     the fields entering each free-space segment. Both may be shared with
     other calls: do not write into them."""
     pair, grams = _leg(source, grid, obstacles, z)
-    mask = _plane_mask(grid, obstacles, z)
-    return (pair if mask is None else pair * mask), grams
+    return _blocked(pair, grid, obstacles, z), grams
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +406,8 @@ def scattering_matrix(channel: ChannelSpec, source: ModeSpec,
     # the leg first, so that no receiver is alive while a leg is carried
     pair, band = _leg(source, grid, channel.obstacles, channel.station_z)
     receiver = detection_states(source, grid, channel.decoding_distance, detection)
-    mask = _plane_mask(grid, channel.obstacles, channel.station_z)
-    g_det, g_pair, g_inner = station_grams(pair, mask, receiver, grid, abs(source.ell) or 1)
+    covered = covered_samples(grid, (o for o in channel.obstacles if o.z == channel.station_z))
+    g_det, g_pair, g_inner = station_grams(pair, covered, receiver, grid, abs(source.ell) or 1)
     raw = np.abs(_amplitudes(g_det)) ** 2 + detection.noise_floor
     power, interior = (np.real(np.diag(_amplitudes(g))) for g in (g_pair, g_inner))
     notes: list[str] = []

@@ -65,11 +65,6 @@ class TransverseGrid:
         """1-D sample coordinates (m), shared by both axes."""
         return (np.arange(self.n) - self.n // 2) * self.spacing
 
-    @property
-    def phi(self) -> np.ndarray:
-        """Azimuth of every sample (rad), built per call."""
-        return np.arctan2(self.axis[:, None], self.axis[None, :])
-
     @cached_property
     def _radial_index(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         # The axis values at offsets -m and +m from the centre are exact
@@ -113,25 +108,6 @@ class TransverseGrid:
         counts[[0, -1]] = 1.0
         return counts
 
-    @property
-    def radii(self) -> np.ndarray:
-        """The distinct sample radii, ascending: the points `radial_quadrant`
-        calls f on."""
-        return self._radial_index[0]
-
-    def ring_weights(self, m: int) -> np.ndarray:
-        """Sum of exp(-i m phi) over the pixels at each of `radii`; for m = 0,
-        the number of pixels there (as floats)."""
-        radii, inverse, pieces = self._radial_index
-        if m == 0:
-            # a quadrant cell stands for every pixel whose row and column land on it
-            counts = self.fold_counts
-            return np.bincount(inverse.ravel(), np.outer(counts, counts).ravel(), radii.size)
-        index = self._tile(inverse, pieces).ravel()
-        w = np.exp(-1j * m * self.phi).ravel()
-        return (np.bincount(index, w.real, radii.size)
-                + 1j * np.bincount(index, w.imag, radii.size))
-
     @cached_property
     def _spectral_index(self) -> tuple[np.ndarray, np.ndarray, tuple]:
         # fftfreq's entries at j and n - j are exact negatives, so |k_t|^2 on
@@ -142,16 +118,6 @@ class TransverseGrid:
         k2, inverse = np.unique(k[None, :] ** 2 + k[:, None] ** 2, return_inverse=True)
         pieces = ((slice(0, h + 1), slice(0, h + 1)), (slice(h + 1, self.n), slice(h - 1, 0, -1)))
         return k2, inverse.reshape(h + 1, h + 1), pieces
-
-    def _tile(self, quadrant: np.ndarray, pieces) -> np.ndarray:
-        """The n x n grid from its quadrant, filled in C order by four slice
-        copies; pieces pair each destination slice of an axis with the
-        quadrant slice it copies."""
-        out = np.empty((self.n, self.n), quadrant.dtype)
-        for rows, source_rows in pieces:
-            for cols, source_cols in pieces:
-                out[rows, cols] = quadrant[source_rows, source_cols]
-        return out
 
     def spectral_quadrant(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """f(|k_t|^2) on the (n/2+1)^2 quadrant of the FFT-ordered frequency
@@ -164,7 +130,13 @@ class TransverseGrid:
         """f(|k_t|^2) on the FFT-ordered frequency grid (rad^2/m^2), with f
         called once on the 1-D array of distinct values; f must act
         elementwise, and the result equals f(kx**2 + ky**2) bit for bit."""
-        return self._tile(self.spectral_quadrant(f), self._spectral_index[2])
+        quadrant = self.spectral_quadrant(f)
+        out = np.empty((self.n, self.n), quadrant.dtype)
+        pieces = self._spectral_index[2]
+        for rows, source_rows in pieces:
+            for cols, source_cols in pieces:
+                out[rows, cols] = quadrant[source_rows, source_cols]
+        return out
 
     def spectral_sums(self, q: np.ndarray) -> np.ndarray:
         """The adjoint of `spectral` on a stack q (..., n/2+1, n/2+1) of

@@ -124,15 +124,23 @@ def _turned_rows(a: np.ndarray, turn: np.ndarray, ell: int, rows: slice,
     return out
 
 
+def _to_unit_power(q: np.ndarray, grid: TransverseGrid) -> np.ndarray:
+    """q, the quadrant of a field even in x and in y, scaled in place to unit
+    power over the grid, each cell weighted by grid.fold_counts in each axis."""
+    counts = grid.fold_counts
+    power = counts @ np.abs(q) ** 2 @ counts * grid.pixel_area
+    if power == 0.0:
+        raise ValueError("cannot normalize a zero field")
+    q /= np.sqrt(power)
+    return q
+
+
 def unit_quadrant(profile: np.ndarray, grid: TransverseGrid) -> np.ndarray:
     """A copy of the quadrant `profile` with its r = 0 cell zeroed, scaled to
-    unit power over the grid (each cell weighted by grid.fold_counts in each
-    axis)."""
+    unit power over the grid (_to_unit_power)."""
     q = np.array(profile)
     q[0, 0] = 0.0  # the one sample at r = 0
-    counts = grid.fold_counts
-    q /= np.sqrt(counts @ np.abs(q) ** 2 @ counts * grid.pixel_area)
-    return q
+    return _to_unit_power(q, grid)
 
 
 def spin_orbit_pair(profile: np.ndarray, grid: TransverseGrid, ell: int = 1) -> np.ndarray:

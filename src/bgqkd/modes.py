@@ -4,7 +4,7 @@ hologram, and the BG range formulas.
 
 A mode is R(r) exp(i ell phi) at z = 0, with a real radial factor R. R and
 the hologram are functions of r alone, evaluated on the grid's distinct radii
-(TransverseGrid.radii, radial_quadrant) and scaled to unit power by the
+(TransverseGrid.radial_quadrant) and scaled to unit power by the
 caller (the closed-form prefactor does not normalize a Gaussian-apodized mode
 on a finite window); every z-evolution is the free-space transport's
 (propagation).

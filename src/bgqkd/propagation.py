@@ -202,17 +202,21 @@ class ObstacleSpec:
             raise ValueError(f"obstacle center must be finite, got {self.center}")
 
 
-def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:
-    """1 where hypot(x - cx, y - cy) >= R, else 0. The hypot runs only over
-    the box of rows and columns within R of the centre: outside it
-    hypot >= max(|x - cx|, |y - cy|) >= R, so the mask is 1 there."""
+def covered_samples(grid: TransverseGrid, obstacles) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column indices of the samples that the opaque disks cover,
+    hypot(x - cx, y - cy) < R, each sample once, sorted by row. The hypot runs
+    only over each disk's box of rows and columns within R of its centre:
+    outside it hypot >= max(|x - cx|, |y - cy|) >= R."""
     # config validation enforces that every obstacle fits inside the grid;
-    # the mask itself is defined for any radius (an oversized disk blocks all)
-    x, y = grid.axis - obs.center[0], grid.axis - obs.center[1]
-    cols, rows = np.abs(x) < obs.radius, np.abs(y) < obs.radius
-    mask = np.ones((grid.n, grid.n))
-    mask[np.ix_(rows, cols)] = np.hypot(x[cols][None, :], y[rows][:, None]) >= obs.radius
-    return mask
+    # the samples are defined for any radius (an oversized disk covers all)
+    covered = [np.empty(0, np.intp)]
+    for obs in obstacles:
+        x, y = grid.axis - obs.center[0], grid.axis - obs.center[1]
+        cols, rows = np.flatnonzero(np.abs(x) < obs.radius), np.flatnonzero(np.abs(y) < obs.radius)
+        inside_rows, inside_cols = np.nonzero(
+            np.hypot(x[cols][None, :], y[rows][:, None]) < obs.radius)
+        covered.append(rows[inside_rows] * grid.n + cols[inside_cols])
+    return np.divmod(np.unique(np.concatenate(covered)), grid.n)
 
 
 @dataclass(frozen=True)

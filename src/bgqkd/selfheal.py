@@ -20,7 +20,7 @@ from .channel import DetectionModel, detection_scalar, source_leg
 from .fields import _GRAM_BLOCK, TransverseGrid, gram
 from .jones import _turned_rows, mub_state_vector, quadrant_turn
 from .modes import ModeSpec
-from .propagation import ObstacleSpec, free_space_kernel, obstacle_mask
+from .propagation import ObstacleSpec, covered_samples, free_space_kernel
 
 
 def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
@@ -30,7 +30,7 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
 
     The receiver station sits at the obstacle plane and each z sets the
     decoding leg behind it. The source pair is carried to that plane once and
-    the obstacle mask applies after the shared propagation. The on-axis
+    the obstacle applies after the shared propagation. The on-axis
     column compares the demodulated matched field's axial intensity with and
     without the obstacle, the classic reconstruction curve for the ell = 0
     profile; it is NaN at a station with no leg (z at the obstacle) and
@@ -58,20 +58,20 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
             raise ValueError(f"z_eval = {z} lies before the obstacle at z = {station}")
     n, area = grid.n, grid.pixel_area
     free = source_leg(source, grid, station)
-    mask = 1.0 if obs is None else obstacle_mask(grid, obs)
+    covered_rows, covered_cols = covered_samples(grid, () if obs is None else (obs,))
 
     # <d_j|f_j> = sum_{s,s'} M[s, s'] <g_s|u_s'> with M = a^H a and g_s = t_s d,
     # t_+- = exp(+-i ell phi), so the matched amplitude and the demodulated
     # axial sample project on X = sum_s conj(t_s) Y_s, Y_s = sum_s' M[s, s'] u_s'.
-    # Rows: X of the free field, then of the blocked one (free times the mask),
-    # built from Y_+ and Y_- in the two rows.
+    # Rows: X of the free field, then of the blocked one (free with the covered
+    # samples zeroed), built from Y_+ and Y_- in the two rows.
     # M is diagonal for every state of the recipe (each column of a is one OAM
     # sign's polarization, and the two are orthogonal), so Y_s = M[s, s] u_s,
     # formed elementwise, off BLAS.
     m = a.conj().T @ a
     targets = np.empty((2, n, n), dtype=complex)
     np.multiply(free, np.diagonal(m)[:, None, None], out=targets)
-    free *= mask  # <f_j|f_j> = sum_s <u_s|Y_s>, and the mask is 0 or 1
+    free[:, covered_rows, covered_cols] = 0.0  # <f_j|f_j> = sum_s <u_s|Y_s>, zeroed in one factor
     power = float(np.trace(gram(free.reshape(2, -1), targets.reshape(2, -1))).real * area)
     del free
     # X in blocks of rows that never straddle the centre row, with the
@@ -88,8 +88,8 @@ def selfheal_scan(source: ModeSpec, label: str, obs: ObstacleSpec | None,
         y[0] *= t_minus
         y[0] += y[1]
     del turn, turns
-    np.multiply(targets[0], mask, out=targets[1])
-    del mask
+    targets[1] = targets[0]
+    targets[1, covered_rows, covered_cols] = 0.0
     x = grid.even_part(targets)
     del targets
     centres = x[:, 0, 0].copy()  # before the transform overwrites them

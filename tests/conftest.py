@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import fft as spfft
 
-from bgqkd import ModeFamily, ModeSpec, TransverseGrid, channel
+from bgqkd import ModeFamily, ModeSpec, TransverseGrid
 from bgqkd.config import SCHEMA, Key
 
 WAVELENGTH = 810e-9
@@ -35,25 +37,23 @@ def pixel_radius(grid):
     return np.hypot(grid.axis[None, :], grid.axis[:, None])
 
 
-def clear_ring_caches():
-    channel._ring_factor.cache_clear()
-    channel._ring_weights.cache_clear()
+def clear_caches():
+    """Clear every functools.lru_cache bound at the top level of a loaded
+    bgqkd module, found by introspection."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "bgqkd" or name.startswith("bgqkd.")):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)) and hasattr(obj, "cache_info"):
+                    obj.cache_clear()
 
 
 @pytest.fixture
-def cold_ring_caches():
-    clear_ring_caches()
+def cold_caches():
+    """The package's lru caches (shared transport legs, SPDC mode quadrants
+    and weights, any other), cleared before and after the test."""
+    clear_caches()
     yield
-    clear_ring_caches()
-
-
-@pytest.fixture
-def cold_leg_cache():
-    """The channel's shared transport legs (channel._arrival), cleared before
-    and after the test."""
-    channel._arrival.cache_clear()
-    yield
-    channel._arrival.cache_clear()
+    clear_caches()
 
 
 @pytest.fixture

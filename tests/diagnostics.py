@@ -1,16 +1,29 @@
 """Field diagnostics the tests use to check prepared states: azimuthal (OAM)
 spectra, Stokes maps, projected-lobe orientation, the split into circular
-components with |L> = (1, i)/sqrt(2), |R> = (1, -i)/sqrt(2), and the n x n
-plane of a field even about the grid centre, given by its quadrant.
+components with |L> = (1, i)/sqrt(2), |R> = (1, -i)/sqrt(2), the per-pixel
+azimuth, and the n x n plane of a field even about the grid centre, given by
+its quadrant. The polarized oracle imports the azimuth from here, so this
+module takes the oracle's field type only for annotations.
 """
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
 
 from bgqkd.fields import ScalarField
-from polarized_oracle import PolarizedField, polarized_from_arrays
+
+if TYPE_CHECKING:
+    from polarized_oracle import PolarizedField
 
 _SQRT2 = np.sqrt(2.0)
+
+
+def phi(grid) -> np.ndarray:
+    """The azimuth arctan2(y, x) of every sample of `grid` (rad), per pixel."""
+    return np.arctan2(grid.axis[:, None], grid.axis[None, :])
 
 
 def unfold(grid, quadrant: np.ndarray) -> np.ndarray:
@@ -31,6 +44,7 @@ def circular(f: PolarizedField) -> tuple[ScalarField, ScalarField]:
 
 def linear(l: ScalarField, r: ScalarField, wavelength: float) -> PolarizedField:
     """The polarized field with circular components l and r (inverse of circular)."""
+    from polarized_oracle import polarized_from_arrays
     return polarized_from_arrays(l.grid, (l.samples + r.samples) / _SQRT2,
                                  1j * (l.samples - r.samples) / _SQRT2, wavelength)
 
@@ -106,5 +120,5 @@ def projected_lobe_axis(f: PolarizedField, analyzer_angle: float) -> float:
     """
     amp = np.cos(analyzer_angle) * f.h.samples + np.sin(analyzer_angle) * f.v.samples
     intensity = np.abs(amp) ** 2
-    m2 = np.sum(intensity * np.exp(2j * f.grid.phi))
+    m2 = np.sum(intensity * np.exp(2j * phi(f.grid)))
     return float(np.angle(m2) / 2.0) % np.pi

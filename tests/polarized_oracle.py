@@ -36,11 +36,11 @@ from bgqkd.propagation import (
     ObstacleSpec,
     band_limit_message,
     band_tail_fraction,
-    obstacle_mask,
     propagate_samples,
 )
 
 from conftest import pixel_radius
+from diagnostics import phi
 from reference_oracles import unit_power
 
 _H_INPUT_V_POWER_TOL = 1e-6
@@ -220,7 +220,7 @@ def apply_element(element: JonesElement, f: PolarizedField) -> PolarizedField:
     if isinstance(element, HorizontalPolarizer):
         return horizontally_polarized(f.h, f.wavelength)
     if isinstance(element, QPlate):
-        a = 2.0 * element.q * f.grid.phi
+        a = 2.0 * element.q * phi(f.grid)
         c, s = np.cos(a), np.sin(a)
         h = c * f.h.samples + s * f.v.samples
         v = s * f.h.samples - c * f.v.samples
@@ -341,6 +341,13 @@ def back_propagate(f: PolarizedField, dz: float) -> PolarizedField:
     h, v = conjugate_back_propagate(np.stack([f.h.samples, f.v.samples]), f.grid,
                                     f.wavelength, dz)
     return polarized_from_arrays(f.grid, h, v, f.wavelength)
+
+
+def obstacle_mask(grid: TransverseGrid, obs: ObstacleSpec) -> np.ndarray:
+    """The reference mask of an opaque disk: 1 where the per-pixel
+    hypot(x - cx, y - cy) >= R, else 0."""
+    x, y = grid.axis - obs.center[0], grid.axis - obs.center[1]
+    return (np.hypot(x[None, :], y[:, None]) >= obs.radius).astype(float)
 
 
 def apply_obstacle(f: PolarizedField, obs: ObstacleSpec) -> PolarizedField:

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import special
 
 from conftest import pixel_radius
+from diagnostics import phi
 
 # J_ell(x) references, ell in {0, 1, 2}, arguments up to 100.
 BESSEL_REFERENCE = {
@@ -106,7 +107,7 @@ def bg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
     """Unit-power Bessel-Gaussian mode at propagation distance z, per pixel:
     bg_radial times exp(i ell phi - i k_z z), k_z = sqrt(k^2 - k_r^2)."""
     k, k_r = spec.wavenumber, spec.k_r
-    phase = np.exp(1j * spec.ell * grid.phi - 1j * math.sqrt(k * k - k_r * k_r) * z)
+    phase = np.exp(1j * spec.ell * phi(grid) - 1j * math.sqrt(k * k - k_r * k_r) * z)
     return unit_power(bg_radial(spec, pixel_radius(grid), z) * phase, grid)
 
 
@@ -125,7 +126,7 @@ def lg_mode(spec, grid, z: float = 0.0) -> np.ndarray:
     else:
         radius = (z_r ** 2 + z ** 2) / z
         curvature = k * r ** 2 / (2.0 * radius)
-    phase = np.exp(1j * (ell * grid.phi - k * z - curvature + gouy))
+    phase = np.exp(1j * (ell * phi(grid) - k * z - curvature + gouy))
     return unit_power((spec.w0 / w) * radial * phase, grid)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import sys
 import warnings
@@ -28,10 +29,10 @@ from bgqkd.channel import BOUNDARY_POWER_TOL, detection_states, matched_sums, so
 from bgqkd.fields import ScalarField, gram
 from bgqkd.jones import LABELS, spin_orbit_leg, spin_orbit_pair
 from bgqkd.modes import binary_bessel_hologram, radial_factor
-from bgqkd.propagation import obstacle_mask, propagate_samples, transfer_function
+from bgqkd.propagation import covered_samples, propagate_samples, transfer_function
 
-from conftest import W0, WAVELENGTH, K_R, clear_ring_caches, pixel_radius, spin_orbit_states
-from diagnostics import dominant_oam_fraction
+from conftest import W0, WAVELENGTH, K_R, clear_caches, pixel_radius, spin_orbit_states
+from diagnostics import dominant_oam_fraction, phi
 from polarized_oracle import (
     BandLimitWarning,
     boundary_power_fraction,
@@ -39,6 +40,7 @@ from polarized_oracle import (
     heralded_input,
     horizontally_polarized,
     inner_product,
+    obstacle_mask,
     prepare_state,
     transmit_to_station,
 )
@@ -64,9 +66,9 @@ def grid_sum_overlap(signal, idler, pump_waist, grid):
 class TestSpdcOverlap:
     @pytest.mark.parametrize("family", [ModeFamily.BG, ModeFamily.LG])
     @pytest.mark.parametrize("n", [64, 128])
-    def test_ring_sum_matches_grid_sum(self, family, n):
+    def test_quadrant_sum_matches_grid_sum(self, family, n):
         # ell_s + ell_i in {0, +-1, +-2, 4}; on the coarse n = 64 grid the
-        # ring sums of exp(-4i phi) do not cancel (|c| ~ 20 for BG (2, 2))
+        # pixel sums of exp(-4i phi) do not cancel (|c| ~ 20 for BG (2, 2))
         grid = TransverseGrid(n=n, extent=10e-3)
 
         def mode(ell):
@@ -79,6 +81,30 @@ class TestSpdcOverlap:
         peak = max(abs(c) for c in ref)
         for pair, c, c_ref in zip(pairs, got, ref):
             assert abs(c - c_ref) <= 1e-12 * abs(c_ref) + 1e-12 * peak, pair
+
+    def test_azimuth_weights_are_grid_sums(self):
+        # each quadrant cell's weight is the sum of exp(-i m phi) over the
+        # pixels at its row and column offsets, the r = 0 pixel (phi = 0) and
+        # the unpaired row and column at offset -n/2 included
+        for n in (64, 128):
+            grid, h = TransverseGrid(n=n, extent=7.3e-3), n // 2
+            offset = np.abs(np.arange(n) - h)
+            cell = (offset[:, None] * (h + 1) + offset[None, :]).ravel()
+
+            def cell_sums(w):
+                return np.bincount(cell, w, (h + 1) ** 2).reshape(h + 1, h + 1)
+            assert np.array_equal(channel._azimuth_weights(grid, 0), cell_sums(np.ones(n * n)))
+            for m in range(-4, 5):
+                w = np.exp(-1j * m * phi(grid)).ravel()
+                expected = cell_sums(w.real) + 1j * cell_sums(w.imag)
+                got = channel._azimuth_weights(grid, m)
+                assert np.max(np.abs(got - expected)) <= 1e-12, (n, m)
+
+    def test_zero_mode_rejected(self, grid256):
+        # a waist far below the pixel pitch leaves no sample off zero
+        dark = ModeSpec(family=ModeFamily.LG, ell=1, w0=1e-9, wavelength=WAVELENGTH)
+        with pytest.raises(ValueError, match="cannot normalize a zero field"):
+            spdc_overlap(dark, bg_mode(-1), 1.0e-3, grid256)
 
     def test_mixed_families_match_grid_sum(self, grid256):
         lg = ModeSpec(family=ModeFamily.LG, ell=-1, w0=W0, wavelength=WAVELENGTH)
@@ -133,16 +159,17 @@ SCAN_PAIRS = ([(bg_mode(ls), bg_mode(li)) for ls, li in [(1, 1), (0, 1), (2, -1)
 
 
 def uncached_overlap(signal, idler, pump_waist, grid):
-    """`spdc_overlap`'s ring sum with every factor evaluated afresh."""
-    r, counts = grid.radii, grid.ring_weights(0)
+    """`spdc_overlap`'s quadrant sum with every factor evaluated afresh."""
+    counts = grid.fold_counts
 
     def unit(f):
-        return f / np.sqrt(np.sum(counts * np.abs(f) ** 2) * grid.pixel_area)
+        q = grid.radial_quadrant(f)
+        return q / np.sqrt(counts @ np.abs(q) ** 2 @ counts * grid.pixel_area)
 
-    m_s, m_i = unit(radial_factor(signal, r)), unit(radial_factor(idler, r))
-    pump = unit(np.exp(-(r / pump_waist) ** 2))
-    weights = grid.ring_weights(signal.ell + idler.ell)
-    return complex(np.sum(weights * np.conj(m_s) * np.conj(m_i) * pump) * grid.pixel_area)
+    m_s, m_i = (unit(functools.partial(radial_factor, s)) for s in (signal, idler))
+    pump = unit(lambda r: np.exp(-(r / pump_waist) ** 2))
+    weights = channel._azimuth_weights.__wrapped__(grid, signal.ell + idler.ell)
+    return complex(np.sum(weights * m_s * m_i * pump) * grid.pixel_area)
 
 
 class TestSpdcOverlapCache:
@@ -152,48 +179,51 @@ class TestSpdcOverlapCache:
     def scan(self, pairs=SCAN_PAIRS):
         return [spdc_overlap(s, i, 1.0e-3, self.grid) for s, i in pairs]
 
-    def test_each_distinct_mode_evaluated_once(self, monkeypatch, cold_ring_caches):
-        modes, ms, scaled = [], [], []
+    def test_each_distinct_mode_evaluated_once(self, monkeypatch, cold_caches):
+        modes, scaled, turns = [], [], []
 
         def counted_factor(spec, r):
             modes.append(spec)
             return radial_factor(spec, r)
 
-        ring_weights = TransverseGrid.ring_weights
+        to_unit_power = channel._to_unit_power
 
-        def counted_weights(grid, m):
-            ms.append(m)
-            return ring_weights(grid, m)
+        def counted_unit(q, grid):
+            scaled.append(q)
+            return to_unit_power(q, grid)
 
-        unit_on_rings = channel._unit_on_rings
+        quadrant_turn = channel.quadrant_turn
 
-        def counted_unit(f, grid):
-            scaled.append(f)
-            return unit_on_rings(f, grid)
+        def counted_turn(grid, ell):
+            turns.append(ell)
+            return quadrant_turn(grid, ell)
 
         monkeypatch.setattr(channel, "radial_factor", counted_factor)
-        monkeypatch.setattr(TransverseGrid, "ring_weights", counted_weights)
-        monkeypatch.setattr(channel, "_unit_on_rings", counted_unit)
+        monkeypatch.setattr(channel, "_to_unit_power", counted_unit)
+        monkeypatch.setattr(channel, "quadrant_turn", counted_turn)
         self.scan()
         distinct = {mode for pair in SCAN_PAIRS for mode in pair}
         assert len(distinct) == 25  # k_r = 18 rad/mm, ell = 0 is in both parts
         distinct.add(self.PUMP)  # the pump is the LG ell = 0 mode of its waist
         assert len(modes) == len(distinct) and set(modes) == distinct
-        assert sorted(ms) == [-2, -1, 0, 1, 2]
         assert len(scaled) == len(distinct)
+        # the weights of ell_s + ell_i = -2, -1, 0, 1 and 2, each made once
+        info = channel._azimuth_weights.cache_info()
+        assert (info.misses, info.currsize) == (5, 5)
+        assert sorted(turns) == [1, 1, 2, 2]
 
-    def test_cached_arrays_are_read_only(self, cold_ring_caches):
+    def test_cached_arrays_are_read_only(self, cold_caches):
         self.scan(SCAN_PAIRS[:6])
-        arrays = [channel._ring_factor(bg_mode(1), self.grid),
-                  channel._ring_factor(self.PUMP, self.grid),
-                  channel._ring_weights(self.grid, 0), channel._ring_weights(self.grid, 2)]
+        arrays = [channel._mode_quadrant(bg_mode(1), self.grid),
+                  channel._mode_quadrant(self.PUMP, self.grid),
+                  channel._azimuth_weights(self.grid, 0), channel._azimuth_weights(self.grid, 2)]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
     @pytest.mark.parametrize("n", [64, 128])
-    def test_equals_uncached_evaluation(self, n, cold_ring_caches):
+    def test_equals_uncached_evaluation(self, n, cold_caches):
         grid = TransverseGrid(n=n, extent=10e-3)
         lg = ModeSpec(family=ModeFamily.LG, ell=-2, w0=W0, wavelength=WAVELENGTH)
         pairs = SCAN_PAIRS + [(bg_mode(2), lg), (lg, bg_mode(0)), (bg_mode(2), bg_mode(2))]
@@ -202,9 +232,9 @@ class TestSpdcOverlapCache:
         warm = [spdc_overlap(s, i, 1.0e-3, grid) for s, i in pairs]
         assert cold == expected and warm == expected
 
-    def test_two_threads_match_serial_scan(self, cold_ring_caches):
+    def test_two_threads_match_serial_scan(self, cold_caches):
         serial = self.scan()
-        clear_ring_caches()
+        clear_caches()
         with ThreadPoolExecutor(max_workers=2) as pool:
             threaded = list(pool.map(lambda p: spdc_overlap(*p, 1.0e-3, self.grid), SCAN_PAIRS))
         assert threaded == serial
@@ -553,12 +583,10 @@ def test_station_grams_equal_plane_grams(n, ell, masks):
     source = bg_mode(ell)
     pair = source_leg(source, grid, 0.02)
     receiver = detection_states(source, grid, 0.30, CASCADE)
-    mask = None
-    if STATION_MASKS[masks]:
-        mask = np.prod([obstacle_mask(grid, o) for o in STATION_MASKS[masks]], axis=0)
-    got = channel.station_grams(pair, mask, receiver, grid, ell)
+    got = channel.station_grams(pair, covered_samples(grid, STATION_MASKS[masks]), receiver,
+                                grid, ell)
 
-    u = pair if mask is None else pair * mask
+    u = pair * np.prod([obstacle_mask(grid, o) for o in STATION_MASKS[masks]], axis=0)
     inner = u[(..., *interior_window(n))].reshape(2, -1)
     dets = spin_orbit_pair(receiver, grid, ell).reshape(2, -1)
     u = u.reshape(2, -1)
@@ -578,7 +606,7 @@ class TestSharedLegs:
     def run(self):
         return [scattering_matrix(c, bg_mode(1), CASCADE, self.grid) for c in self.channels]
 
-    def test_transport_transforms_the_pair_once_per_segment(self, fft_planes, cold_leg_cache,
+    def test_transport_transforms_the_pair_once_per_segment(self, fft_planes, cold_caches,
                                                             grid256, bg_source):
         # the first segment on the source's parity quadrants, with no n x n
         # transform: for ell = 1, C's odd part (a DCT-I down the columns and a
@@ -592,7 +620,7 @@ class TestSharedLegs:
         assert len(grams) == 3
         assert fft_planes == {"fft2": 2 * 2, "ifft2": 2 * 2, "dct": 2 + 4, "dst": 2}
 
-    def test_band_grams_read_the_spectrum_before_the_kernel(self, cold_leg_cache):
+    def test_band_grams_read_the_spectrum_before_the_kernel(self, cold_caches):
         # dx = 0.4 um < lambda / sqrt(2), so the grid's corners are evanescent:
         # Gram matrices taken after the kernel multiply would miss their power.
         # A vortex two pixels wide puts a sixth of its power there, and the
@@ -615,7 +643,7 @@ class TestSharedLegs:
             after = (np.fft.fft2(u) * kernel).reshape(2, -1)
             assert np.trace(got[1]).real > 1.1 * np.trace(after.conj() @ after.T).real
 
-    def test_shared_leg_is_carried_once(self, fft_planes, cold_leg_cache):
+    def test_shared_leg_is_carried_once(self, fft_planes, cold_caches):
         # free space, 600 um and 800 um, all on the station plane: the pair's
         # leg to the station once, on its parity quadrants (six DCT-Is and two
         # DST-Is), and per scenario the detection scalar's quadrant carried
@@ -629,7 +657,7 @@ class TestSharedLegs:
             assert np.array_equal(m.transmission, alone.transmission)
             assert m.warnings == alone.warnings
 
-    def test_cached_legs_are_read_only(self, cold_leg_cache):
+    def test_cached_legs_are_read_only(self, cold_caches):
         pair, grams = channel.station_pair(bg_mode(1), self.grid, (), 0.02)
         assert pair is channel.station_pair(bg_mode(1), self.grid, (), 0.02)[0]
         for a in (pair, *grams[0]):
@@ -639,7 +667,7 @@ class TestSharedLegs:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_threads_match_serial_run_and_carry_the_leg_once(self, monkeypatch,
-                                                              cold_leg_cache, workers):
+                                                              cold_caches, workers):
         # pool threads that miss the cold cache together wait for the first
         # one's leg instead of carrying it again (more workers than cores and
         # frequent thread switches make the race likely)
@@ -668,7 +696,7 @@ class TestSharedLegs:
             assert np.array_equal(a.transmission, b.transmission)
             assert a.warnings == b.warnings
 
-    def test_cache_stays_bounded(self, cold_leg_cache):
+    def test_cache_stays_bounded(self, cold_caches):
         grid = TransverseGrid(n=64, extent=10e-3)
         limit = channel._arrival.cache_info().maxsize
         for i in range(limit + 3):

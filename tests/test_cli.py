@@ -252,7 +252,7 @@ class TestScattering:
         assert len(pgms) == 16  # 8 states x 2 stations
         assert pgms[0].read_bytes().startswith(b"P5\n")
 
-    def test_snapshots_share_legs(self, tmp_path, fft_planes, cold_leg_cache):
+    def test_snapshots_share_legs(self, tmp_path, fft_planes, cold_caches):
         # paper-bg's three scenarios at four stations: the snapshots reuse the
         # matrices' leg to the 0.02 m obstacle plane and take 7 more segments
         # (0.01, 0.1 and 0.32 m free; 0.1 and 0.32 m behind each disk), where

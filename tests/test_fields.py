@@ -112,19 +112,6 @@ class TestGrid:
                 tracemalloc.stop()
             assert peak < 1.4 * out.nbytes, f"{peak / out.nbytes:.2f} result planes"
 
-    def test_ring_weights_are_grid_sums(self):
-        for n in (64, 128):
-            g = TransverseGrid(n=n, extent=7.3e-3)
-            radii, ring = np.unique(pixel_radius(g), return_inverse=True)
-            assert np.array_equal(g.radii, radii)
-            counts = g.ring_weights(0)
-            assert counts.sum() == n * n
-            assert np.array_equal(counts, np.bincount(ring.ravel()))
-            for m in (1, -2, 4):
-                w = np.exp(-1j * m * g.phi).ravel()
-                expected = [np.sum(w[ring.ravel() == k]) for k in range(radii.size)]
-                assert np.allclose(g.ring_weights(m), expected, rtol=0, atol=1e-12), m
-
 
 class TestSpectralSums:
     GRIDS = [(64, 25.6e-6), (256, 10e-3)]  # the first with evanescent corners

@@ -19,6 +19,7 @@ from diagnostics import (
     circular,
     dominant_oam_fraction,
     linear,
+    phi,
     polarization_variance,
     projected_lobe_axis,
     unfold,
@@ -137,8 +138,8 @@ class TestPrepareState:
     def synthesize(self, label, profile, grid):
         """Independent construction from the analytic 4-vector."""
         vec = mub_state_vector(label)  # basis {R+,R-,L+,L-}
-        phase_pos = np.exp(1j * grid.phi)
-        phase_neg = np.exp(-1j * grid.phi)
+        phase_pos = np.exp(1j * phi(grid))
+        phase_neg = np.exp(-1j * phi(grid))
         u = profile.samples
         r_scalar = (vec[0] * phase_pos + vec[1] * phase_neg) * u
         l_scalar = (vec[2] * phase_pos + vec[3] * phase_neg) * u
@@ -224,10 +225,20 @@ def test_spin_orbit_pair_matches_full_plane_formula(grid256, bg_source, ell):
         u = unfold(grid256, q).astype(complex)
         u[128, 128] = 0.0
         u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid256.pixel_area)
-        turn = np.exp(1j * ell * grid256.phi)
+        turn = np.exp(1j * ell * phi(grid256))
         ref = np.stack([u * turn, u * turn.conj()])
         got = spin_orbit_pair(q, grid256, ell)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_spin_orbit_pair_refuses_a_zero_profile():
+    # zero everywhere, or everywhere but at r = 0, whose sample the pair drops
+    grid = TransverseGrid(n=64, extent=10e-3)
+    centre = np.zeros((33, 33))
+    centre[0, 0] = 1.0
+    for profile in (np.zeros((33, 33)), centre):
+        with pytest.raises(ValueError, match="cannot normalize a zero field"):
+            spin_orbit_pair(profile, grid)
 
 
 def halves(grid):

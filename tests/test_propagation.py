@@ -13,7 +13,7 @@ from bgqkd import (
 from bgqkd.channel import (DetectionModel, detection_scalar, heralded_profile,
                            scattering_matrix)
 from bgqkd.propagation import (
-    obstacle_mask,
+    covered_samples,
     propagate_quadrant,
     propagate_samples,
     transfer_function,
@@ -199,7 +199,7 @@ class TestObstacle:
 
     @pytest.mark.parametrize("center", [[3e-4, -2e-4], np.array([3e-4, -2e-4])],
                              ids=["list", "ndarray"])
-    def test_center_is_stored_as_a_tuple(self, cold_leg_cache, bg_source, center):
+    def test_center_is_stored_as_a_tuple(self, cold_caches, bg_source, center):
         # a list or array centre reached the shared-leg cache unhashable
         obs = ObstacleSpec(radius=300e-6, center=center, z=0.02)
         ref = ObstacleSpec(radius=300e-6, center=(3e-4, -2e-4), z=0.02)
@@ -213,7 +213,7 @@ class TestObstacle:
 
     @pytest.mark.parametrize("center", [(1e-4,), (1e-4, 0.0, 2e-4)], ids=["1-entry", "3-entry"])
     def test_center_needs_two_entries(self, center):
-        # one entry reached obstacle_mask as an IndexError, and a third was dropped
+        # one entry reached the obstacle mask as an IndexError, and a third was dropped
         with pytest.raises(ValueError, match="2 entries"):
             ObstacleSpec(radius=300e-6, center=center)
 
@@ -239,11 +239,25 @@ class TestObstacle:
 ], ids=["centred", "off-centre", "edge", "corner", "rim", "sub-pixel", "between",
         "oversized"])
 def test_obstacle_mask_equals_full_grid_hypot(grid256, radius, center):
-    obs = ObstacleSpec(radius=radius, center=center)
+    # the covered samples are those of the per-pixel hypot < R, each once, in
+    # C order (so sorted by row)
     x, y = grid256.axis - center[0], grid256.axis - center[1]
-    expected = (np.hypot(x[None, :], y[:, None]) >= radius).astype(float)
-    mask = obstacle_mask(grid256, obs)
-    assert mask.dtype == expected.dtype and np.array_equal(mask, expected)
+    expected = np.flatnonzero(np.hypot(x[None, :], y[:, None]) < radius)
+    rows, cols = covered_samples(grid256, (ObstacleSpec(radius=radius, center=center),))
+    assert np.array_equal(rows * grid256.n + cols, expected)
+
+
+def test_covered_samples_of_several_disks_are_their_union(grid256):
+    disks = (ObstacleSpec(radius=700e-6, center=(300e-6, -900e-6)),
+             ObstacleSpec(radius=500e-6, center=(-200e-6, -300e-6)),
+             ObstacleSpec(radius=700e-6, center=(300e-6, -900e-6)))
+    covered = np.zeros((grid256.n, grid256.n), bool)
+    for o in disks:
+        x, y = grid256.axis - o.center[0], grid256.axis - o.center[1]
+        covered |= np.hypot(x[None, :], y[:, None]) < o.radius
+    rows, cols = covered_samples(grid256, disks)
+    assert np.array_equal(rows * grid256.n + cols, np.flatnonzero(covered))
+    assert [a.size for a in covered_samples(grid256, ())] == [0, 0]
 
 
 class TestChannelSpec:

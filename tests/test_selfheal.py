@@ -15,9 +15,10 @@ from bgqkd import (
 from bgqkd.channel import detection_states, source_leg
 from bgqkd.fields import gram
 from bgqkd.jones import LABELS, SPIN_ORBIT, mub_state_vector, spin_orbit_pair
-from bgqkd.propagation import obstacle_mask, propagate_samples
+from bgqkd.propagation import propagate_samples
 
-from polarized_oracle import conjugate_back_propagate
+from diagnostics import phi
+from polarized_oracle import conjugate_back_propagate, obstacle_mask
 
 CASCADE = DetectionModel(smf_waist=0.45e-3, noise_floor=0.0)
 
@@ -49,7 +50,7 @@ def direct_space_scan(source, label, obs, z_stations, grid, detection):
     power = float(state_powers(blocked, grid)[j])
     axis = np.zeros((grid.n, grid.n))
     axis[grid.n // 2, grid.n // 2] = 1.0
-    turn = np.exp(1j * ell * grid.phi)
+    turn = np.exp(1j * ell * phi(grid))
     rows = []
     for z in z_stations:
         w = conjugate_back_propagate(axis, grid, source.wavelength, z - station)

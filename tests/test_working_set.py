@@ -12,18 +12,21 @@ and a station adds none.
 The source's first leg runs on parity quadrants and writes the pair once, so a
 cold station pair holds the pair, the mask and the masked pair. A scattering
 matrix makes no masked pair and no detection pair: beside the shared leg it
-holds the station-plane mask, the receiver's quadrant and its vortex turn's
-(a quarter plane each), and one block of rows at a time, so a second scenario
-on a warm leg adds about 2 planes, most of them while the receiver's scalar is
-carried back over the decoding leg. The grid itself keeps no n x n plane.
+holds the indices of the samples an obstacle covers, the receiver's quadrant
+and its vortex turn's (a quarter plane each), and one block of rows at a
+time, so a second scenario on a warm leg adds about 1.5 planes, most of them
+while the receiver's scalar is carried back over the decoding leg. An SPDC
+overlap sums on the grid quadrant, with no n x n azimuth. The grid itself
+keeps no n x n plane.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bgqkd import ObstacleSpec, TransverseGrid, channel, selfheal_scan
+from bgqkd import ObstacleSpec, TransverseGrid, channel, selfheal_scan, spdc_overlap
 from bgqkd.channel import DetectionModel, scattering_matrix
 from bgqkd.jones import LABELS
 from bgqkd.propagation import ChannelSpec
@@ -35,11 +38,9 @@ STATIONS = [0.0517, 0.1293, 0.2586, 0.3879, 0.5171]  # paper-selfheal-bg
 
 
 @pytest.fixture
-def grid():
-    """A fresh grid, with the shared-leg cache cleared before and after."""
-    channel._arrival.cache_clear()
-    yield TransverseGrid(n=N, extent=10e-3)
-    channel._arrival.cache_clear()
+def grid(cold_caches):
+    """A fresh grid, with the package's caches cleared before and after."""
+    return TransverseGrid(n=N, extent=10e-3)
 
 
 def traced_peak_planes(run) -> float:
@@ -83,19 +84,31 @@ def test_cold_station_leg_peak(request, grid, source):
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
 def test_masked_scattering_matrix_peak(request, grid, source):
     # 8.25 planes with an n x n masked pair, detection pair and window copies;
-    # 4.35 streamed, set by carrying the cold leg
+    # 4.35 streamed with an n x n mask, 3.87 with the covered samples' indices
     peak = masked_matrix_peak(request.getfixturevalue(source), grid, CASCADE)
-    assert peak < 4.8, f"{peak:.2f} planes"
+    assert peak < 4.3, f"{peak:.2f} planes"
 
 
 @pytest.mark.parametrize("source", ["bg_source", "lg_source"])
 def test_warm_leg_scattering_matrix_peak(request, grid, source):
     # a second scenario on the cached leg: 5.88 planes above it with the n x n
-    # pairs, 1.99 streamed (tracemalloc sees only what the second call makes)
+    # pairs, 1.99 streamed with an n x n mask, 1.50 with the covered samples'
+    # indices (tracemalloc sees only what the second call makes)
     src = request.getfixturevalue(source)
     masked_matrix_peak(src, grid, CASCADE)
     peak = masked_matrix_peak(src, grid, CASCADE)
-    assert peak < 2.4, f"{peak:.2f} planes"
+    assert peak < 1.9, f"{peak:.2f} planes"
+
+
+@pytest.mark.parametrize("idler_ell, bound", [(-1, 1.0), (1, 1.5)], ids=["m=0", "m=2"])
+def test_cold_spdc_overlap_peak(grid, bg_source, idler_ell, bound):
+    # three mode quadrants, the weights and their product: 0.51 planes for
+    # ell_s + ell_i = 0; 1.02 for 2, with the quadrant turn (2.65 with the n x n
+    # azimuth of a sum over rings)
+    grid.radial_quadrant(np.sqrt)  # the grid's radial index, outside the trace
+    idler = dataclasses.replace(bg_source, ell=idler_ell)
+    peak = traced_peak_planes(lambda: spdc_overlap(bg_source, idler, 1.0e-3, grid))
+    assert peak < bound, f"{peak:.2f} planes"
 
 
 def test_grid_keeps_no_plane_after_a_run(grid, bg_source):
@@ -104,7 +117,7 @@ def test_grid_keeps_no_plane_after_a_run(grid, bg_source):
     scattering_matrix(link, bg_source, CASCADE, grid)
     selfheal_scan(bg_source, LABELS[0], ObstacleSpec(radius=600e-6, z=0.0), STATIONS[:2],
                   grid, CASCADE)
-    grid.ring_weights(1)
+    spdc_overlap(bg_source, bg_source, 1.0e-3, grid)
     for name, value in vars(grid).items():
         for a in value if isinstance(value, tuple) else (value,):
             assert not (isinstance(a, np.ndarray) and a.size >= N * N), name
